@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import Spectrum, dephasing_superoperator, superop_from_spectrum
 from .errors import InvalidTrajectoryError, OutOfRangeError
@@ -231,6 +230,8 @@ def generator_consistency_residual(spec: EvolutionSpec, times) -> float:
     Grounds the exponential eigenvalue formula in a machine check against
     the matrix exponential of the explicitly assembled generator.
     """
+    import scipy.linalg  # deferred: nothing else needs scipy, and it dominates import time
+
     gen = generator_superoperator(spec)
     worst = 0.0
     for t in np.asarray(times, dtype=float):

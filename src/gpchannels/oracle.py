@@ -1,17 +1,29 @@
 """Brute-force verification oracles, independent of the closed forms.
 
 Three searches run over pure-state manifolds using only the channel's
-superoperator matrix:
+superoperator matrix S:
 
-* ``extremize_self_fidelity``: random-restart pattern search of
-  Tr(P Lambda[P]) over unit vectors (coordinate-wise steps on the 2*dim
-  real parameters with geometric step decay, renormalizing after every
-  move; no gradients).
-* ``maximize_output_2norm``: the same restart scheme on sqrt(Tr(Lambda[P]^2)).
+* ``extremize_self_fidelity`` and ``maximize_output_2norm`` share one
+  shifted power ascent (SS-HOPM, Kolda & Mayo, SIAM J. Matrix Anal. Appl.
+  2011) of the quartic form <vec P, H vec P> over P = |psi><psi|.  The
+  fidelity uses H = +/-(S + S^dagger)/2, whose form equals Tr(P Lambda[P])
+  even for a superoperator that is not self-adjoint; the output 2-norm uses
+  H = S^dagger S, since Tr(Lambda[P]^2) = <vec P, S^dagger S vec P>, and
+  reports the square root.  Each sweep moves every restart to
+  normalize(Lambda_H[P] psi + c psi) and keeps the move only if it strictly
+  improves, so every restart's value is nondecreasing.  An accepted move
+  shrinks the restart's shift c by SHIFT_DECAY down to a floor, and the
+  restart stops once a move gains no more than the value tolerance.  A
+  rejected move doubles c, and the restart stops instead if the rejected
+  candidate lies within the step tolerance of its state up to phase (a
+  fixed point, such as a seeded optimum).
 * ``maximize_output_inf_norm``: alternating ascent of Tr(Q Lambda[P]); for
   a fixed input the optimal measurement is the top eigenvector of the
   output, and (the channels here being self-adjoint) the roles swap
   symmetrically.  The objective is nondecreasing across half-steps.
+
+Both ascents run on the same restart loop (per-restart active mask, sweep
+counts, history rows) and report through the same result builder.
 
 Restart seeding always includes the supplied candidate states (basis
 vectors, or their tensor products for tensor-power probes) ahead of Haar
@@ -25,20 +37,13 @@ verbatim.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    GeneralizedPauliChannel,
-    Spectrum,
-    apply_channel,
-    choi_from_spectrum,
-    fujiwara_algoet_check,
-    spectrum_of,
-    tensor_power,
-)
+from .channel import GeneralizedPauliChannel, apply_channel, spectrum_of, tensor_power
 from .errors import TooLargeError
 from .metrics import fidelity_extremes, multiplicativity_flags
 from .mub import MubFamily, build_mub_family
@@ -50,6 +55,9 @@ TENSOR_RESTARTS = 2048
 MAX_ORACLE_DIM = 64
 #: hard cap on spectra per equivalence scan
 MAX_SCAN_POINTS = 100_000
+#: shift schedule of the power ascent, relative to ||H||_2
+SHIFT_FLOOR = 1e-3
+SHIFT_DECAY = 0.7
 
 DEFAULT_SEED = 2026
 
@@ -60,6 +68,8 @@ class OracleConfig:
 
     restarts: int = SINGLE_RESTARTS
     max_iters: int = 500
+    #: fixed-point test of the power ascent: a rejected candidate this close
+    #: to the current state (up to phase) ends the restart
     step_tol: float = 1e-9
     value_tol: float = 1e-10
     seed: int = DEFAULT_SEED
@@ -79,10 +89,12 @@ class OracleResult:
 
     ``value`` is the extremal value over all restarts; ``state`` comes from
     the earliest restart within ``value_tol`` of it (seeded candidates come
-    first).  ``history`` records the objective after every sweep (or
-    alternating half-step) for each restart; rows only improve.  The
-    (seed, restarts) stamp plus the same inputs replays the result
-    bit-identically regardless of how restarts are scheduled.
+    first), and ``restart_values`` holds each restart's final objective.
+    ``history`` holds the starting row plus one row per sweep (row 0 is
+    -inf for the inf-norm ascent, which evaluates nothing before its first
+    sweep); column r follows restart r and only improves.  The (seed,
+    restarts) stamp plus the same inputs replays the result bit-identically
+    regardless of how restarts are scheduled.
     """
 
     value: float
@@ -129,8 +141,9 @@ def product_seed_states(fam: MubFamily, n: int) -> np.ndarray:
     return out
 
 
-def _superop_dim(superop: np.ndarray) -> int:
-    superop = np.asarray(superop)
+def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
+    """The superoperator as a complex array, and its state dimension (capped)."""
+    superop = np.asarray(superop, dtype=complex)
     if superop.ndim != 2 or superop.shape[0] != superop.shape[1]:
         raise ValueError(f"superoperator must be square, got {superop.shape}")
     m = int(round(np.sqrt(superop.shape[0])))
@@ -138,23 +151,29 @@ def _superop_dim(superop: np.ndarray) -> int:
         raise ValueError(f"superoperator side {superop.shape[0]} is not a perfect square")
     if m > MAX_ORACLE_DIM:
         raise TooLargeError(f"state dimension {m} exceeds oracle cap {MAX_ORACLE_DIM}")
-    return m
+    return superop, m
+
+
+@functools.lru_cache(maxsize=8)
+def _haar_block(dim: int, seed: int, first: int, count: int) -> np.ndarray:
+    """Read-only Haar starts for global restart indices first..first+count-1."""
+    block = np.empty((count, dim), dtype=complex)
+    for i in range(count):
+        # generator keyed by the global restart index: worker-count independent
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(first + i,)))
+        block[i] = random_pure_state(dim, rng)
+    block.setflags(write=False)
+    return block
 
 
 def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray, int]:
     if seed_states is None:
         seeds = np.zeros((0, dim), dtype=complex)
     else:
-        seeds = np.asarray(seed_states, dtype=complex).reshape(-1, dim).copy()
-        seeds /= np.linalg.norm(seeds, axis=1, keepdims=True)
+        seeds = np.asarray(seed_states, dtype=complex).reshape(-1, dim)
+        seeds = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
     n_haar = max(cfg.restarts - seeds.shape[0], 0)
-    haar = np.empty((n_haar, dim), dtype=complex)
-    for i in range(n_haar):
-        # generator keyed by the global restart index: worker-count independent
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(seeds.shape[0] + i,))
-        )
-        haar[i] = random_pure_state(dim, rng)
+    haar = _haar_block(dim, cfg.seed, seeds.shape[0], n_haar)
     return np.concatenate([seeds, haar], axis=0), seeds.shape[0]
 
 
@@ -166,62 +185,96 @@ def _output_batch(superop_t: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return w.reshape(b, m, m).transpose(0, 2, 1)
 
 
-def _pattern_search(objective, starts: np.ndarray, cfg: OracleConfig):
-    """Batched coordinate-wise maximization over unit vectors.
+def _run_restarts(sweep, values: np.ndarray, cfg: OracleConfig):
+    """The restart loop shared by both ascents.
 
-    ``objective`` maps a (B, m) batch of unit vectors to (B,) values to
-    maximize.  Per restart: cycle through the 2m real coordinates, try a
-    +/- step, keep strict improvements, halve the step after a sweep with
-    no accepted move, stop below the step tolerance.
+    ``sweep(active)`` advances the active restarts by one sweep, updating
+    ``values`` in place, and returns a mask of those that continue.
+    Returns per-restart sweep counts and the history of ``values``.
     """
-    r, m = starts.shape
-    n_par = 2 * m
-    z = np.concatenate([starts.real, starts.imag], axis=1)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-
-    def eval_z(zb):
-        return objective(zb[:, :m] + 1j * zb[:, m:])
-
-    f = eval_z(z)
-    step = np.full(r, 0.5)
-    sweeps = np.zeros(r, dtype=np.int64)
-    history = [f.copy()]
+    r = values.shape[0]
+    iters = np.zeros(r, dtype=np.int64)
+    history = [values.copy()]
+    active = np.arange(r)
     for _ in range(cfg.max_iters):
-        idx = np.nonzero(step >= cfg.step_tol)[0]
-        if idx.size == 0:
+        if active.size == 0:
             break
-        improved = np.zeros(r, dtype=bool)
-        for j in range(n_par):
-            za = z[idx]
-            a = idx.size
-            cand = np.concatenate([za, za], axis=0)
-            cand[:a, j] += step[idx]
-            cand[a:, j] -= step[idx]
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = eval_z(cand)
-            take_minus = fc[a:] > fc[:a]
-            fbest = np.where(take_minus, fc[a:], fc[:a])
-            better = fbest > f[idx]
-            if better.any():
-                rows = idx[better]
-                chosen = np.where(take_minus[better, None], cand[a:][better], cand[:a][better])
-                z[rows] = chosen
-                f[rows] = fbest[better]
-                improved[rows] = True
-        stuck = np.zeros(r, dtype=bool)
-        stuck[idx] = True
-        stuck &= ~improved
-        step[stuck] *= 0.5
-        sweeps[idx] += 1
-        history.append(f.copy())
-    psi = z[:, :m] + 1j * z[:, m:]
-    return psi, f, np.asarray(history), sweeps
+        keep = sweep(active)
+        iters[active] += 1
+        history.append(values.copy())
+        active = active[keep]
+    return iters, np.asarray(history)
+
+
+def _power_ascent(h: np.ndarray, starts: np.ndarray, cfg: OracleConfig):
+    """Batched shifted power ascent of <vec P, H vec P>, P = |psi><psi|, H Hermitian.
+
+    The part of H along |vec I><vec I| adds the constant Tr(P)^2 = 1 to the
+    form and acts as a built-in shift of Lambda_H[P] psi; a positive part
+    is taken out (and its constant added back to the values) so that the
+    adaptive shift alone sets the step length.  Returns the final states,
+    their values, sweep counts and history.
+    """
+    m = starts.shape[1]
+    vec_i = np.eye(m).reshape(-1)
+    kappa = max(float((vec_i @ h @ vec_i).real) / m**2, 0.0)
+    h = h - kappa * np.outer(vec_i, vec_i)
+    h_t = np.ascontiguousarray(h.T)
+    scale = float(np.linalg.norm(h, 2)) or 1.0
+
+    def evaluate(psi):
+        # Lambda_H[P] psi is the ascent direction; <psi, Lambda_H[P] psi> the value
+        grad = (_output_batch(h_t, psi) @ psi[:, :, None])[:, :, 0]
+        return np.einsum("bi,bi->b", psi.conj(), grad).real, grad
+
+    psi = starts
+    f, grad = evaluate(psi)
+    shift = np.full(psi.shape[0], scale)
+
+    def sweep(active):
+        cur = psi[active]
+        cand = grad[active] + shift[active, None] * cur
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        fc, gc = evaluate(cand)
+        gain = fc - f[active]
+        up = gain > 0
+        rows = active[up]
+        psi[rows] = cand[up]
+        f[rows] = fc[up]
+        grad[rows] = gc[up]
+        shift[rows] = np.maximum(SHIFT_DECAY * shift[rows], SHIFT_FLOOR * scale)
+        shift[active[~up]] *= 2.0
+        # distance between candidate and current state, minimized over phase
+        overlap = np.einsum("bi,bi->b", cur.conj(), cand)
+        phase = np.exp(1j * np.angle(overlap))
+        moved = np.linalg.norm(cand - phase[:, None] * cur, axis=1)
+        return np.where(up, gain > cfg.value_tol, moved >= cfg.step_tol)
+
+    iters, history = _run_restarts(sweep, f, cfg)
+    return psi, f + kappa, iters, history + kappa
 
 
 def _select_best(values: np.ndarray, value_tol: float) -> int:
     """Earliest restart within tolerance of the best value."""
     vmax = float(np.max(values))
     return int(np.nonzero(values >= vmax - value_tol)[0][0])
+
+
+def _result(score, states, iters, history, n_seeds, cfg, sign=1.0, dual_states=None):
+    """OracleResult from per-restart scores (larger is better), reported as sign * score."""
+    best = _select_best(score, cfg.value_tol)
+    return OracleResult(
+        value=sign * float(np.max(score)),
+        state=states[best],
+        dual_state=None if dual_states is None else dual_states[best],
+        restart_values=sign * score,
+        restart_iterations=iters,
+        history=sign * history,
+        best_restart=best,
+        seed=cfg.seed,
+        restarts=score.shape[0],
+        n_seed_states=n_seeds,
+    )
 
 
 def extremize_self_fidelity(
@@ -238,31 +291,11 @@ def extremize_self_fidelity(
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
     cfg = cfg or OracleConfig()
-    superop = np.asarray(superop, dtype=complex)
-    m = _superop_dim(superop)
-    superop_t = np.ascontiguousarray(superop.T)
+    superop, m = _checked_superop(superop)
     sgn = 1.0 if sense == "max" else -1.0
-
-    def objective(psi):
-        out = _output_batch(superop_t, psi)
-        vals = np.einsum("bi,bij,bj->b", psi.conj(), out, psi).real
-        return sgn * vals
-
     starts, n_seeds = _start_states(m, cfg, seed_states)
-    psi, g, hist, sweeps = _pattern_search(objective, starts, cfg)
-    best = _select_best(g, cfg.value_tol)
-    return OracleResult(
-        value=sgn * float(np.max(g)),
-        state=psi[best],
-        dual_state=None,
-        restart_values=sgn * g,
-        restart_iterations=sweeps,
-        history=sgn * hist,
-        best_restart=best,
-        seed=cfg.seed,
-        restarts=starts.shape[0],
-        n_seed_states=n_seeds,
-    )
+    psi, g, iters, hist = _power_ascent(0.5 * sgn * (superop + superop.conj().T), starts, cfg)
+    return _result(g, psi, iters, hist, n_seeds, cfg, sign=sgn)
 
 
 def maximize_output_2norm(
@@ -272,29 +305,10 @@ def maximize_output_2norm(
 ) -> OracleResult:
     """Search the largest output 2-norm sqrt(Tr(Lambda[P]^2)) over pure inputs."""
     cfg = cfg or OracleConfig()
-    superop = np.asarray(superop, dtype=complex)
-    m = _superop_dim(superop)
-    superop_t = np.ascontiguousarray(superop.T)
-
-    def objective(psi):
-        out = _output_batch(superop_t, psi)
-        return np.sqrt(np.sum(np.abs(out) ** 2, axis=(1, 2)))
-
+    superop, m = _checked_superop(superop)
     starts, n_seeds = _start_states(m, cfg, seed_states)
-    psi, g, hist, sweeps = _pattern_search(objective, starts, cfg)
-    best = _select_best(g, cfg.value_tol)
-    return OracleResult(
-        value=float(np.max(g)),
-        state=psi[best],
-        dual_state=None,
-        restart_values=g,
-        restart_iterations=sweeps,
-        history=hist,
-        best_restart=best,
-        seed=cfg.seed,
-        restarts=starts.shape[0],
-        n_seed_states=n_seeds,
-    )
+    psi, g, iters, hist = _power_ascent(superop.conj().T @ superop, starts, cfg)
+    return _result(np.sqrt(g), psi, iters, np.sqrt(hist), n_seeds, cfg)
 
 
 def maximize_output_inf_norm(
@@ -311,28 +325,18 @@ def maximize_output_inf_norm(
     measurement Q; on ties the earlier (seeded) pair is kept.
     """
     cfg = cfg or OracleConfig()
-    superop = np.asarray(superop, dtype=complex)
-    m = _superop_dim(superop)
+    superop, m = _checked_superop(superop)
     superop_t = np.ascontiguousarray(superop.T)
-
     p, n_seeds = _start_states(m, cfg, seed_states)
-    r = p.shape[0]
-    best_val = np.full(r, -np.inf)
+    best_val = np.full(p.shape[0], -np.inf)
     best_p = p.copy()
     best_q = p.copy()
-    iters = np.zeros(r, dtype=np.int64)
-    active = np.arange(r)
-    history: list[np.ndarray] = []
-    last = np.full(r, -np.inf)
-    for _ in range(cfg.max_iters):
-        if active.size == 0:
-            break
-        out = _output_batch(superop_t, p[active])
-        w, v = np.linalg.eigh(out)
+
+    def sweep(active):
+        w, v = np.linalg.eigh(_output_batch(superop_t, p[active]))
         val1 = w[:, -1]
         q = v[:, :, -1]
-        out2 = _output_batch(superop_t, q)
-        w2, v2 = np.linalg.eigh(out2)
+        w2, v2 = np.linalg.eigh(_output_batch(superop_t, q))
         val2 = w2[:, -1]
         p2 = v2[:, :, -1]
 
@@ -346,26 +350,11 @@ def maximize_output_inf_norm(
         best_val[rows2] = val2[imp2]
         best_p[rows2] = p2[imp2]
         best_q[rows2] = q[imp2]
-
-        last[active] = val2
-        history.append(last.copy())
-        iters[active] += 1
-        progressed = imp1 | imp2
         p[active] = p2
-        active = active[progressed]
-    best = _select_best(best_val, cfg.value_tol)
-    return OracleResult(
-        value=float(np.max(best_val)),
-        state=best_p[best],
-        dual_state=best_q[best],
-        restart_values=best_val,
-        restart_iterations=iters,
-        history=np.asarray(history) if history else np.zeros((0, r)),
-        best_restart=best,
-        seed=cfg.seed,
-        restarts=r,
-        n_seed_states=n_seeds,
-    )
+        return imp1 | imp2
+
+    iters, history = _run_restarts(sweep, best_val, cfg)
+    return _result(best_val, best_p, iters, history, n_seeds, cfg, dual_states=best_q)
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel, lambdas=None) -> float:
@@ -549,14 +538,3 @@ def tensor_fidelity_probe(
         regime=regime,
         result=result,
     )
-
-
-def choi_min_eigenvalue(fam: MubFamily, lambdas) -> float:
-    """Smallest Choi eigenvalue of the map with the given spectrum."""
-    j = choi_from_spectrum(fam, lambdas)
-    return float(np.linalg.eigvalsh(j)[0])
-
-
-def spectrum_is_cptp(d: int, lambdas, tol: float = 1e-10) -> bool:
-    """Inequality route only; see :func:`cptp_equivalence_scan` for the dual check."""
-    return fujiwara_algoet_check(Spectrum(d, np.asarray(lambdas, dtype=float)), tol=tol).passed

@@ -165,6 +165,91 @@ def test_nu_inf_ascent_monotone(fam3, rng):
         assert np.all(np.diff(vals) >= -1e-12)
 
 
+def _searches(s, cfg, seeds=None):
+    """(name, result, sign) for the three power-ascent searches; sign * value is maximized."""
+    return [
+        ("max", extremize_self_fidelity(s, "max", cfg, seeds), 1.0),
+        ("min", extremize_self_fidelity(s, "min", cfg, seeds), -1.0),
+        ("nu2", maximize_output_2norm(s, cfg, seeds), 1.0),
+    ]
+
+
+def test_power_ascent_histories_monotone(fam3, rng):
+    # Haar starts only, so every restart actually climbs; rows never get worse
+    s = superoperator_of(random_cptp_channel(3, rng, fam3))
+    for name, res, sign in _searches(s, OracleConfig(restarts=16, seed=2)):
+        hist = sign * res.history
+        assert hist.shape == (res.restart_iterations.max() + 1, 16), name
+        assert np.all(np.diff(hist, axis=0) >= 0.0), name
+        assert np.array_equal(hist[-1], sign * res.restart_values), name
+
+
+def test_returned_values_match_direct_evaluation(rng):
+    # the winning restart's value is the objective at the returned state;
+    # with the basis seeds that state attains the reported value itself
+    from gpchannels import apply_channel, build_mub_family
+
+    for d in (2, 3, 5):
+        fam = build_mub_family(d)
+        ch = random_cptp_channel(d, rng, fam, alpha=0.7)
+        for seeds in (None, mub_seed_states(fam)):
+            for name, res, sign in _searches(superoperator_of(ch), small_cfg(fam, seed=9), seeds):
+                out = apply_channel(ch, np.outer(res.state, res.state.conj()))
+                if name == "nu2":
+                    direct = np.sqrt(np.trace(out @ out).real)
+                else:
+                    direct = np.real(res.state.conj() @ out @ res.state)
+                own = res.restart_values[res.best_restart]
+                assert own == pytest.approx(direct, abs=1e-12), (d, name)
+                assert 0.0 <= sign * (res.value - own) <= OracleConfig().value_tol
+                if seeds is not None:
+                    assert res.value == pytest.approx(direct, abs=1e-12), (d, name)
+
+
+def test_power_ascent_on_non_self_adjoint_superoperator():
+    # conjugation by a fixed unitary: S = conj(U) (x) U is not self-adjoint, and
+    # Tr(P U P U^dagger) = |<psi|U|psi>|^2 ranges over the numerical range of U
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    v, _ = np.linalg.qr(z)
+    theta = np.array([0.0, 0.3, 0.5])
+    u = v @ np.diag(np.exp(1j * theta)) @ v.conj().T
+    s = np.kron(u.conj(), u)
+    assert not np.allclose(s, s.conj().T)
+    results = _searches(s, OracleConfig(restarts=32, seed=4))
+    for name, res, _ in results:
+        direct = 1.0 if name == "nu2" else abs(res.state.conj() @ u @ res.state) ** 2
+        assert res.restart_values[res.best_restart] == pytest.approx(direct, abs=1e-12), name
+    values = {name: res.value for name, res, _ in results}
+    assert values["max"] == pytest.approx(1.0, abs=1e-9)  # any eigenvector of U
+    # nearest point of the eigenvalue triangle to 0 lies on the widest chord
+    assert values["min"] == pytest.approx(np.cos(0.25) ** 2, abs=1e-9)
+
+
+def test_seeded_fixed_points_stop_after_one_sweep(fam3):
+    # every basis vector is an exact fixed point of the ascent: its first
+    # step moves less than step_tol, which ends the restart at once
+    ch = channel_from_eigenvalues(3, [0.4, 0.2, 0.1, 0.2], fam3)
+    seeds = mub_seed_states(fam3)
+    for name, res, _ in _searches(superoperator_of(ch), small_cfg(fam3), seeds):
+        assert np.all(res.restart_iterations[: res.n_seed_states] == 1), name
+        assert res.best_restart < res.n_seed_states, name
+
+
+def test_haar_starts_generated_once_and_read_only(fam2):
+    from gpchannels.oracle import _haar_block, _start_states
+
+    seeds = mub_seed_states(fam2)
+    cfg = OracleConfig(restarts=12, seed=5)
+    first, _ = _start_states(2, cfg, seeds)
+    block = _haar_block(2, 5, seeds.shape[0], 12 - seeds.shape[0])
+    assert block is _haar_block(2, 5, seeds.shape[0], 12 - seeds.shape[0])
+    assert not block.flags.writeable
+    first[:] = 0.0  # a caller's copy; the memoized block is untouched
+    again, _ = _start_states(2, cfg, seeds)
+    assert np.array_equal(again[seeds.shape[0]:], block)
+
+
 def test_oracle_determinism(fam3, rng):
     ch = random_cptp_channel(3, rng, fam3)
     s = superoperator_of(ch)

@@ -245,6 +245,8 @@ def _spectral_parts(fam: MubFamily) -> tuple[np.ndarray, np.ndarray]:
             v = u.reshape(-1, order="F")
             sup[a] += np.outer(v, v.conj()) / d
             choi[a] += np.kron(u.conj(), u) / d**2
+    sup.setflags(write=False)  # built-in families, and so these parts, are shared
+    choi.setflags(write=False)
     object.__setattr__(fam, "_spectral_parts", (sup, choi))
     return sup, choi
 

@@ -21,6 +21,7 @@ U(a, k)^dagger = U(a, d-k).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -162,14 +163,20 @@ def build_mub_family(d: int) -> MubFamily:
     Basis 0 is the computational basis.  Raises
     :class:`UnsupportedDimensionError` for non-prime or out-of-range d;
     families for prime-power dimensions can be supplied via
-    :func:`load_mub_file` instead.
+    :func:`load_mub_file` instead.  Each d is built and validated once and
+    the same frozen family is returned on every later call.
     """
     if not isinstance(d, (int, np.integer)) or not _is_prime(int(d)) or not (2 <= d <= MAX_BUILTIN_DIM):
         raise UnsupportedDimensionError(
             f"no built-in construction for d={d}; need a prime in [2, {MAX_BUILTIN_DIM}] "
             "(load a family from file for other dimensions)"
         )
-    d = int(d)
+    return _builtin_family(int(d))
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_family(d: int) -> MubFamily:
+    """Build and validate the family for a prime d that passed the checks."""
     if d == 2:
         s = 1.0 / np.sqrt(2.0)
         bases = np.array(

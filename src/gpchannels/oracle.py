@@ -17,10 +17,21 @@ superoperator matrix S:
   rejected move doubles c, and the restart stops instead if the rejected
   candidate lies within the step tolerance of its state up to phase (a
   fixed point, such as a seeded optimum).
-* ``maximize_output_inf_norm``: alternating ascent of Tr(Q Lambda[P]); for
-  a fixed input the optimal measurement is the top eigenvector of the
-  output, and (the channels here being self-adjoint) the roles swap
-  symmetrically.  The objective is nondecreasing across half-steps.
+* ``maximize_output_inf_norm``: alternating ascent of Tr(Q Lambda[P]) over
+  pure inputs P and measurements Q.  For a fixed input the optimal
+  measurement is the top eigenvector of Lambda[P]; for a fixed measurement
+  the optimal input is the top eigenvector of Lambda^dagger[Q], the adjoint
+  map whose superoperator is S^dagger, so S need not be self-adjoint.  A
+  restart first takes shifted power steps toward these eigenvectors,
+  phi <- normalize(Lambda[P] phi + c phi) for the measurement and then
+  psi <- normalize(Lambda^dagger[Q] psi + c psi) for the input, two of
+  each per sweep, with the accept-if-improves rule and shift schedule
+  above (the shift starts at its floor).  Once such a sweep gains no more
+  than the value tolerance, the restart switches for good to exact sweeps,
+  which take both eigenvectors by ``eigh``, and stops when neither exact
+  half-step gains more than the value tolerance, so every stopped restart
+  is certified by exact eigenvectors.  The objective is nondecreasing
+  across half-steps.
 
 Both ascents run on the same restart loop (per-restart active mask, sweep
 counts, history rows) and report through the same result builder.
@@ -90,11 +101,10 @@ class OracleResult:
     ``value`` is the extremal value over all restarts; ``state`` comes from
     the earliest restart within ``value_tol`` of it (seeded candidates come
     first), and ``restart_values`` holds each restart's final objective.
-    ``history`` holds the starting row plus one row per sweep (row 0 is
-    -inf for the inf-norm ascent, which evaluates nothing before its first
-    sweep); column r follows restart r and only improves.  The (seed,
-    restarts) stamp plus the same inputs replays the result bit-identically
-    regardless of how restarts are scheduled.
+    ``history`` holds the starting row plus one row per sweep; column r
+    follows restart r and only improves.  The (seed, restarts) stamp plus
+    the same inputs replays the result bit-identically regardless of how
+    restarts are scheduled.
     """
 
     value: float
@@ -318,25 +328,64 @@ def maximize_output_inf_norm(
 ) -> OracleResult:
     """Alternating ascent of Tr(Q Lambda[P]) over pure input/measurement pairs.
 
-    Fixing the input, the optimal measurement is the top eigenvector of the
-    output; the self-adjointness of the channel lets the two roles swap.
-    Every half-step is nondecreasing; each restart stops at a fixed point.
-    The result's ``state`` is the input P and ``dual_state`` the
-    measurement Q; on ties the earlier (seeded) pair is kept.
+    For a fixed input P the best measurement Q is the top eigenvector of
+    Lambda[P]; for a fixed Q the best P is the top eigenvector of
+    Lambda^dagger[Q], the adjoint map whose superoperator is S^dagger.
+    Each restart starts from its input and the top eigenvector of its
+    output.  A power sweep moves Q, then P, by two shifted power steps
+    toward those eigenvectors, each kept only if it strictly improves.  Once
+    a power sweep gains no more than ``value_tol`` the restart switches for
+    good to exact sweeps, which take both eigenvectors by ``eigh``, and it
+    stops when neither exact half-step gains more than ``value_tol``.  The
+    shift starts at its floor: for a positive map Lambda[P] and
+    Lambda^dagger[Q] are positive semidefinite, where unshifted power steps
+    already ascend, and a rejected step doubles it.  The result's ``state``
+    is the input P and ``dual_state`` the measurement Q; on ties the
+    earlier (seeded) pair is kept.
     """
     cfg = cfg or OracleConfig()
     superop, m = _checked_superop(superop)
-    superop_t = np.ascontiguousarray(superop.T)
-    p, n_seeds = _start_states(m, cfg, seed_states)
-    best_val = np.full(p.shape[0], -np.inf)
-    best_p = p.copy()
-    best_q = p.copy()
+    fwd_t = np.ascontiguousarray(superop.T)  # Lambda, as _output_batch takes it
+    adj_t = np.ascontiguousarray(superop.conj())  # Lambda^dagger: (S^dagger)^T
+    floor = SHIFT_FLOOR * (float(np.linalg.norm(superop, 2)) or 1.0)
+    best_p, n_seeds = _start_states(m, cfg, seed_states)
+    w, v = np.linalg.eigh(_output_batch(fwd_t, best_p))
+    best_val = w[:, -1].copy()
+    best_q = v[:, :, -1].copy()
+    p = np.empty_like(best_p)  # where the next exact sweep starts, set on the switch
+    shift = np.full(best_p.shape[0], floor)
+    exact = np.zeros(best_p.shape[0], dtype=bool)
 
-    def sweep(active):
-        w, v = np.linalg.eigh(_output_batch(superop_t, p[active]))
+    def power_half_step(rows, x, fixed, op_t):
+        # two shifted power steps of x[rows] toward the top eigenvector of op[fixed[rows]]
+        a = _output_batch(op_t, fixed[rows])
+        cur, f, c = x[rows], best_val[rows], shift[rows]
+        grad = np.einsum("bij,bj->bi", a, cur)
+        for _ in range(2):
+            cand = grad + c[:, None] * cur
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            gc = np.einsum("bij,bj->bi", a, cand)
+            fc = np.einsum("bi,bi->b", cand.conj(), gc).real
+            up = fc > f
+            cur = np.where(up[:, None], cand, cur)
+            grad = np.where(up[:, None], gc, grad)
+            f = np.where(up, fc, f)
+            c = np.where(up, np.maximum(SHIFT_DECAY * c, floor), 2.0 * c)
+        x[rows], best_val[rows], shift[rows] = cur, f, c
+
+    def power_sweep(rows):
+        before = best_val[rows]
+        power_half_step(rows, best_q, best_p, fwd_t)
+        power_half_step(rows, best_p, best_q, adj_t)
+        done = rows[best_val[rows] - before <= cfg.value_tol]
+        exact[done] = True
+        p[done] = best_p[done]
+
+    def exact_sweep(active):
+        w, v = np.linalg.eigh(_output_batch(fwd_t, p[active]))
         val1 = w[:, -1]
         q = v[:, :, -1]
-        w2, v2 = np.linalg.eigh(_output_batch(superop_t, q))
+        w2, v2 = np.linalg.eigh(_output_batch(adj_t, q))
         val2 = w2[:, -1]
         p2 = v2[:, :, -1]
 
@@ -352,6 +401,15 @@ def maximize_output_inf_norm(
         best_q[rows2] = q[imp2]
         p[active] = p2
         return imp1 | imp2
+
+    def sweep(active):
+        keep = np.ones(active.size, dtype=bool)
+        polish = exact[active]
+        if polish.any():
+            keep[polish] = exact_sweep(active[polish])
+        if not polish.all():
+            power_sweep(active[~polish])
+        return keep
 
     iters, history = _run_restarts(sweep, best_val, cfg)
     return _result(best_val, best_p, iters, history, n_seeds, cfg, dual_states=best_q)

@@ -43,6 +43,23 @@ def test_non_prime_or_out_of_range_dimensions_rejected(d):
         build_mub_family(d)
 
 
+def test_builtin_family_built_once_and_frozen():
+    # one shared family per d, so neither its arrays nor the spectral parts
+    # memoized on it may be written through
+    from gpchannels.channel import _spectral_parts
+
+    fam = build_mub_family(3)
+    assert build_mub_family(3) is fam
+    assert build_mub_family(np.int64(3)) is fam
+    with pytest.raises(UnsupportedDimensionError):
+        build_mub_family(3.0)  # the type check is not bypassed by the cache
+    sup, choi = _spectral_parts(fam)
+    assert _spectral_parts(build_mub_family(3))[0] is sup
+    for arr in (fam.bases, fam.unitaries(), sup, choi):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
 def test_validate_builtin_d5(fam5):
     rep = validate_mub_family(fam5, tol=1e-12)
     assert rep.passed

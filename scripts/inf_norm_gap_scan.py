@@ -25,6 +25,7 @@ from gpchannels import (
     max_output_inf_norm,
     maximize_output_inf_norm,
     mub_seed_states,
+    multiplicativity_flags,
     spectrum_of,
     superoperator_of,
 )
@@ -57,7 +58,8 @@ def main(argv=None) -> int:
         closed = max_output_inf_norm(ch)
         found = maximize_output_inf_norm(superoperator_of(ch), cfg, seeds).value
         excess = found - closed
-        regime = "dominant-max" if lam.max() >= abs(lam.min()) else "dominated-max"
+        dominant = multiplicativity_flags(ch).fmax_multiplicative
+        regime = "dominant-max" if dominant else "dominated-max"
         if excess > 1e-6:
             n_excess += 1
         if excess > worst[0]:

@@ -30,15 +30,15 @@ from gpchannels import (
 from gpchannels.channel import Spectrum
 
 
-def sample_open_regime_spectrum(d, rng):
-    """Rejection-sample CPTP spectra with max(lambda) < |min(lambda)|."""
+def sample_open_regime_channel(d, fam, rng):
+    """Rejection-sample CPTP channels outside the factorizing regime."""
     while True:
         lam = rng.uniform(-1.0 / (d - 1), 1.0, size=d + 1)
-        sp = Spectrum(d, lam)
-        if not fujiwara_algoet_check(sp).passed:
+        if not fujiwara_algoet_check(Spectrum(d, lam)).passed:
             continue
-        if lam.max() < abs(lam.min()):
-            return lam
+        ch = channel_from_eigenvalues(d, lam, fam)
+        if not multiplicativity_flags(ch).fmax_multiplicative:
+            return ch
 
 
 def main(argv=None) -> int:
@@ -58,8 +58,7 @@ def main(argv=None) -> int:
     fam = build_mub_family(args.d)
     records = []
     for _ in range(args.samples):
-        lam = sample_open_regime_spectrum(args.d, rng)
-        ch = channel_from_eigenvalues(args.d, lam, fam)
+        ch = sample_open_regime_channel(args.d, fam, rng)
         probe = tensor_fidelity_probe(ch, args.n, cfg)
         records.append(
             {

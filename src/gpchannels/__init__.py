@@ -42,7 +42,6 @@ from .errors import (
     InvalidTrajectoryError,
     MubValidationError,
     NotCPTPError,
-    NotHermitianError,
     OutOfRangeError,
     TooLargeError,
     UnsupportedDimensionError,
@@ -57,6 +56,7 @@ from .metrics import (
     max_output_inf_norm,
     multiplicativity_flags,
     regularized_max_fidelity,
+    spectral_figures,
     unitary_coefficients,
 )
 from .mub import (

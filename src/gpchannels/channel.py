@@ -24,7 +24,8 @@ which hold exactly when the inverse map lands in the probability simplex.
 
 Probabilities are stored as ground truth; spectra are derived.  Channels
 are immutable and all operations are pure.  Superoperators use the
-column-stacking convention of :mod:`gpchannels.linalg`.
+column-stacking convention vec(A)[i + rows*j] = A[i, j], so that
+vec(A X B) = (B^T kron A) vec(X).
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class Spectrum:
             raise DimensionMismatchError(
                 f"expected {self.d + 1} eigenvalues for d={self.d}, got shape {lam.shape}"
             )
+        if not np.all(np.isfinite(lam)):
+            raise BadProbabilitiesError(f"non-finite eigenvalue in {lam.tolist()}")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
 
@@ -94,25 +97,39 @@ class GeneralizedPauliChannel:
         self.probs = p
 
 
-def fujiwara_algoet_check(sp: Spectrum, tol: float = FA_TOL) -> FujiwaraAlgoetResult:
+def fa_slacks(lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """Fujiwara-Algoet slacks of each spectrum along the last axis.
+
+    Returns (sum(lambda) + 1/(d-1), 1 + d*min(lambda) - sum(lambda)); a
+    negative slack means the bound is violated.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    d = lam.shape[-1] - 1
+    total = lam.sum(axis=-1)
+    return total + 1.0 / (d - 1), 1.0 + d * lam.min(axis=-1) - total
+
+
+def fujiwara_algoet_check(sp: Spectrum) -> FujiwaraAlgoetResult:
     """Evaluate -1/(d-1) <= sum(lambda) <= 1 + d*min(lambda) with slacks."""
-    d = sp.d
-    total = float(np.sum(sp.lambdas))
-    lower = total + 1.0 / (d - 1)
-    upper = 1.0 + d * float(np.min(sp.lambdas)) - total
+    lower, upper = (float(x) for x in fa_slacks(sp.lambdas))
     violated = None
-    if lower < -tol:
+    if lower < -FA_TOL:
         violated = "lower"
-    elif upper < -tol:
+    elif upper < -FA_TOL:
         violated = "upper"
     return FujiwaraAlgoetResult(violated is None, lower, upper, violated)
 
 
+def lambdas_from_probabilities(probs) -> np.ndarray:
+    """Eigenvalues lambda_a = [d*(p_0 + p_a) - 1] / (d - 1) along the last axis."""
+    p = np.asarray(probs, dtype=float)
+    d = p.shape[-1] - 2
+    return (d * (p[..., :1] + p[..., 1:]) - 1.0) / (d - 1)
+
+
 def spectrum_of(ch: GeneralizedPauliChannel) -> Spectrum:
-    """Eigenvalues lambda_a = [d*(p_0 + p_a) - 1] / (d - 1)."""
-    d = ch.d
-    lam = (d * (ch.probs[0] + ch.probs[1:]) - 1.0) / (d - 1)
-    return Spectrum(d=d, lambdas=lam)
+    """The channel's eigenvalues; see :func:`lambdas_from_probabilities`."""
+    return Spectrum(d=ch.d, lambdas=lambdas_from_probabilities(ch.probs))
 
 
 def probabilities_of(sp: Spectrum) -> np.ndarray:
@@ -145,6 +162,8 @@ def channel_from_probabilities(
         )
     if p.shape != (d + 2,):
         raise BadProbabilitiesError(f"need {d + 2} weights for d={d}, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise BadProbabilitiesError(f"non-finite weight in {p.tolist()}")
     if np.min(p) < -PROB_TOL:
         raise BadProbabilitiesError(f"negative weight {np.min(p):.3e}")
     drift = abs(float(np.sum(p)) - 1.0)
@@ -154,11 +173,11 @@ def channel_from_probabilities(
 
 
 def channel_from_eigenvalues(
-    d: int, lambdas, fam: MubFamily | None = None, tol: float = FA_TOL
+    d: int, lambdas, fam: MubFamily | None = None
 ) -> GeneralizedPauliChannel:
     """Build a channel from its d+1 eigenvalues, rejecting non-CPTP spectra."""
     sp = Spectrum(d=d, lambdas=np.asarray(lambdas, dtype=float))
-    check = fujiwara_algoet_check(sp, tol=tol)
+    check = fujiwara_algoet_check(sp)
     if not check.passed:
         slack = check.lower_slack if check.violated == "lower" else check.upper_slack
         raise NotCPTPError(
@@ -263,13 +282,11 @@ def superop_from_spectrum(fam: MubFamily, lambdas) -> np.ndarray:
 
 
 def choi_from_spectrum(fam: MubFamily, lambdas) -> np.ndarray:
-    """Choi matrix (trace one) of the map with the given eigenvalues."""
+    """Choi matrices (trace one) of the maps with eigenvalues stacked along the last axis."""
     d = fam.d
-    lam = np.asarray(lambdas, dtype=float)
     _, choi = _spectral_parts(fam)
-    j = np.eye(d * d, dtype=complex) / d**2
-    j += np.tensordot(lam, choi, axes=1)
-    return j
+    lam = np.asarray(lambdas, dtype=float)
+    return np.einsum("...a,aij->...ij", lam, choi) + np.eye(d * d, dtype=complex) / d**2
 
 
 def choi_of(ch: GeneralizedPauliChannel) -> np.ndarray:
@@ -324,21 +341,6 @@ def tensor_power(ch: GeneralizedPauliChannel, n: int) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(side, side))
 
 
-def validate_density_matrix(rho: np.ndarray, tol_herm: float = 1e-12,
-                            tol_trace: float = 1e-12, tol_psd: float = 1e-10) -> None:
-    """Raise if ``rho`` is not a density matrix within the given tolerances."""
-    rho = np.asarray(rho)
-    defect = float(np.max(np.abs(rho - rho.conj().T)))
-    if defect > tol_herm:
-        raise ValueError(f"not Hermitian: defect {defect:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol_trace:
-        raise ValueError(f"trace {tr} != 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w[0] < -tol_psd:
-        raise ValueError(f"negative eigenvalue {w[0]:.3e}")
-
-
 # ---------------------------------------------------------------------------
 # channel spec files
 # ---------------------------------------------------------------------------
@@ -369,8 +371,6 @@ def channel_from_dict(payload: dict, base_dir: str | None = None) -> Generalized
         fam = build_mub_family(d)
     if "probabilities" in payload:
         p = np.asarray(payload["probabilities"], dtype=float)
-        if p.shape != (d + 2,):
-            raise BadProbabilitiesError(f"need {d + 2} probabilities for d={d}")
         total = float(np.sum(p))
         if abs(total - 1.0) > LOAD_DRIFT:
             raise BadProbabilitiesError(f"probabilities sum to {total!r}, beyond 1e-9 drift")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -35,6 +36,7 @@ from .channel import (
     Spectrum,
     channel_from_dict,
     fujiwara_algoet_check,
+    lambdas_from_probabilities,
     probabilities_of,
     spectrum_of,
     superoperator_of,
@@ -49,22 +51,17 @@ from .dynamics import (
 )
 from .errors import (
     BadProbabilitiesError,
-    DimensionMismatchError,
     GpcError,
     InvalidTrajectoryError,
-    MubValidationError,
     NotCPTPError,
     OutOfRangeError,
     TooLargeError,
-    UnsupportedDimensionError,
 )
 from .metrics import (
-    fidelity_extremes,
     fidelity_report,
-    inf_norm_formula_is_exact,
-    max_output_2norm,
     max_output_inf_norm,
     multiplicativity_flags,
+    spectral_figures,
 )
 from .mub import (
     MubFamily,
@@ -74,6 +71,7 @@ from .mub import (
     validate_mub_family,
 )
 from .oracle import (
+    DEFAULT_SEED,
     OracleConfig,
     SpectrumGrid,
     cptp_equivalence_scan,
@@ -90,8 +88,6 @@ EXIT_SELFTEST = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_GUARD = 4
-
-DEFAULT_SEED = 2026
 
 
 def _jsonable(obj):
@@ -131,7 +127,9 @@ def _manifest(command: str, inputs: list[str], seed: int | None, config: dict) -
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: a non-finite number fails the command instead of
+    # writing a bare NaN, which is not JSON
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -147,12 +145,11 @@ def _load_json(path: str) -> dict:
     return payload
 
 
-def _channel_section(ch: GeneralizedPauliChannel) -> dict:
-    sp = spectrum_of(ch)
+def _channel_section(sp: Spectrum, probs) -> dict:
     check = fujiwara_algoet_check(sp)
     return {
-        "d": ch.d,
-        "probabilities": list(ch.probs),
+        "d": sp.d,
+        "probabilities": list(probs),
         "eigenvalues": list(sp.lambdas),
         "cptp": check.passed,
         "slacks": {"lower": check.lower_slack, "upper": check.upper_slack},
@@ -205,41 +202,33 @@ def _oracle_state(fam: MubFamily, psi: np.ndarray) -> dict:
 def _oracle_section(ch: GeneralizedPauliChannel, cfg: OracleConfig) -> dict:
     superop = superoperator_of(ch)
     seeds = mub_seed_states(ch.fam)
-    ext = fidelity_extremes(ch)
+    fig = spectral_figures(spectrum_of(ch).lambdas)
     res_max = extremize_self_fidelity(superop, "max", cfg, seed_states=seeds)
     res_min = extremize_self_fidelity(superop, "min", cfg, seed_states=seeds)
     res_nu2 = maximize_output_2norm(superop, cfg, seed_states=seeds)
     res_inf = maximize_output_inf_norm(superop, cfg, seed_states=seeds)
     eig_res = eigenrelation_residual(ch)
+
+    def compared(res, closed_form):
+        return {
+            "value": res.value,
+            "closed_form": closed_form,
+            "residual": abs(res.value - closed_form),
+            "state": _oracle_state(ch.fam, res.state),
+        }
+
+    nu_inf = float(fig.nu_inf)
     return {
         "config": {"restarts": cfg.restarts, "max_iters": cfg.max_iters, "seed": cfg.seed},
-        "f_max": {
-            "value": res_max.value,
-            "closed_form": ext.f_max,
-            "residual": abs(res_max.value - ext.f_max),
-            "state": _oracle_state(ch.fam, res_max.state),
-        },
-        "f_min": {
-            "value": res_min.value,
-            "closed_form": ext.f_min,
-            "residual": abs(res_min.value - ext.f_min),
-            "state": _oracle_state(ch.fam, res_min.state),
-        },
-        "nu2": {
-            "value": res_nu2.value,
-            "closed_form": max_output_2norm(ch),
-            "residual": abs(res_nu2.value - max_output_2norm(ch)),
-            "state": _oracle_state(ch.fam, res_nu2.state),
-        },
+        "f_max": compared(res_max, float(fig.f_max)),
+        "f_min": compared(res_min, float(fig.f_min)),
+        "nu2": compared(res_nu2, float(fig.nu2)),
         "nu_inf": {
-            "value": res_inf.value,
-            "closed_form": max_output_inf_norm(ch),
-            "residual": abs(res_inf.value - max_output_inf_norm(ch)),
+            **compared(res_inf, nu_inf),
             # outside the exact regime the closed form is a lower bound only
             # and the search can legitimately exceed it
-            "closed_form_regime": "exact" if inf_norm_formula_is_exact(ch) else "lower-bound",
-            "excess_over_closed_form": res_inf.value - max_output_inf_norm(ch),
-            "state": _oracle_state(ch.fam, res_inf.state),
+            "closed_form_regime": "exact" if fig.inf_exact else "lower-bound",
+            "excess_over_closed_form": res_inf.value - nu_inf,
             "dual_state": _oracle_state(ch.fam, res_inf.dual_state),
         },
         "eigenrelation_residual": eig_res,
@@ -280,7 +269,7 @@ def cmd_validate(args) -> int:
     _emit(
         {
             "manifest": _manifest("validate", [args.spec], None, {}),
-            "channel": _channel_section(ch),
+            "channel": _channel_section(spectrum_of(ch), ch.probs),
         },
         args.out,
     )
@@ -288,8 +277,6 @@ def cmd_validate(args) -> int:
 
 
 def _dir_of(path: str) -> str:
-    import os
-
     return os.path.dirname(os.path.abspath(path))
 
 
@@ -307,27 +294,13 @@ def cmd_analyze(args) -> int:
     except NotCPTPError as exc:
         if not args.allow_noncptp:
             raise
-        lam = np.asarray(payload["eigenvalues"], dtype=float)
-        sp = Spectrum(int(payload["d"]), lam)
-        check = fujiwara_algoet_check(sp)
-        _emit(
-            {
-                "manifest": manifest,
-                "channel": {
-                    "d": sp.d,
-                    "probabilities": list(probabilities_of(sp)),
-                    "eigenvalues": list(lam),
-                    "cptp": False,
-                    "slacks": {"lower": check.lower_slack, "upper": check.upper_slack},
-                    "violated_bound": exc.bound,
-                },
-            },
-            args.out,
-        )
+        sp = Spectrum(int(payload["d"]), np.asarray(payload["eigenvalues"], dtype=float))
+        section = {**_channel_section(sp, probabilities_of(sp)), "violated_bound": exc.bound}
+        _emit({"manifest": manifest, "channel": section}, args.out)
         return EXIT_OK
     report = {
         "manifest": manifest,
-        "channel": _channel_section(ch),
+        "channel": _channel_section(spectrum_of(ch), ch.probs),
         "metrics": _metrics_section(ch),
     }
     if args.oracle:
@@ -341,6 +314,7 @@ def cmd_tensor(args) -> int:
     ch = channel_from_dict(payload, base_dir=_dir_of(args.spec))
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
     probe = tensor_fidelity_probe(ch, args.n, cfg)
+    flags = multiplicativity_flags(ch)
     verdict = (
         "factorizing regime: excess beyond tolerance would be a defect"
         if probe.regime == "factorizing"
@@ -354,7 +328,7 @@ def cmd_tensor(args) -> int:
                 args.seed,
                 {"n": args.n, "restarts": args.restarts},
             ),
-            "channel": _channel_section(ch),
+            "channel": _channel_section(spectrum_of(ch), ch.probs),
             "probe": {
                 "n": probe.n,
                 "estimate": probe.estimate,
@@ -364,8 +338,8 @@ def cmd_tensor(args) -> int:
                 "verdict": verdict,
                 "restarts": probe.result.restarts,
                 "flags": {
-                    "fmax_multiplicative": multiplicativity_flags(ch).fmax_multiplicative,
-                    "nuinf_equals_fmax": multiplicativity_flags(ch).nuinf_equals_fmax,
+                    "fmax_multiplicative": flags.fmax_multiplicative,
+                    "nuinf_equals_fmax": flags.nuinf_equals_fmax,
                 },
             },
         },
@@ -421,8 +395,7 @@ def cmd_evolve(args) -> int:
 
 
 def _random_cptp_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
-    p = rng.dirichlet(np.ones(d + 2))
-    return (d * (p[0] + p[1:]) - 1.0) / (d - 1)
+    return lambdas_from_probabilities(rng.dirichlet(np.ones(d + 2)))
 
 
 def _selftest_checks(dims: list[int], seed: int, inject_mub_fault: bool):
@@ -492,15 +465,15 @@ def _selftest_checks(dims: list[int], seed: int, inject_mub_fault: bool):
             lam = _random_cptp_spectrum(d, rng)
             ch = channel_from_dict({"d": d, "eigenvalues": list(lam)})
             s = superoperator_of(ch)
-            ext = fidelity_extremes(ch)
+            fig = spectral_figures(spectrum_of(ch).lambdas)
             worst = max(
                 worst,
-                abs(extremize_self_fidelity(s, "max", cfg, seeds).value - ext.f_max),
-                abs(extremize_self_fidelity(s, "min", cfg, seeds).value - ext.f_min),
-                abs(maximize_output_2norm(s, cfg, seeds).value - max_output_2norm(ch)),
+                abs(extremize_self_fidelity(s, "max", cfg, seeds).value - fig.f_max),
+                abs(extremize_self_fidelity(s, "min", cfg, seeds).value - fig.f_min),
+                abs(maximize_output_2norm(s, cfg, seeds).value - fig.nu2),
             )
-            inf_gap = maximize_output_inf_norm(s, cfg, seeds).value - max_output_inf_norm(ch)
-            if inf_norm_formula_is_exact(ch):
+            inf_gap = maximize_output_inf_norm(s, cfg, seeds).value - fig.nu_inf
+            if fig.inf_exact:
                 worst = max(worst, abs(inf_gap))
             else:
                 worst_low = max(worst_low, -inf_gap)
@@ -635,17 +608,9 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (
-        json.JSONDecodeError,
-        OSError,
-        KeyError,
-        BadProbabilitiesError,
-        DimensionMismatchError,
-        MubValidationError,
-        UnsupportedDimensionError,
-        GpcError,
-        ValueError,
-    ) as exc:
+    except (OSError, KeyError, GpcError, ValueError) as exc:
+        # JSON syntax and every remaining package error (bad weights,
+        # dimensions, basis families) subclass ValueError or GpcError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     print(

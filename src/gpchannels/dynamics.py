@@ -33,6 +33,7 @@ import numpy as np
 
 from .channel import Spectrum, dephasing_superoperator, superop_from_spectrum
 from .errors import InvalidTrajectoryError, OutOfRangeError
+from .metrics import spectral_figures
 from .mub import MubFamily, build_mub_family
 
 #: eigenvalue negativity tolerated on validated trajectories
@@ -61,6 +62,10 @@ def exponential_evolution(d: int, rates, fam: MubFamily | None = None) -> Evolut
     gam = np.asarray(rates, dtype=float).copy()
     if gam.shape != (d + 1,):
         raise InvalidTrajectoryError(f"need {d + 1} rates for d={d}, got shape {gam.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(gam)
+    if not np.isfinite(total):  # a non-finite rate, or a sum that overflows
+        raise InvalidTrajectoryError(f"rates {gam.tolist()} must be finite with a finite sum")
     if np.min(gam) < 0:
         raise InvalidTrajectoryError(f"negative rate {np.min(gam):.3e}")
     fam = fam or build_mub_family(d)
@@ -76,6 +81,8 @@ def sampled_evolution(d: int, times, lambdas, fam: MubFamily | None = None) -> E
         raise InvalidTrajectoryError(
             f"need times (T,) and lambdas (T, {d + 1}), got {t.shape} and {lam.shape}"
         )
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(lam))):
+        raise InvalidTrajectoryError("trajectory samples must be finite")
     if t.size < 1 or abs(t[0]) > 1e-12:
         raise InvalidTrajectoryError("sampled trajectories must start at t = 0")
     if np.any(np.diff(t) <= 0):
@@ -126,29 +133,31 @@ class TrajectoryValidation:
     first_violation_kind: str | None
 
 
-def validate_trajectory(
-    spec: EvolutionSpec, t_grid, tol: float = TRAJ_TOL
-) -> TrajectoryValidation:
-    """Check lambda(t) >= 0 and the CPTP inequalities on a time grid."""
+def _checked_grid(spec: EvolutionSpec, t_grid):
+    """Validation of the grid plus the eigenvalues and figures it was built from."""
     times = np.asarray(t_grid, dtype=float)
-    if times.size == 0 or np.any(np.diff(times) < 0):
-        raise InvalidTrajectoryError("time grid must be nonempty and nondecreasing")
+    if times.size == 0 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+        raise InvalidTrajectoryError("time grid must be nonempty, finite and nondecreasing")
     lam = _trajectory_grid(spec, times)
-    d = spec.d
+    fig = spectral_figures(lam)
     lam_min = lam.min(axis=1)
-    totals = lam.sum(axis=1)
-    lower = totals + 1.0 / (d - 1)
-    upper = 1.0 + d * lam_min - totals
-    neg = lam_min < -tol
-    fa_bad = (lower < -tol) | (upper < -tol)
-    bad = neg | fa_bad
+    lower, upper = fig.fa_lower_slack, fig.fa_upper_slack
+    neg = lam_min < -TRAJ_TOL
+    bad = neg | (lower < -TRAJ_TOL) | (upper < -TRAJ_TOL)
+    first_time = first_kind = None
     if bad.any():
         i = int(np.argmax(bad))
-        kind = "negative-eigenvalue" if neg[i] else "fujiwara-algoet"
-        return TrajectoryValidation(
-            times, lam_min, lower, upper, False, float(times[i]), kind
-        )
-    return TrajectoryValidation(times, lam_min, lower, upper, True, None, None)
+        first_time = float(times[i])
+        first_kind = "negative-eigenvalue" if neg[i] else "fujiwara-algoet"
+    check = TrajectoryValidation(
+        times, lam_min, lower, upper, not bad.any(), first_time, first_kind
+    )
+    return check, lam, fig
+
+
+def validate_trajectory(spec: EvolutionSpec, t_grid) -> TrajectoryValidation:
+    """Check lambda(t) >= 0 and the CPTP inequalities on a time grid."""
+    return _checked_grid(spec, t_grid)[0]
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ class Timeline:
     regularized_exact: np.ndarray
 
 
-def timeline_report(spec: EvolutionSpec, t_grid, slack: float = 1e-12) -> Timeline:
+def timeline_report(spec: EvolutionSpec, t_grid) -> Timeline:
     """Evaluate fidelities, output norms, and factorization flags per grid time.
 
     Raises :class:`InvalidTrajectoryError` if the trajectory violates
@@ -177,37 +186,25 @@ def timeline_report(spec: EvolutionSpec, t_grid, slack: float = 1e-12) -> Timeli
     trajectories the maximal fidelity equals the maximal output inf-norm
     at every time and the reported regularized value is exact.
     """
-    check = validate_trajectory(spec, t_grid)
+    check, lam, fig = _checked_grid(spec, t_grid)
     if not check.passed:
         raise InvalidTrajectoryError(
             f"trajectory invalid at t={check.first_violation_time:g} "
             f"({check.first_violation_kind})"
         )
-    times = check.times
-    lam = _trajectory_grid(spec, times)
-    d = spec.d
-    lmax = lam.max(axis=1)
-    lmin = lam.min(axis=1)
-    f_min = (1.0 + (d - 1) * lmin) / d
-    f_max = (1.0 + (d - 1) * lmax) / d
-    nu2 = np.sqrt((1.0 + (d - 1) * np.max(lam**2, axis=1)) / d)
-    nu_inf = np.maximum(1.0 + (d - 1) * lmax, 1.0 - lmin) / d
-    fmax_mult = lmax >= np.abs(lmin) - slack
-    fmin_mult = np.abs(lmax) <= np.abs(lmin) + slack
-    nuinf_eq = lmax >= -lmin / (d - 1) - slack
     return Timeline(
-        d=d,
-        times=times,
+        d=spec.d,
+        times=check.times,
         lambdas=lam,
-        f_min=f_min,
-        f_max=f_max,
-        nu2=nu2,
-        nu_inf=nu_inf,
-        fmax_multiplicative=fmax_mult,
-        fmin_multiplicative=fmin_mult,
-        nuinf_equals_fmax=nuinf_eq,
-        nuinf_multiplicative=fmax_mult & nuinf_eq,
-        regularized_exact=fmax_mult,
+        f_min=fig.f_min,
+        f_max=fig.f_max,
+        nu2=fig.nu2,
+        nu_inf=fig.nu_inf,
+        fmax_multiplicative=fig.fmax_multiplicative,
+        fmin_multiplicative=fig.fmin_multiplicative,
+        nuinf_equals_fmax=fig.nuinf_equals_fmax,
+        nuinf_multiplicative=fig.nuinf_multiplicative,
+        regularized_exact=fig.fmax_multiplicative,
     )
 
 
@@ -272,49 +269,16 @@ def load_evolution_file(path) -> EvolutionSpec:
     return evolution_from_dict(payload)
 
 
-def timeline_csv_rows(tl: Timeline):
-    """Header and rows for the CSV export of a timeline."""
-    header = (
-        ["t"]
-        + [f"lambda_{a + 1}" for a in range(tl.d + 1)]
-        + [
-            "f_min",
-            "f_max",
-            "nu2",
-            "nu_inf",
-            "fmax_multiplicative",
-            "fmin_multiplicative",
-            "nuinf_equals_fmax",
-            "nuinf_multiplicative",
-        ]
-    )
-    rows = []
-    for i in range(tl.times.size):
-        rows.append(
-            [repr(float(tl.times[i]))]
-            + [repr(float(x)) for x in tl.lambdas[i]]
-            + [
-                repr(float(tl.f_min[i])),
-                repr(float(tl.f_max[i])),
-                repr(float(tl.nu2[i])),
-                repr(float(tl.nu_inf[i])),
-                str(int(tl.fmax_multiplicative[i])),
-                str(int(tl.fmin_multiplicative[i])),
-                str(int(tl.nuinf_equals_fmax[i])),
-                str(int(tl.nuinf_multiplicative[i])),
-            ]
-        )
-    return header, rows
-
-
-def write_timeline_csv(tl: Timeline, fh) -> None:
-    header, rows = timeline_csv_rows(tl)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def timeline_csv_text(tl: Timeline) -> str:
+    """CSV export of a timeline: one row per grid time, flags as 0/1."""
+    figures = ["f_min", "f_max", "nu2", "nu_inf"]
+    flags = ["fmax_multiplicative", "fmin_multiplicative", "nuinf_equals_fmax",
+             "nuinf_multiplicative"]
+    values = np.column_stack([tl.times, tl.lambdas] + [getattr(tl, n) for n in figures])
+    bits = np.column_stack([getattr(tl, n) for n in flags]).astype(int)
     buf = io.StringIO()
-    write_timeline_csv(tl, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"lambda_{a + 1}" for a in range(tl.d + 1)] + figures + flags)
+    for row, row_bits in zip(values.tolist(), bits.tolist()):
+        writer.writerow([repr(x) for x in row] + [str(b) for b in row_bits])
     return buf.getvalue()

@@ -5,10 +5,6 @@ class GpcError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitianError(GpcError, ValueError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
 class UnsupportedDimensionError(GpcError, ValueError):
     """No built-in unbiased-bases construction exists for this dimension."""
 

@@ -22,9 +22,21 @@ equals nu_inf.  Outside that regime only the bracket
 [f_max, nu_inf] is reported; whether tensor inputs can beat product
 inputs there is probed numerically, never asserted.
 
-Argmax/argmin ties break toward the lowest basis index everywhere, so
-attainment indices are deterministic.  Comparisons carry 1e-12 slack
-toward "true" on equalities.
+Every formula above is written once, in :func:`spectral_figures`, which
+takes spectra of shape (..., d+1) and returns, each of shape (...), the
+closed forms f_min, f_max, nu2 and nu_inf; the attaining bases
+argmin_alpha, argmax_alpha and nu2_alpha (argmax of lambda^2); the flags
+of :func:`multiplicativity_flags`; nu2_fmax_coincide (|max(lambda)| >=
+|min(lambda)|) and nu2_fmin_coincide (max(lambda)^2 <= min(lambda)^2);
+inf_exact (d = 2 or f_max factorizes: nu_inf is then the verified
+maximum); and the Fujiwara-Algoet slacks fa_lower_slack and
+fa_upper_slack of :func:`gpchannels.channel.fa_slacks`.
+
+The per-channel functions below, the trajectory timelines and the
+complete-positivity scan all read their numbers from it.  Argmax/argmin
+ties break toward the lowest basis index everywhere, so attainment indices
+are deterministic.  Comparisons carry :data:`CLASSIFY_SLACK` (1e-12) toward
+"true" on equalities.
 """
 
 from __future__ import annotations
@@ -33,12 +45,77 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GeneralizedPauliChannel, compose, spectrum_of
-from .errors import DimensionMismatchError
+from .channel import GeneralizedPauliChannel, compose, fa_slacks, spectrum_of
+from .errors import BadProbabilitiesError, DimensionMismatchError
 from .mub import MubFamily
 
 #: slack applied toward "true" when classifying non-strict inequalities
 CLASSIFY_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class SpectralFigures:
+    """Closed forms of an array of spectra; see the module docstring."""
+
+    f_min: np.ndarray
+    f_max: np.ndarray
+    nu2: np.ndarray
+    nu_inf: np.ndarray
+    argmin_alpha: np.ndarray
+    argmax_alpha: np.ndarray
+    nu2_alpha: np.ndarray
+    fmax_multiplicative: np.ndarray
+    fmin_multiplicative: np.ndarray
+    nuinf_equals_fmax: np.ndarray
+    nuinf_multiplicative: np.ndarray
+    nu2_fmax_coincide: np.ndarray
+    nu2_fmin_coincide: np.ndarray
+    inf_exact: np.ndarray
+    fa_lower_slack: np.ndarray
+    fa_upper_slack: np.ndarray
+
+
+def spectral_figures(lambdas) -> SpectralFigures:
+    """Evaluate every closed form on spectra stacked along the last axis.
+
+    ``lambdas`` has shape (..., d+1); a single spectrum of shape (d+1,)
+    yields numpy scalars.  Non-finite eigenvalues raise
+    :class:`BadProbabilitiesError`.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim < 1 or lam.shape[-1] < 3:
+        raise DimensionMismatchError(f"need spectra of length d+1 >= 3, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise BadProbabilitiesError("non-finite eigenvalue in spectrum")
+    d = lam.shape[-1] - 1
+    lmin = lam.min(axis=-1)
+    lmax = lam.max(axis=-1)
+    squares = lam**2
+    fmax_mult = lmax >= np.abs(lmin) - CLASSIFY_SLACK
+    nuinf_eq = lmax >= -lmin / (d - 1) - CLASSIFY_SLACK
+    lower, upper = fa_slacks(lam)
+    return SpectralFigures(
+        f_min=(1.0 + (d - 1) * lmin) / d,
+        f_max=(1.0 + (d - 1) * lmax) / d,
+        nu2=np.sqrt((1.0 + (d - 1) * np.max(squares, axis=-1)) / d),
+        nu_inf=np.maximum(1.0 + (d - 1) * lmax, 1.0 - lmin) / d,
+        argmin_alpha=np.argmin(lam, axis=-1),
+        argmax_alpha=np.argmax(lam, axis=-1),
+        nu2_alpha=np.argmax(squares, axis=-1),
+        fmax_multiplicative=fmax_mult,
+        fmin_multiplicative=np.abs(lmax) <= np.abs(lmin) + CLASSIFY_SLACK,
+        nuinf_equals_fmax=nuinf_eq,
+        nuinf_multiplicative=fmax_mult & nuinf_eq,
+        nu2_fmax_coincide=np.abs(lmax) >= np.abs(lmin) - CLASSIFY_SLACK,
+        nu2_fmin_coincide=lmax**2 <= lmin**2 + CLASSIFY_SLACK,
+        inf_exact=(d == 2) | fmax_mult,
+        fa_lower_slack=lower,
+        fa_upper_slack=upper,
+    )
+
+
+def _figures(ch: GeneralizedPauliChannel) -> SpectralFigures:
+    return spectral_figures(spectrum_of(ch).lambdas)
 
 
 @dataclass(frozen=True)
@@ -57,6 +134,15 @@ class MultiplicativityFlags:
     fmin_multiplicative: bool
     nuinf_equals_fmax: bool
     nuinf_multiplicative: bool
+
+    @classmethod
+    def of(cls, fig: SpectralFigures) -> "MultiplicativityFlags":
+        return cls(
+            fmax_multiplicative=bool(fig.fmax_multiplicative),
+            fmin_multiplicative=bool(fig.fmin_multiplicative),
+            nuinf_equals_fmax=bool(fig.nuinf_equals_fmax),
+            nuinf_multiplicative=bool(fig.nuinf_multiplicative),
+        )
 
 
 @dataclass(frozen=True)
@@ -95,29 +181,12 @@ class FidelityReport:
 
 def fidelity_extremes(ch: GeneralizedPauliChannel) -> FidelityExtremes:
     """Extremal pure-state fidelities and the basis indices attaining them."""
-    lam = spectrum_of(ch).lambdas
-    d = ch.d
-    amin = int(np.argmin(lam))
-    amax = int(np.argmax(lam))
+    fig = _figures(ch)
     return FidelityExtremes(
-        f_min=float((1.0 + (d - 1) * lam[amin]) / d),
-        f_max=float((1.0 + (d - 1) * lam[amax]) / d),
-        argmin_alpha=amin,
-        argmax_alpha=amax,
-    )
-
-
-def fidelity_extremes_probability_form(ch: GeneralizedPauliChannel) -> FidelityExtremes:
-    """Same extremes computed as p_0 + min/max p_a; cross-check route."""
-    p0 = float(ch.probs[0])
-    rest = ch.probs[1:]
-    amin = int(np.argmin(rest))
-    amax = int(np.argmax(rest))
-    return FidelityExtremes(
-        f_min=p0 + float(rest[amin]),
-        f_max=p0 + float(rest[amax]),
-        argmin_alpha=amin,
-        argmax_alpha=amax,
+        f_min=float(fig.f_min),
+        f_max=float(fig.f_max),
+        argmin_alpha=int(fig.argmin_alpha),
+        argmax_alpha=int(fig.argmax_alpha),
     )
 
 
@@ -144,15 +213,7 @@ def channel_fidelity(ch: GeneralizedPauliChannel, psi: np.ndarray) -> float:
 
 def max_output_2norm(ch: GeneralizedPauliChannel) -> float:
     """Largest Schatten 2-norm of any output from a pure input."""
-    lam = spectrum_of(ch).lambdas
-    d = ch.d
-    return float(np.sqrt((1.0 + (d - 1) * np.max(lam**2)) / d))
-
-
-def max_output_2norm_alpha(ch: GeneralizedPauliChannel) -> int:
-    """Basis index attaining the 2-norm maximum (lowest index on ties)."""
-    lam = spectrum_of(ch).lambdas
-    return int(np.argmax(lam**2))
+    return float(_figures(ch).nu2)
 
 
 def max_output_inf_norm(ch: GeneralizedPauliChannel) -> float:
@@ -168,15 +229,12 @@ def max_output_inf_norm(ch: GeneralizedPauliChannel) -> float:
     excesses up to a few percent), so there it is a lower bound only; see
     :func:`gpchannels.oracle.maximize_output_inf_norm`.
     """
-    lam = spectrum_of(ch).lambdas
-    d = ch.d
-    return float(max(1.0 + (d - 1) * np.max(lam), 1.0 - np.min(lam)) / d)
+    return float(_figures(ch).nu_inf)
 
 
-def inf_norm_formula_is_exact(ch: GeneralizedPauliChannel, slack: float = CLASSIFY_SLACK) -> bool:
+def inf_norm_formula_is_exact(ch: GeneralizedPauliChannel) -> bool:
     """Whether the closed-form output inf-norm is the verified true maximum."""
-    lam = spectrum_of(ch).lambdas
-    return ch.d == 2 or float(np.max(lam)) >= abs(float(np.min(lam))) - slack
+    return bool(_figures(ch).inf_exact)
 
 
 def composition_two_norm_residual(ch: GeneralizedPauliChannel) -> float:
@@ -185,9 +243,7 @@ def composition_two_norm_residual(ch: GeneralizedPauliChannel) -> float:
     return abs(fidelity_extremes(squared).f_max - max_output_2norm(ch) ** 2)
 
 
-def multiplicativity_flags(
-    ch: GeneralizedPauliChannel, slack: float = CLASSIFY_SLACK
-) -> MultiplicativityFlags:
+def multiplicativity_flags(ch: GeneralizedPauliChannel) -> MultiplicativityFlags:
     """Classify which factorization guarantees hold for this spectrum.
 
     f_max factorizes when max(lambda) >= |min(lambda)| (so the dominant
@@ -196,33 +252,7 @@ def multiplicativity_flags(
     max(lambda) >= -min(lambda)/(d-1); and nu_inf factorizes when both the
     f_max and the collapse conditions hold.
     """
-    lam = spectrum_of(ch).lambdas
-    d = ch.d
-    lmax = float(np.max(lam))
-    lmin = float(np.min(lam))
-    fmax_mult = lmax >= abs(lmin) - slack
-    fmin_mult = abs(lmax) <= abs(lmin) + slack
-    nuinf_eq = lmax >= -lmin / (d - 1) - slack
-    return MultiplicativityFlags(
-        fmax_multiplicative=fmax_mult,
-        fmin_multiplicative=fmin_mult,
-        nuinf_equals_fmax=nuinf_eq,
-        nuinf_multiplicative=fmax_mult and nuinf_eq,
-    )
-
-
-def attainment_coincidences(
-    ch: GeneralizedPauliChannel, slack: float = CLASSIFY_SLACK
-) -> tuple[bool, bool]:
-    """(nu2 and f_max share a maximizer, nu2 and f_min share one).
-
-    The first holds iff |max(lambda)| >= |min(lambda)|, the second iff
-    max(lambda)^2 <= min(lambda)^2.
-    """
-    lam = spectrum_of(ch).lambdas
-    lmax = float(np.max(lam))
-    lmin = float(np.min(lam))
-    return (abs(lmax) >= abs(lmin) - slack, lmax**2 <= lmin**2 + slack)
+    return MultiplicativityFlags.of(_figures(ch))
 
 
 def regularized_max_fidelity(
@@ -246,13 +276,12 @@ def regularized_max_fidelity(
         raise ValueError(f"mode must be 'closed' or 'oracle', got {mode!r}")
     if n < 1:
         raise ValueError("regularization order must be >= 1")
-    ext = fidelity_extremes(ch)
-    if multiplicativity_flags(ch).fmax_multiplicative:
-        return RegularizedMaxFidelity(
-            n=n, exact=True, value=ext.f_max, lower=ext.f_max, upper=ext.f_max
-        )
-    upper = max_output_inf_norm(ch)
-    lower = ext.f_max
+    fig = _figures(ch)
+    f_max = float(fig.f_max)
+    if fig.fmax_multiplicative:
+        return RegularizedMaxFidelity(n=n, exact=True, value=f_max, lower=f_max, upper=f_max)
+    upper = float(fig.nu_inf)
+    lower = f_max
     estimate = None
     if mode == "oracle" and n >= 2:
         from .oracle import tensor_fidelity_probe  # local import, avoids cycle
@@ -269,18 +298,17 @@ def regularized_max_fidelity(
 
 def fidelity_report(ch: GeneralizedPauliChannel, n_reg: int = 1) -> FidelityReport:
     """Assemble all closed-form quantities for one channel."""
-    ext = fidelity_extremes(ch)
-    co_fmax, co_fmin = attainment_coincidences(ch)
+    fig = _figures(ch)
     return FidelityReport(
-        f_min=ext.f_min,
-        f_max=ext.f_max,
-        nu2=max_output_2norm(ch),
-        nu_inf=max_output_inf_norm(ch),
-        argmin_alpha=ext.argmin_alpha,
-        argmax_alpha=ext.argmax_alpha,
-        nu2_alpha=max_output_2norm_alpha(ch),
-        nu2_fmax_coincide=co_fmax,
-        nu2_fmin_coincide=co_fmin,
-        flags=multiplicativity_flags(ch),
+        f_min=float(fig.f_min),
+        f_max=float(fig.f_max),
+        nu2=float(fig.nu2),
+        nu_inf=float(fig.nu_inf),
+        argmin_alpha=int(fig.argmin_alpha),
+        argmax_alpha=int(fig.argmax_alpha),
+        nu2_alpha=int(fig.nu2_alpha),
+        nu2_fmax_coincide=bool(fig.nu2_fmax_coincide),
+        nu2_fmin_coincide=bool(fig.nu2_fmin_coincide),
+        flags=MultiplicativityFlags.of(fig),
         regularized=regularized_max_fidelity(ch, n_reg, mode="closed"),
     )

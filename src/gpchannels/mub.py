@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MubValidationError, UnsupportedDimensionError
-from .linalg import dagger
 
 MAX_BUILTIN_DIM = 31
 
@@ -148,11 +147,11 @@ def validate_mub_family(fam: MubFamily, tol: float = BUILD_TOL) -> MubValidation
     unbias = 0.0
     eye = np.eye(d)
     for a in range(fam.n_bases):
-        g = fam.bases[a] @ dagger(fam.bases[a])  # Gram matrix of basis a
+        g = fam.bases[a] @ fam.bases[a].conj().T  # Gram matrix of basis a
         ortho = max(ortho, float(np.max(np.abs(g - eye))))
     for a in range(fam.n_bases):
         for b in range(a + 1, fam.n_bases):
-            overlaps = np.abs(fam.bases[a] @ dagger(fam.bases[b])) ** 2
+            overlaps = np.abs(fam.bases[a] @ fam.bases[b].conj().T) ** 2
             unbias = max(unbias, float(np.max(np.abs(overlaps - 1.0 / d))))
     return MubValidationReport(ortho, unbias, tol)
 

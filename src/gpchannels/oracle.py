@@ -54,9 +54,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import GeneralizedPauliChannel, apply_channel, spectrum_of, tensor_power
+from .channel import (
+    GeneralizedPauliChannel,
+    apply_channel,
+    choi_from_spectrum,
+    spectrum_of,
+    tensor_power,
+)
 from .errors import TooLargeError
-from .metrics import fidelity_extremes, multiplicativity_flags
+from .metrics import spectral_figures
 from .mub import MubFamily, build_mub_family
 
 #: default restart counts (single-copy searches, tensor-power probes)
@@ -464,8 +470,8 @@ class ScanReport:
 def _grid_spectra(d: int, grid: SpectrumGrid) -> np.ndarray:
     rng = np.random.default_rng(grid.seed)
     blocks = [rng.uniform(-1.0, 1.0, size=(grid.n_random, d + 1))]
+    lower_const = -1.0 / (d * d - 1)  # constant spectrum with lower slack 0
     if grid.include_boundary:
-        lower_const = -1.0 / (d * d - 1)
         axis = np.zeros(d + 1)
         axis[0] = 1.0
         blocks.append(
@@ -479,7 +485,6 @@ def _grid_spectra(d: int, grid: SpectrumGrid) -> np.ndarray:
             )
         )
     if grid.include_violations:
-        lower_const = -1.0 / (d * d - 1)
         over_axis = np.zeros(d + 1)
         over_axis[0] = 1.0 + 1e-3
         bumped = np.ones(d + 1)
@@ -517,21 +522,14 @@ def cptp_equivalence_scan(
     spectra = _grid_spectra(d, grid)
     n = spectra.shape[0]
 
-    totals = spectra.sum(axis=1)
-    mins = spectra.min(axis=1)
-    lower = totals + 1.0 / (d - 1)
-    upper = 1.0 + d * mins - totals
+    fig = spectral_figures(spectra)
+    lower, upper = fig.fa_lower_slack, fig.fa_upper_slack
     fa_pass = (lower >= -tol) & (upper >= -tol)
 
     min_eigs = np.empty(n)
-    eye = np.eye(d * d, dtype=complex) / d**2
-    from .channel import _spectral_parts  # shared cached basis components
-
-    _, choi_parts = _spectral_parts(fam)
     chunk = max(1, min(2048, (1 << 22) // (d**4)))
     for start in range(0, n, chunk):
-        lam = spectra[start : start + chunk]
-        js = np.einsum("na,aij->nij", lam, choi_parts) + eye
+        js = choi_from_spectrum(fam, spectra[start : start + chunk])
         min_eigs[start : start + chunk] = np.linalg.eigvalsh(js)[:, 0]
     psd_pass = min_eigs >= -tol
 
@@ -585,8 +583,9 @@ def tensor_fidelity_probe(
     superop_n = tensor_power(ch, n)
     seeds = product_seed_states(ch.fam, n)
     result = extremize_self_fidelity(superop_n, "max", cfg, seed_states=seeds)
-    baseline = fidelity_extremes(ch).f_max ** n
-    regime = "factorizing" if multiplicativity_flags(ch).fmax_multiplicative else "open"
+    fig = spectral_figures(spectrum_of(ch).lambdas)
+    baseline = float(fig.f_max) ** n
+    regime = "factorizing" if fig.fmax_multiplicative else "open"
     return ProbeReport(
         d=ch.d,
         n=n,

@@ -3,12 +3,54 @@
 import numpy as np
 
 from gpchannels import MubFamily, channel_from_probabilities
+from gpchannels.metrics import FidelityExtremes
 
 
 def random_cptp_channel(d, rng, fam=None, alpha=1.0):
     """Channel with probabilities drawn from a symmetric Dirichlet."""
     p = rng.dirichlet(np.full(d + 2, alpha))
     return channel_from_probabilities(d, p, fam)
+
+
+def fidelity_extremes_probability_form(ch):
+    """Extremes computed as p_0 + min/max p_a; cross-check route for the closed forms."""
+    p0 = float(ch.probs[0])
+    rest = ch.probs[1:]
+    amin = int(np.argmin(rest))
+    amax = int(np.argmax(rest))
+    return FidelityExtremes(
+        f_min=p0 + float(rest[amin]),
+        f_max=p0 + float(rest[amax]),
+        argmin_alpha=amin,
+        argmax_alpha=amax,
+    )
+
+
+def validate_density_matrix(rho, tol_herm=1e-12, tol_trace=1e-12, tol_psd=1e-10):
+    """Raise if ``rho`` is not a density matrix within the given tolerances."""
+    rho = np.asarray(rho)
+    defect = float(np.max(np.abs(rho - rho.conj().T)))
+    if defect > tol_herm:
+        raise ValueError(f"not Hermitian: defect {defect:.3e}")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > tol_trace:
+        raise ValueError(f"trace {tr} != 1")
+    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if w[0] < -tol_psd:
+        raise ValueError(f"negative eigenvalue {w[0]:.3e}")
+
+
+def vec(m):
+    """Column-stacking vectorization, vec(A)[i + rows*j] = A[i, j]."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
+def unvec(v, rows=None):
+    """Inverse of :func:`vec` for square (or explicitly sized) matrices."""
+    v = np.asarray(v).reshape(-1)
+    if rows is None:
+        rows = int(round(np.sqrt(v.size)))
+    return v.reshape((rows, v.size // rows), order="F")
 
 
 def random_pure(d, rng):

@@ -22,6 +22,7 @@ import pytest
 
 from gpchannels import (
     OracleConfig,
+    Spectrum,
     SpectrumGrid,
     build_mub_family,
     channel_from_probabilities,
@@ -36,6 +37,7 @@ from gpchannels import (
     maximize_output_2norm,
     maximize_output_inf_norm,
     mub_seed_states,
+    probabilities_of,
     spectrum_of,
     superoperator_of,
     tensor_fidelity_probe,
@@ -236,14 +238,6 @@ def test_criterion_06_family_validity_and_eigenrelation():
     _report(6, ok, "; ".join(details) + f"; worst eigenrelation {worst_eig:.2e}")
 
 
-def _probs_from(lam, d):
-    total = float(np.sum(lam))
-    p = np.empty(d + 2)
-    p[0] = (1 + (d - 1) * total) / d**2
-    p[1:] = (d - 1) * (1 + d * lam - total) / d**2
-    return p
-
-
 def test_criterion_07_tensor_multiplicativity_factorizing_regime():
     rng = np.random.default_rng(MASTER_SEED)
     fam = build_mub_family(2)
@@ -256,7 +250,7 @@ def test_criterion_07_tensor_multiplicativity_factorizing_regime():
         if np.sum(lam) > 1 + 2 * np.min(lam):
             continue
         count += 1
-        ch = channel_from_probabilities(2, _probs_from(lam, 2), fam)
+        ch = channel_from_probabilities(2, probabilities_of(Spectrum(2, lam)), fam)
         probe = tensor_fidelity_probe(ch, 2, OracleConfig(restarts=2048, seed=MASTER_SEED))
         worst_excess = max(worst_excess, probe.excess)
         worst_deficit = min(worst_deficit, probe.excess)

@@ -28,9 +28,16 @@ from gpchannels import (
     superoperator_of,
     tensor_power,
 )
-from gpchannels.channel import choi_from_spectrum, superop_from_spectrum, validate_density_matrix
-from gpchannels.linalg import unvec, vec
-from helpers import random_cptp_channel, random_density, random_hermitian, two_qubit_mub_bases
+from gpchannels.channel import choi_from_spectrum, superop_from_spectrum
+from helpers import (
+    random_cptp_channel,
+    random_density,
+    random_hermitian,
+    two_qubit_mub_bases,
+    unvec,
+    validate_density_matrix,
+    vec,
+)
 
 
 def test_identity_channel_from_probabilities(fam2):
@@ -154,6 +161,23 @@ def test_eigenrelation_via_superoperator(fam3, rng):
             u = fam3.unitaries()[a, k]
             resid = np.max(np.abs(unvec(s @ vec(u), 3) - lam[a] * u))
             assert resid <= 1e-12
+
+
+def test_vec_unvec_column_stacking():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(vec(a), [1.0, 3.0, 2.0, 4.0])
+    assert np.array_equal(unvec(vec(a)), a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_vec_intertwines_left_right_products(seed, d):
+    # the convention superoperator_of relies on: vec(A X B) = (B^T kron A) vec(X)
+    rng = np.random.default_rng(seed)
+    a, x, b = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3))
+    lhs = vec(a @ x @ b)
+    rhs = np.kron(b.T, a) @ vec(x)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
 def test_superoperator_identity_and_depolarizing(fam2):

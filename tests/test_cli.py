@@ -259,6 +259,46 @@ def test_evolve_violation_exit3_with_time(tmp_path, capsys):
     assert "t=2" in err
 
 
+NAN, INF = float("nan"), float("inf")
+_TRAJ_START = {"t": 0.0, "lambdas": [1, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra, expected",
+    [
+        ("analyze", {"d": 2, "probabilities": [NAN, 0.5, 0.25, 0.25]}, [], 2),
+        ("validate", {"d": 2, "probabilities": [0.5, INF, 0.25, 0.25]}, [], 2),
+        ("tensor", {"d": 2, "probabilities": [0.5, 0.5, -INF, INF]}, ["--n", "2"], 2),
+        ("validate", {"d": 3, "eigenvalues": [0.4, NAN, 0.1, 0.2]}, [], 2),
+        ("analyze", {"d": 2, "eigenvalues": [INF, 0.1, 0.1]}, ["--allow-noncptp"], 2),
+        ("evolve", {"d": 2, "rates": [1.0, NAN, 1.0]}, ["--t-max", "1", "--steps", "3"], 3),
+        ("evolve", {"d": 2, "rates": [1.0, INF, 1.0]}, ["--t-max", "1", "--steps", "3"], 3),
+        ("evolve", {"d": 2, "rates": [1e308, 1e308, 1.0]}, ["--t-max", "1", "--steps", "3"], 3),
+        (
+            "evolve",
+            {"d": 2, "trajectory": [_TRAJ_START, {"t": 1.0, "lambdas": [0.5, NAN, 0.3]}]},
+            ["--t-max", "1", "--steps", "3"],
+            3,
+        ),
+        (
+            "evolve",
+            {"d": 2, "trajectory": [_TRAJ_START, {"t": NAN, "lambdas": [0.5, 0.4, 0.3]}]},
+            ["--t-max", "1", "--steps", "3"],
+            3,
+        ),
+        ("evolve", {"d": 2, "rates": [1.0, 1.0, 1.0]}, ["--t-max", "nan", "--steps", "3"], 3),
+        ("evolve", {"d": 2, "rates": [1.0, 1.0, 1.0]}, ["--t-max", "inf", "--steps", "3"], 3),
+    ],
+)
+def test_non_finite_input_fails_without_report(tmp_path, capsys, command, payload, extra, expected):
+    # json.dumps writes NaN/Infinity literals, which json.load accepts
+    spec = write_spec(tmp_path, "spec.json", payload)
+    code, out, err = run_cli([command, spec, *extra], capsys)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_selftest_passes_quick(capsys):
     code, out, _ = run_cli(["selftest", "--d", "2"], capsys)
     assert code == 0

@@ -5,23 +5,29 @@ from hypothesis import strategies as st
 
 from gpchannels import (
     OracleConfig,
+    Spectrum,
+    build_mub_family,
     channel_fidelity,
     channel_from_eigenvalues,
     channel_from_probabilities,
     composition_two_norm_residual,
     depolarizing_channel,
+    exponential_evolution,
     fidelity_extremes,
     fidelity_report,
+    fujiwara_algoet_check,
     identity_channel,
     max_output_2norm,
     max_output_inf_norm,
     multiplicativity_flags,
     regularized_max_fidelity,
+    spectral_figures,
     spectrum_of,
+    timeline_report,
     unitary_coefficients,
 )
-from gpchannels.metrics import attainment_coincidences, fidelity_extremes_probability_form
-from helpers import random_cptp_channel, random_pure
+from gpchannels.metrics import CLASSIFY_SLACK, inf_norm_formula_is_exact
+from helpers import fidelity_extremes_probability_form, random_cptp_channel, random_pure
 
 
 def test_extremes_identity_and_depolarizing(fam3):
@@ -172,9 +178,9 @@ def test_attainment_coincidence_indices(rng):
 
 
 def test_attainment_coincidence_flag_conditions(fam2):
-    ch = channel_from_eigenvalues(2, [-1 / 3, -1 / 3, -1 / 3], fam2)
-    co_fmax, co_fmin = attainment_coincidences(ch)
-    assert co_fmax and co_fmin  # constant spectrum: both coincidences hold
+    rep = fidelity_report(channel_from_eigenvalues(2, [-1 / 3, -1 / 3, -1 / 3], fam2))
+    # constant spectrum: both coincidences hold
+    assert rep.nu2_fmax_coincide and rep.nu2_fmin_coincide
 
 
 def test_regularized_identity(fam3):
@@ -255,3 +261,118 @@ def test_report_invariants(rng):
         assert rep.flags.nuinf_multiplicative == (
             rep.flags.fmax_multiplicative and rep.flags.nuinf_equals_fmax
         )
+
+
+def _scalar_figures(lam):
+    """The closed forms written out for one spectrum with plain float arithmetic."""
+    d = lam.size - 1
+    lmin, lmax = float(np.min(lam)), float(np.max(lam))
+    total = float(np.sum(lam))
+    fmax_mult = lmax >= abs(lmin) - CLASSIFY_SLACK
+    nuinf_eq = lmax >= -lmin / (d - 1) - CLASSIFY_SLACK
+    return {
+        "f_min": (1.0 + (d - 1) * lmin) / d,
+        "f_max": (1.0 + (d - 1) * lmax) / d,
+        "nu2": float(np.sqrt((1.0 + (d - 1) * np.max(lam**2)) / d)),
+        "nu_inf": max(1.0 + (d - 1) * lmax, 1.0 - lmin) / d,
+        "argmin_alpha": int(np.argmin(lam)),
+        "argmax_alpha": int(np.argmax(lam)),
+        "nu2_alpha": int(np.argmax(lam**2)),
+        "fmax_multiplicative": fmax_mult,
+        "fmin_multiplicative": abs(lmax) <= abs(lmin) + CLASSIFY_SLACK,
+        "nuinf_equals_fmax": nuinf_eq,
+        "nuinf_multiplicative": fmax_mult and nuinf_eq,
+        "nu2_fmax_coincide": abs(lmax) >= abs(lmin) - CLASSIFY_SLACK,
+        "nu2_fmin_coincide": lmax * lmax <= lmin * lmin + CLASSIFY_SLACK,
+        "inf_exact": d == 2 or fmax_mult,
+        "fa_lower_slack": total + 1.0 / (d - 1),
+        "fa_upper_slack": 1.0 + d * lmin - total,
+    }
+
+
+def _kernel_test_channels(d, rng, fam):
+    """Random CPTP channels plus tied-extreme and FA-boundary ones."""
+    probs = [rng.dirichlet(np.full(d + 2, alpha)) for alpha in (1.0, 0.3) for _ in range(30)]
+    for _ in range(10):
+        p = rng.dirichlet(np.ones(d + 2))
+        hi, lo = p[1:].max(), p[1:].min()
+        p[1] = p[2] = hi  # tied extremes: lowest index must win
+        p[-2] = p[-1] = lo
+        probs.append(p / np.sum(p))
+    for _ in range(10):
+        p = rng.dirichlet(np.ones(d + 2))
+        p[rng.choice(d + 2, size=2, replace=False)] = 0.0  # on a CPTP face
+        probs.append(p / np.sum(p))
+    probs.append(np.eye(d + 2)[0])                       # identity: upper slack 0
+    probs.append(np.r_[0.0, np.full(d + 1, 1.0 / (d + 1))])  # lower slack 0
+    probs.append(np.full(d + 2, 1.0 / (d + 2)))          # constant spectrum
+    return [channel_from_probabilities(d, p, fam) for p in probs]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_spectral_figures_bitwise_against_per_channel_api(d):
+    rng = np.random.default_rng(7000 + d)
+    fam = build_mub_family(d)
+    channels = _kernel_test_channels(d, rng, fam)
+    cptp = np.vstack([spectrum_of(ch).lambdas for ch in channels])
+    lower_const = -1.0 / (d * d - 1)
+    non_cptp = np.vstack(
+        [
+            rng.uniform(-1.0, 1.2, size=(30, d + 1)),
+            np.full(d + 1, lower_const - 1e-3),
+            np.r_[1.0 + 1e-3, np.zeros(d)],
+            np.r_[0.4, -0.4, np.zeros(d - 1)],  # |max| == |min|
+        ]
+    )
+    lam = np.vstack([cptp, non_cptp])
+    fig = spectral_figures(lam)
+    names = list(_scalar_figures(lam[0]))
+    assert all(getattr(fig, name).shape == (lam.shape[0],) for name in names)
+    n_fail = 0
+    for i, row in enumerate(lam):
+        for name, want in _scalar_figures(row).items():
+            assert getattr(fig, name)[i] == want, (i, name)
+        check = fujiwara_algoet_check(Spectrum(d, row))
+        assert fig.fa_lower_slack[i] == check.lower_slack
+        assert fig.fa_upper_slack[i] == check.upper_slack
+        n_fail += not check.passed
+    assert n_fail >= 3  # the non-CPTP block really leaves the CPTP set
+    for i, ch in enumerate(channels):
+        rep = fidelity_report(ch)
+        ext = fidelity_extremes(ch)
+        flags = multiplicativity_flags(ch)
+        assert (rep.f_min, rep.f_max) == (ext.f_min, ext.f_max) == (fig.f_min[i], fig.f_max[i])
+        assert (ext.argmin_alpha, ext.argmax_alpha) == (fig.argmin_alpha[i], fig.argmax_alpha[i])
+        assert rep.nu2 == max_output_2norm(ch) == fig.nu2[i]
+        assert rep.nu_inf == max_output_inf_norm(ch) == fig.nu_inf[i]
+        assert rep.nu2_alpha == fig.nu2_alpha[i]
+        assert rep.nu2_fmax_coincide == fig.nu2_fmax_coincide[i]
+        assert rep.nu2_fmin_coincide == fig.nu2_fmin_coincide[i]
+        assert inf_norm_formula_is_exact(ch) == fig.inf_exact[i]
+        assert rep.flags == flags
+        for name in ("fmax_multiplicative", "fmin_multiplicative",
+                     "nuinf_equals_fmax", "nuinf_multiplicative"):
+            assert getattr(flags, name) == getattr(fig, name)[i]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_timeline_rows_equal_kernel_on_their_spectra(d):
+    rng = np.random.default_rng(7100 + d)
+    tl = timeline_report(exponential_evolution(d, rng.uniform(0.0, 2.0, size=d + 1)),
+                         np.linspace(0.0, 4.0, 33))
+    for i, row in enumerate(tl.lambdas):
+        fig = spectral_figures(row)
+        for name in ("f_min", "f_max", "nu2", "nu_inf", "fmax_multiplicative",
+                     "fmin_multiplicative", "nuinf_equals_fmax", "nuinf_multiplicative"):
+            assert getattr(tl, name)[i] == getattr(fig, name), (i, name)
+        assert tl.regularized_exact[i] == fig.fmax_multiplicative
+
+
+def test_spectral_figures_rejects_non_finite_and_short_spectra():
+    from gpchannels import BadProbabilitiesError, DimensionMismatchError
+
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadProbabilitiesError):
+            spectral_figures([[0.1, 0.2, 0.3], [0.1, bad, 0.3]])
+    with pytest.raises(DimensionMismatchError):
+        spectral_figures([0.1, 0.2])

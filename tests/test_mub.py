@@ -11,7 +11,6 @@ from gpchannels import (
     save_mub_file,
     validate_mub_family,
 )
-from gpchannels.linalg import dagger
 from helpers import rotated_family, two_qubit_mub_bases
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -33,7 +32,7 @@ def test_d3_all_cross_overlaps_are_one_third(fam3):
     assert rep.passed
     for a in range(4):
         for b in range(a + 1, 4):
-            overlaps = np.abs(fam3.bases[a] @ dagger(fam3.bases[b])) ** 2
+            overlaps = np.abs(fam3.bases[a] @ fam3.bases[b].conj().T) ** 2
             assert np.max(np.abs(overlaps - 1 / 3)) <= 1e-12
 
 
@@ -93,13 +92,19 @@ def test_basis_unitaries_traceless_and_unitary(d):
         for k in range(1, d):
             u = basis_unitary(fam, a, k)
             assert abs(np.trace(u)) <= 1e-12
-            assert np.max(np.abs(u @ dagger(u) - np.eye(d))) <= 1e-12
+            assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-12
 
 
 def test_unitary_cube_is_identity_d3(fam3):
     for a in range(4):
         u = basis_unitary(fam3, a, 1)
         assert np.max(np.abs(u @ u @ u - np.eye(3))) <= 1e-12
+
+
+def test_unitary_gram_has_unit_eigenvalues(fam5):
+    u = fam5.unitaries()[3, 2]
+    w = np.linalg.eigvalsh(u.conj().T @ u)
+    assert np.max(np.abs(w - 1.0)) <= 1e-10
 
 
 def test_basis_unitary_index_bounds(fam3):
@@ -124,7 +129,7 @@ def test_adjoint_is_power_complement(d):
     fam = build_mub_family(d)
     for a in range(d + 1):
         for k in range(1, d):
-            lhs = dagger(basis_unitary(fam, a, k))
+            lhs = basis_unitary(fam, a, k).conj().T
             rhs = basis_unitary(fam, a, d - k)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 

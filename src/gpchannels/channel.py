@@ -371,7 +371,8 @@ def channel_from_dict(payload: dict, base_dir: str | None = None) -> Generalized
         fam = build_mub_family(d)
     if "probabilities" in payload:
         p = np.asarray(payload["probabilities"], dtype=float)
-        total = float(np.sum(p))
+        # non-finite weights are left for channel_from_probabilities to reject
+        total = float(np.sum(p)) if np.all(np.isfinite(p)) else 1.0
         if abs(total - 1.0) > LOAD_DRIFT:
             raise BadProbabilitiesError(f"probabilities sum to {total!r}, beyond 1e-9 drift")
         return channel_from_probabilities(d, p / total, fam)

@@ -351,6 +351,8 @@ def cmd_tensor(args) -> int:
 def cmd_evolve(args) -> int:
     payload = _load_json(args.spec)
     spec = evolution_from_dict(payload)
+    if not np.isfinite(args.t_max):
+        raise InvalidTrajectoryError(f"--t-max must be finite, got {args.t_max!r}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     tl = timeline_report(spec, grid)  # raises InvalidTrajectoryError with first time
     csv_text = timeline_csv_text(tl)

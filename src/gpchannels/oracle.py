@@ -1,40 +1,36 @@
 """Brute-force verification oracles, independent of the closed forms.
 
-Three searches run over pure-state manifolds using only the channel's
-superoperator matrix S:
+The searches see only the channel's superoperator S and share one engine: a
+Riemannian conjugate-gradient ascent (Absil, Mahony & Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008) of the quartic form f(x) = <vec P,
+H vec P> over unit vectors x, P = |x><x|.  It takes H as the map Lambda_H,
+never as a form on P:
 
-* ``extremize_self_fidelity`` and ``maximize_output_2norm`` share one
-  shifted power ascent (SS-HOPM, Kolda & Mayo, SIAM J. Matrix Anal. Appl.
-  2011) of the quartic form <vec P, H vec P> over P = |psi><psi|.  The
-  fidelity uses H = +/-(S + S^dagger)/2, whose form equals Tr(P Lambda[P])
-  even for a superoperator that is not self-adjoint; the output 2-norm uses
-  H = S^dagger S, since Tr(Lambda[P]^2) = <vec P, S^dagger S vec P>, and
-  reports the square root.  Each sweep moves every restart to
-  normalize(Lambda_H[P] psi + c psi) and keeps the move only if it strictly
-  improves, so every restart's value is nondecreasing.  An accepted move
-  shrinks the restart's shift c by SHIFT_DECAY down to a floor, and the
-  restart stops once a move gains no more than the value tolerance.  A
-  rejected move doubles c, and the restart stops instead if the rejected
-  candidate lies within the step tolerance of its state up to phase (a
-  fixed point, such as a seeded optimum).
-* ``maximize_output_inf_norm``: alternating ascent of Tr(Q Lambda[P]) over
-  pure inputs P and measurements Q.  For a fixed input the optimal
-  measurement is the top eigenvector of Lambda[P]; for a fixed measurement
-  the optimal input is the top eigenvector of Lambda^dagger[Q], the adjoint
-  map whose superoperator is S^dagger, so S need not be self-adjoint.  A
-  restart first takes shifted power steps toward these eigenvectors,
-  phi <- normalize(Lambda[P] phi + c phi) for the measurement and then
-  psi <- normalize(Lambda^dagger[Q] psi + c psi) for the input, two of
-  each per sweep, with the accept-if-improves rule and shift schedule
-  above (the shift starts at its floor).  Once such a sweep gains no more
-  than the value tolerance, the restart switches for good to exact sweeps,
-  which take both eigenvectors by ``eigh``, and stops when neither exact
-  half-step gains more than the value tolerance, so every stopped restart
-  is certified by exact eigenvectors.  The objective is nondecreasing
-  across half-steps.
+* ``extremize_self_fidelity`` uses H = +/-(S + S^dagger)/2, whose form is
+  Tr(P Lambda[P]) even for a superoperator that is not self-adjoint;
+* ``maximize_output_2norm`` uses H = S^dagger S, since Tr(Lambda[P]^2) =
+  <vec P, S^dagger S vec P>, and reports the square root;
+* ``maximize_output_inf_norm`` runs on C^(2m).  For x = (a psi, b phi) with
+  |a|^2 + |b|^2 = 1, 4 Tr(P_22 Lambda[P_11]) = 4|a|^2|b|^2 <phi,
+  Lambda[psi psi^dagger] phi>, whose maximum over unit x is the largest
+  output inf-norm, reached at |a| = |b|.  Its Lambda_H is block diagonal,
+  2 Lambda^dagger[P_22] on the input block and 2 Lambda[P_11] on the
+  measurement block, so it needs only S and S^dagger.
 
-Both ascents run on the same restart loop (per-restart active mask, sweep
-counts, history rows) and report through the same result builder.
+Each sweep moves every active restart along a Polak-Ribiere+ direction,
+transported by projection and reset to steepest ascent every 2n-2 accepted
+steps on C^n or when it does not ascend.  The line search is exact: along the
+geodesic x cos t + u sin t the form is a trigonometric polynomial of degree
+4, whose coefficients follow from Lambda_H of u u^dagger and
+(x+u)(x+u)^dagger; a grid and a Newton step maximize it.  A step is kept only
+if it improves, so every restart's value is nondecreasing.
+
+A restart stops on the first-order certificate ||Lambda_H[P] x - f x|| <=
+CERT_TOL ||H||_2; when a steepest-ascent line search gains nothing; when
+STALL_CYCLES reset cycles in a row fail to halve that gradient norm; or, in a
+loose stop, when a step gains at most ``value_tol`` once the gradient norm is
+at most LOOSE_CERT_TOL ||H||_2.  The restart that is reported is resumed
+after a loose stop until it stops by one of the other rules.
 
 Restart seeding always includes the supplied candidate states (basis
 vectors, or their tensor products for tensor-power probes) ahead of Haar
@@ -72,21 +68,28 @@ TENSOR_RESTARTS = 2048
 MAX_ORACLE_DIM = 64
 #: hard cap on spectra per equivalence scan
 MAX_SCAN_POINTS = 100_000
-#: shift schedule of the power ascent, relative to ||H||_2
-SHIFT_FLOOR = 1e-3
-SHIFT_DECAY = 0.7
+#: stop rules of the ascent (see the module docstring); tolerances relative to ||H||_2
+CERT_TOL = 1e-10
+LOOSE_CERT_TOL = 1e-7
+STALL_CYCLES = 3
+LINE_SEARCH_POINTS = 32
 
 DEFAULT_SEED = 2026
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search budget and reproducibility stamp for one oracle run."""
+    """Search budget and reproducibility stamp for one oracle run.
+
+    ``max_iters`` caps the sweeps of each restart.  ``step_tol`` is the
+    shortest line-search step (an angle along the geodesic) that counts as a
+    move; a shorter one is not taken.  ``value_tol`` is the gain at or below
+    which a restart may make a loose stop, and the tie tolerance for picking
+    the reported restart.
+    """
 
     restarts: int = SINGLE_RESTARTS
     max_iters: int = 500
-    #: fixed-point test of the power ascent: a rejected candidate this close
-    #: to the current state (up to phase) ends the restart
     step_tol: float = 1e-9
     value_tol: float = 1e-10
     seed: int = DEFAULT_SEED
@@ -106,11 +109,12 @@ class OracleResult:
 
     ``value`` is the extremal value over all restarts; ``state`` comes from
     the earliest restart within ``value_tol`` of it (seeded candidates come
-    first), and ``restart_values`` holds each restart's final objective.
-    ``history`` holds the starting row plus one row per sweep; column r
-    follows restart r and only improves.  The (seed, restarts) stamp plus
-    the same inputs replays the result bit-identically regardless of how
-    restarts are scheduled.
+    first), which never ends on a loose stop unless it runs out of sweeps.
+    ``restart_values`` holds each restart's final objective and
+    ``restart_iterations`` its sweeps.  ``history`` holds the starting row
+    plus one row per sweep; column r follows restart r and only improves.
+    The (seed, restarts) stamp plus the same inputs replays the result
+    bit-identically regardless of how restarts are scheduled.
     """
 
     value: float
@@ -125,14 +129,11 @@ class OracleResult:
     n_seed_states: int
 
     def __post_init__(self):
-        for name in ("state", "restart_values", "restart_iterations", "history"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.dual_state is not None:
-            dual = np.asarray(self.dual_state)
-            dual.setflags(write=False)
-            object.__setattr__(self, "dual_state", dual)
+        for name in ("state", "dual_state", "restart_values", "restart_iterations", "history"):
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name))
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,7 +159,7 @@ def product_seed_states(fam: MubFamily, n: int) -> np.ndarray:
 
 
 def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
-    """The superoperator as a complex array, and its state dimension (capped)."""
+    """The superoperator on row-major vectorizations vec(X)[i*m + j] = X[i, j], and m (capped)."""
     superop = np.asarray(superop, dtype=complex)
     if superop.ndim != 2 or superop.shape[0] != superop.shape[1]:
         raise ValueError(f"superoperator must be square, got {superop.shape}")
@@ -167,7 +168,7 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError(f"superoperator side {superop.shape[0]} is not a perfect square")
     if m > MAX_ORACLE_DIM:
         raise TooLargeError(f"state dimension {m} exceeds oracle cap {MAX_ORACLE_DIM}")
-    return superop, m
+    return superop.reshape(m, m, m, m).transpose(1, 0, 3, 2).reshape(m * m, m * m), m
 
 
 @functools.lru_cache(maxsize=8)
@@ -193,87 +194,159 @@ def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray,
     return np.concatenate([seeds, haar], axis=0), seeds.shape[0]
 
 
-def _output_batch(superop_t: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Lambda[|psi><psi|] for a batch of unit vectors; returns (B, m, m)."""
-    b, m = psi.shape
-    v = np.einsum("bj,bi->bji", psi.conj(), psi).reshape(b, m * m)
-    w = v @ superop_t
-    return w.reshape(b, m, m).transpose(0, 2, 1)
+def _line_search_tables(points: int):
+    """Grid steps t, and maps from the line-search dots to gains and derivatives there.
 
-
-def _run_restarts(sweep, values: np.ndarray, cfg: OracleConfig):
-    """The restart loop shared by both ascents.
-
-    ``sweep(active)`` advances the active restarts by one sweep, updating
-    ``values`` in place, and returns a mask of those that continue.
-    Returns per-restart sweep counts and the history of ``values``.
+    With A = x x^dagger, C = u u^dagger, W = (x+u)(x+u)^dagger and F(X, Y) =
+    Re Tr(X Lambda_H[Y]), ``coef`` maps the dots F(A,A), F(W,A), F(C,A), F(C,C),
+    F(C,W), F(W,W) to the k of the gain f(x cos t + u sin t) - f(x) =
+    k1 (cos 2t - 1) + k2 sin 2t + k3 (cos 4t - 1) + k4 sin 4t.
     """
-    r = values.shape[0]
-    iters = np.zeros(r, dtype=np.int64)
-    history = [values.copy()]
-    active = np.arange(r)
-    for _ in range(cfg.max_iters):
-        if active.size == 0:
-            break
-        keep = sweep(active)
-        iters[active] += 1
-        history.append(values.copy())
-        active = active[keep]
-    return iters, np.asarray(history)
+    coef = np.array([[4, -4, 0, -2], [0, 4, 2, 2], [0, -8, -4, 0],
+                     [-4, -4, 0, 2], [0, 4, 2, -2], [0, 0, -1, 0]]) / 8.0
+    t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, points, endpoint=False)
+    c2, s2, c4, s4 = np.cos(2 * t), np.sin(2 * t), np.cos(4 * t), np.sin(4 * t)
+    gain = coef @ np.stack([c2 - 1.0, s2, c4 - 1.0, s4])
+    slope = coef @ np.stack([-2 * s2, 2 * c2, -4 * s4, 4 * c4])
+    bend = coef @ np.stack([4 * c2, 4 * s2, 16 * c4, 16 * s4])  # minus the second derivative
+    return t, gain, np.stack([slope.T, bend.T], axis=1)
 
 
-def _power_ascent(h: np.ndarray, starts: np.ndarray, cfg: OracleConfig):
-    """Batched shifted power ascent of <vec P, H vec P>, P = |psi><psi|, H Hermitian.
+_STEPS, _GAIN, _DERIVS = _line_search_tables(LINE_SEARCH_POINTS)
+_SPACING = np.pi / LINE_SEARCH_POINTS
+#: c^2, cs, sc, s^2 -> weights of Lambda_H[A], Lambda_H[C], Lambda_H[W] in Lambda_H[P(t)]
+_MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
-    The part of H along |vec I><vec I| adds the constant Tr(P)^2 = 1 to the
-    form and acts as a built-in shift of Lambda_H[P] psi; a positive part
-    is taken out (and its constant added back to the values) so that the
-    adaptive shift alone sets the step length.  Returns the final states,
-    their values, sweep counts and history.
+
+def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig, swap=False,
+            score=np.asarray):
+    """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
+
+    ``starts`` (k, R, m) holds R unit vectors of C^(k m) in k blocks.
+    Lambda_H is block diagonal: ``ops[j]`` is the transposed row-major
+    superoperator of block j, applied to the projector of block j (of the
+    other block when ``swap``).  ``scale`` is ||H||_2; ``score`` maps values
+    to what ``_select_best`` ranks.  Returns states, values, sweeps, history.
     """
-    m = starts.shape[1]
-    vec_i = np.eye(m).reshape(-1)
-    kappa = max(float((vec_i @ h @ vec_i).real) / m**2, 0.0)
-    h = h - kappa * np.outer(vec_i, vec_i)
-    h_t = np.ascontiguousarray(h.T)
-    scale = float(np.linalg.norm(h, 2)) or 1.0
+    k, r, m = starts.shape
+    blocks = slice(None, None, -1) if swap else slice(None)
+    tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
+    cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
+    states, values = np.array(starts, dtype=complex), np.full(r, -np.inf)
+    iters, settled = np.zeros(r, dtype=np.int64), np.zeros(r, dtype=bool)  # settled: no loose stop
+    history = []
 
-    def evaluate(psi):
-        # Lambda_H[P] psi is the ascent direction; <psi, Lambda_H[P] psi> the value
-        grad = (_output_batch(h_t, psi) @ psi[:, :, None])[:, :, 0]
-        return np.einsum("bi,bi->b", psi.conj(), grad).real, grad
+    def apply(w, out):
+        # out <- Lambda_H[w w^dagger] for w of shape (n, k, b, m); returns the projectors
+        ws = w[:, blocks]
+        proj = (ws[..., :, None] * ws.conj()[..., None, :]).reshape(*w.shape[:3], m * m)
+        np.matmul(proj, ops, out=out)
+        return proj[:, blocks]
 
-    psi = starts
-    f, grad = evaluate(psi)
-    shift = np.full(psi.shape[0], scale)
+    def climb(idx, patient, rows):
+        # run restarts idx from their states, appending each sweep's values to rows;
+        # a patient climb makes no loose stop
+        x = states[:, idx]
+        g = np.empty((3, k, idx.size, m * m), dtype=complex)  # Lambda_H[P], then line-search images
+        apply(x[None], g[:1])
+        gx = np.matvec(g[0].reshape(k, -1, m, m), x)
+        f = np.maximum(np.vecdot(x, gx).real.sum(0), values[idx])  # a resumed value never drops
+        values[idx] = f
+        if not patient:
+            rows.append(values.copy())  # the starting row
+        grad = gx - f[:, None] * x  # the Riemannian gradient, up to a factor 2
+        gg = np.vecdot(grad, grad).real.sum(0)
+        memory = np.zeros((2,) + x.shape, dtype=complex)  # previous direction and gradient
+        gg_prev, low, last_low = np.ones(idx.size), gg.copy(), np.full(idx.size, np.inf)
+        age = np.full(idx.size, cycle)  # accepted steps since steepest ascent (cycle: reset)
+        stall = np.zeros(idx.size, dtype=np.int64)  # reset cycles that did not halve |grad|
+        stop = final = gg <= tight
+        budget = cfg.max_iters - int(iters[idx].max())
+        iters[idx[stop]] = 1  # a certified start spends one sweep, without moving
 
-    def sweep(active):
-        cur = psi[active]
-        cand = grad[active] + shift[active, None] * cur
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc, gc = evaluate(cand)
-        gain = fc - f[active]
-        up = gain > 0
-        rows = active[up]
-        psi[rows] = cand[up]
-        f[rows] = fc[up]
-        grad[rows] = gc[up]
-        shift[rows] = np.maximum(SHIFT_DECAY * shift[rows], SHIFT_FLOOR * scale)
-        shift[active[~up]] *= 2.0
-        # distance between candidate and current state, minimized over phase
-        overlap = np.einsum("bi,bi->b", cur.conj(), cand)
-        phase = np.exp(1j * np.angle(overlap))
-        moved = np.linalg.norm(cand - phase[:, None] * cur, axis=1)
-        return np.where(up, gain > cfg.value_tol, moved >= cfg.step_tol)
+        for _ in range(budget):
+            if stop.any():  # drop the restarts that stopped
+                states[:, idx[stop]], settled[idx[stop]] = x[:, stop], final[stop]
+                keep = ~stop
+                idx, x = idx[keep], x[:, keep]
+                if idx.size == 0:
+                    return
+                g, old = np.empty((3, k, idx.size, m * m), dtype=complex), g
+                np.compress(keep, old[0], axis=1, out=g[0])
+                gx, grad, memory = gx[:, keep], grad[:, keep], memory[:, :, keep]
+                f, gg, gg_prev, low, last_low, age, stall, stop = (
+                    a[keep] for a in (f, gg, gg_prev, low, last_low, age, stall, stop))
+            iters[idx] += 1
 
-    iters, history = _run_restarts(sweep, f, cfg)
-    return psi, f + kappa, iters, history + kappa
+            # PR+ direction: grad is tangent at x, so projection transport acts on the result
+            g_dir, g_old = np.vecdot(grad, memory).real.sum(1)
+            beta = np.maximum(gg - g_old, 0.0) / gg_prev
+            beta[(age >= cycle) | (gg + beta * g_dir <= 0.0)] = 0.0  # reset, or not ascending
+            steepest = beta == 0.0
+            # a new cycle: did the smallest |grad|^2 of the last one fall to a quarter?
+            stall = np.where(steepest, np.where(low < 0.25 * last_low, 0, stall + 1), stall)
+            last_low, low = np.where(steepest, low, last_low), np.where(steepest, gg, low)
+            u = grad + beta[:, None] * memory[0]
+            u -= np.vecdot(x, u).sum(0)[:, None] * x  # exactly tangent: keeps |x| = 1 to roundoff
+            norm = np.sqrt(np.vecdot(u, u).real.sum(0)) + 1e-300  # no 0/0 even for a zero u
+
+            # exact line search along the geodesic x cos t + u sin t
+            un = u / norm[:, None]
+            proj = apply(np.stack([un, x + un]), g[1:])
+            dots = np.empty((idx.size, 6))
+            dots[:, 0] = f
+            dots[:, 1:] = np.vecdot(proj[:, None], g).real.sum(2).reshape(6, -1)[[3, 0, 1, 2, 5]].T
+            best = np.argmax(dots @ _GAIN, axis=1)
+            slope, bend = np.vecdot(dots[:, None, :], _DERIVS[best]).T
+            bend = np.where(bend > 0.0, bend, np.inf)  # a Newton step only where concave
+            t = _STEPS[best] + np.clip(slope / bend, -_SPACING, _SPACING)
+            t[np.abs(t) < cfg.step_tol] = 0.0  # too short to count as a move
+            c, s = np.cos(t), np.sin(t)
+
+            xn = c[:, None] * x + s[:, None] * un
+            cs = np.stack([c, s], axis=1)
+            mix = (cs[:, :, None] * cs[:, None, :]).reshape(-1, 4) @ _MIX
+            gn = np.empty_like(g)
+            np.matmul(mix[None, :, None, :], g.transpose(1, 2, 0, 3), out=gn[0][:, :, None, :])
+            gxn = np.matvec(gn[0].reshape(k, -1, m, m), xn)
+            fn = np.vecdot(xn, gxn).real.sum(0)
+            up = fn > f
+            if not up.all():
+                down = ~up
+                xn[:, down], gn[0][:, down] = x[:, down], g[0][:, down]
+                gxn[:, down], fn[down] = gx[:, down], f[down]
+            gain, memory, gg_prev = fn - f, np.stack([u, grad]), gg
+            x, g, gx, f, grad = xn, gn, gxn, fn, gxn - fn[:, None] * xn
+            gg = np.vecdot(grad, grad).real.sum(0)
+            low, age = np.minimum(low, gg), np.where(up, np.where(steepest, 1, age + 1), cycle)
+            values[idx] = f
+            rows.append(values.copy())
+            # certified; steepest ascent gains nothing; stalled; or a loose stop
+            final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES)
+            stop = final if patient else final | (up & (gain <= cfg.value_tol) & (gg <= loose))
+        states[:, idx] = x
+
+    climb(np.arange(r), False, history)
+    # the restart that is reported carries the certificate: resume it after a loose stop
+    best, trail = _select_best(score(values), cfg.value_tol), []
+    first = iters[best] + 1
+    if not settled[best] and first <= cfg.max_iters:
+        climb(np.array([best]), True, trail)
+    history = np.asarray(history)  # one row per sweep of the longest restart
+    history = np.concatenate([history, np.repeat(history[-1:], iters.max() + 1 - len(history), 0)])
+    if trail:
+        history[first:, best] = values[best]
+        history[first:first + len(trail), best] = np.asarray(trail)[:, best]
+    return states, values, iters, history
+
+
+def _norm2(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, 2)) or 1.0
 
 
 def _select_best(values: np.ndarray, value_tol: float) -> int:
     """Earliest restart within tolerance of the best value."""
-    vmax = float(np.max(values))
-    return int(np.nonzero(values >= vmax - value_tol)[0][0])
+    return int(np.nonzero(values >= np.max(values) - value_tol)[0][0])
 
 
 def _result(score, states, iters, history, n_seeds, cfg, sign=1.0, dual_states=None):
@@ -307,11 +380,12 @@ def extremize_self_fidelity(
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
     cfg = cfg or OracleConfig()
-    superop, m = _checked_superop(superop)
+    s, m = _checked_superop(superop)
     sgn = 1.0 if sense == "max" else -1.0
     starts, n_seeds = _start_states(m, cfg, seed_states)
-    psi, g, iters, hist = _power_ascent(0.5 * sgn * (superop + superop.conj().T), starts, cfg)
-    return _result(g, psi, iters, hist, n_seeds, cfg, sign=sgn)
+    h = 0.5 * sgn * (s + s.conj().T)
+    psi, g, iters, hist = _ascent(np.ascontiguousarray(h.T)[None], starts[None], _norm2(h), cfg)
+    return _result(g, psi[0], iters, hist, n_seeds, cfg, sign=sgn)
 
 
 def maximize_output_2norm(
@@ -321,10 +395,11 @@ def maximize_output_2norm(
 ) -> OracleResult:
     """Search the largest output 2-norm sqrt(Tr(Lambda[P]^2)) over pure inputs."""
     cfg = cfg or OracleConfig()
-    superop, m = _checked_superop(superop)
+    s, m = _checked_superop(superop)
     starts, n_seeds = _start_states(m, cfg, seed_states)
-    psi, g, iters, hist = _power_ascent(superop.conj().T @ superop, starts, cfg)
-    return _result(np.sqrt(g), psi, iters, np.sqrt(hist), n_seeds, cfg)
+    h_t = s.T @ s.conj()  # (S^dagger S)^T
+    psi, g, iters, hist = _ascent(h_t[None], starts[None], _norm2(h_t), cfg, score=np.sqrt)
+    return _result(np.sqrt(g), psi[0], iters, np.sqrt(hist), n_seeds, cfg)
 
 
 def maximize_output_inf_norm(
@@ -332,93 +407,23 @@ def maximize_output_inf_norm(
     cfg: OracleConfig | None = None,
     seed_states: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> OracleResult:
-    """Alternating ascent of Tr(Q Lambda[P]) over pure input/measurement pairs.
+    """Search the largest Tr(Q Lambda[P]) over pure input/measurement pairs.
 
-    For a fixed input P the best measurement Q is the top eigenvector of
-    Lambda[P]; for a fixed Q the best P is the top eigenvector of
-    Lambda^dagger[Q], the adjoint map whose superoperator is S^dagger.
-    Each restart starts from its input and the top eigenvector of its
-    output.  A power sweep moves Q, then P, by two shifted power steps
-    toward those eigenvectors, each kept only if it strictly improves.  Once
-    a power sweep gains no more than ``value_tol`` the restart switches for
-    good to exact sweeps, which take both eigenvectors by ``eigh``, and it
-    stops when neither exact half-step gains more than ``value_tol``.  The
-    shift starts at its floor: for a positive map Lambda[P] and
-    Lambda^dagger[Q] are positive semidefinite, where unshifted power steps
-    already ascend, and a rejected step doubles it.  The result's ``state``
-    is the input P and ``dual_state`` the measurement Q; on ties the
-    earlier (seeded) pair is kept.
+    The engine runs on the pairs (psi, phi)/sqrt(2) of C^(2m) (see the module
+    docstring), each restart starting from its input and the top eigenvector
+    of its output.  The result's ``state`` is the input P and ``dual_state``
+    the measurement Q; on ties the earlier (seeded) pair is kept.
     """
     cfg = cfg or OracleConfig()
-    superop, m = _checked_superop(superop)
-    fwd_t = np.ascontiguousarray(superop.T)  # Lambda, as _output_batch takes it
-    adj_t = np.ascontiguousarray(superop.conj())  # Lambda^dagger: (S^dagger)^T
-    floor = SHIFT_FLOOR * (float(np.linalg.norm(superop, 2)) or 1.0)
-    best_p, n_seeds = _start_states(m, cfg, seed_states)
-    w, v = np.linalg.eigh(_output_batch(fwd_t, best_p))
-    best_val = w[:, -1].copy()
-    best_q = v[:, :, -1].copy()
-    p = np.empty_like(best_p)  # where the next exact sweep starts, set on the switch
-    shift = np.full(best_p.shape[0], floor)
-    exact = np.zeros(best_p.shape[0], dtype=bool)
-
-    def power_half_step(rows, x, fixed, op_t):
-        # two shifted power steps of x[rows] toward the top eigenvector of op[fixed[rows]]
-        a = _output_batch(op_t, fixed[rows])
-        cur, f, c = x[rows], best_val[rows], shift[rows]
-        grad = np.einsum("bij,bj->bi", a, cur)
-        for _ in range(2):
-            cand = grad + c[:, None] * cur
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            gc = np.einsum("bij,bj->bi", a, cand)
-            fc = np.einsum("bi,bi->b", cand.conj(), gc).real
-            up = fc > f
-            cur = np.where(up[:, None], cand, cur)
-            grad = np.where(up[:, None], gc, grad)
-            f = np.where(up, fc, f)
-            c = np.where(up, np.maximum(SHIFT_DECAY * c, floor), 2.0 * c)
-        x[rows], best_val[rows], shift[rows] = cur, f, c
-
-    def power_sweep(rows):
-        before = best_val[rows]
-        power_half_step(rows, best_q, best_p, fwd_t)
-        power_half_step(rows, best_p, best_q, adj_t)
-        done = rows[best_val[rows] - before <= cfg.value_tol]
-        exact[done] = True
-        p[done] = best_p[done]
-
-    def exact_sweep(active):
-        w, v = np.linalg.eigh(_output_batch(fwd_t, p[active]))
-        val1 = w[:, -1]
-        q = v[:, :, -1]
-        w2, v2 = np.linalg.eigh(_output_batch(adj_t, q))
-        val2 = w2[:, -1]
-        p2 = v2[:, :, -1]
-
-        imp1 = val1 > best_val[active] + cfg.value_tol
-        rows = active[imp1]
-        best_val[rows] = val1[imp1]
-        best_p[rows] = p[rows]
-        best_q[rows] = q[imp1]
-        imp2 = val2 > best_val[active] + cfg.value_tol
-        rows2 = active[imp2]
-        best_val[rows2] = val2[imp2]
-        best_p[rows2] = p2[imp2]
-        best_q[rows2] = q[imp2]
-        p[active] = p2
-        return imp1 | imp2
-
-    def sweep(active):
-        keep = np.ones(active.size, dtype=bool)
-        polish = exact[active]
-        if polish.any():
-            keep[polish] = exact_sweep(active[polish])
-        if not polish.all():
-            power_sweep(active[~polish])
-        return keep
-
-    iters, history = _run_restarts(sweep, best_val, cfg)
-    return _result(best_val, best_p, iters, history, n_seeds, cfg, dual_states=best_q)
+    s, m = _checked_superop(superop)
+    psi, n_seeds = _start_states(m, cfg, seed_states)
+    out = ((psi[:, :, None] * psi.conj()[:, None, :]).reshape(-1, m * m) @ s.T).reshape(-1, m, m)
+    phi = np.linalg.eigh(out)[1][:, :, -1]
+    ops = np.stack([2.0 * s.conj(), 2.0 * s.T])  # Lambda^dagger, then Lambda
+    starts = np.stack([psi, phi]) / np.sqrt(2.0)
+    x, g, iters, hist = _ascent(ops, starts, 2.0 * _norm2(s), cfg, swap=True)
+    x /= np.linalg.norm(x, axis=2, keepdims=True)
+    return _result(g, x[0], iters, hist, n_seeds, cfg, dual_states=x[1])
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel, lambdas=None) -> float:
@@ -468,22 +473,13 @@ class ScanReport:
 
 
 def _grid_spectra(d: int, grid: SpectrumGrid) -> np.ndarray:
-    rng = np.random.default_rng(grid.seed)
-    blocks = [rng.uniform(-1.0, 1.0, size=(grid.n_random, d + 1))]
+    blocks = []
     lower_const = -1.0 / (d * d - 1)  # constant spectrum with lower slack 0
     if grid.include_boundary:
         axis = np.zeros(d + 1)
         axis[0] = 1.0
-        blocks.append(
-            np.vstack(
-                [
-                    np.ones(d + 1),                      # identity: upper slack 0
-                    np.full(d + 1, lower_const),         # lower slack 0
-                    axis,                                # one preserved axis: upper slack 0
-                    np.zeros(d + 1),                     # interior point
-                ]
-            )
-        )
+        # identity (upper slack 0), lower slack 0, one preserved axis (upper slack 0), interior
+        blocks.append(np.vstack([np.ones(d + 1), np.full(d + 1, lower_const), axis, 0 * axis]))
     if grid.include_violations:
         over_axis = np.zeros(d + 1)
         over_axis[0] = 1.0 + 1e-3
@@ -498,10 +494,11 @@ def _grid_spectra(d: int, grid: SpectrumGrid) -> np.ndarray:
         if d == 3:
             rows.append(np.array([0.5, 0.2, -0.1, 0.3]))  # upper bound off by 0.2
         blocks.append(np.vstack(rows))
-    spectra = np.vstack(blocks)
-    if spectra.shape[0] > MAX_SCAN_POINTS:
-        raise TooLargeError(f"scan grid of {spectra.shape[0]} points exceeds {MAX_SCAN_POINTS}")
-    return spectra
+    n = grid.n_random + sum(block.shape[0] for block in blocks)
+    if n > MAX_SCAN_POINTS:  # before the random block is drawn
+        raise TooLargeError(f"scan grid of {n} points exceeds {MAX_SCAN_POINTS}")
+    rng = np.random.default_rng(grid.seed)
+    return np.vstack([rng.uniform(-1.0, 1.0, size=(grid.n_random, d + 1)), *blocks])
 
 
 def cptp_equivalence_scan(

@@ -103,6 +103,15 @@ def test_analyze_with_oracle_residuals(tmp_path, capsys):
     assert rep["oracle"]["nu_inf"]["state"]["nearest_basis"]["alpha"] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_on_identity_channel_warns_nothing(tmp_path, capsys):
+    # every restart of f_min starts at a critical point with a zero gradient
+    spec = write_spec(tmp_path, "id.json", {"d": 2, "probabilities": [1, 0, 0, 0]})
+    code, out, _ = run_cli(["analyze", spec, "--oracle", "--restarts", "256", "--seed", "11"], capsys)
+    assert code == 0
+    assert json.loads(out)["oracle"]["f_min"]["value"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_analyze_noncptp_exit3_names_bound(tmp_path, capsys):
     spec = write_spec(tmp_path, "bad.json", {"d": 3, "eigenvalues": [0.5, 0.2, -0.1, 0.3]})
     code, _, err = run_cli(["analyze", spec], capsys)
@@ -290,6 +299,7 @@ _TRAJ_START = {"t": 0.0, "lambdas": [1, 1, 1]}
         ("evolve", {"d": 2, "rates": [1.0, 1.0, 1.0]}, ["--t-max", "inf", "--steps", "3"], 3),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # finiteness is checked before arithmetic
 def test_non_finite_input_fails_without_report(tmp_path, capsys, command, payload, extra, expected):
     # json.dumps writes NaN/Infinity literals, which json.load accepts
     spec = write_spec(tmp_path, "spec.json", payload)

@@ -184,8 +184,8 @@ def test_nu_inf_dual_step_uses_adjoint():
     out = sum(k @ np.outer(res.state, res.state.conj()) @ k.conj().T for k in kraus)
     direct = np.real(res.dual_state.conj() @ out @ res.dual_state)
     assert direct == pytest.approx(res.value, abs=1e-12)
-    # the alternating ascent converges only sublinearly toward |0><0| here
-    assert res.value >= 1 - 1e-6
+    # the optimum is degenerate (quartic) toward |0><0| here; the certificate still reaches it
+    assert res.value >= 1 - 1e-9
 
 
 def test_nu_inf_stopped_pair_is_exact_fixed_point(fam3, rng):
@@ -389,6 +389,16 @@ def test_scan_guard():
         cptp_equivalence_scan(2, SpectrumGrid(n_random=200_000))
 
 
+def test_scan_guard_trips_before_drawing(monkeypatch):
+    # 10^12 spectra would need terabytes: the size is refused before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the scan grid was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(TooLargeError):
+        cptp_equivalence_scan(2, SpectrumGrid(n_random=10**12))
+
+
 def test_tensor_probe_identity(fam2):
     probe = tensor_fidelity_probe(identity_channel(2, fam2), 2, OracleConfig(restarts=40, seed=6))
     assert probe.estimate == pytest.approx(1.0, abs=1e-9)
@@ -412,6 +422,16 @@ def test_tensor_probe_open_regime_finds_entangled_advantage(fam2):
     # maximally entangled inputs reach 1/3 against the product baseline 1/9
     assert probe.estimate == pytest.approx(1 / 3, abs=1e-6)
     assert probe.excess == pytest.approx(2 / 9, abs=1e-6)
+
+
+def test_tensor_probe_open_regime_converges_to_singlet_value(fam2):
+    # the singlet reaches (1 + sum lambda^2)/4 = 0.325; every restart stops on a rule
+    ch = channel_from_eigenvalues(2, [-0.5, -0.2, -0.1], fam2)
+    cfg = OracleConfig(restarts=2048)
+    probe = tensor_fidelity_probe(ch, 2, cfg)
+    assert probe.regime == "open"
+    assert np.count_nonzero(probe.result.restart_iterations >= cfg.max_iters) == 0
+    assert probe.estimate == pytest.approx(0.325, abs=1e-12)
 
 
 def test_tensor_probe_guard(fam5):
@@ -443,7 +463,8 @@ def test_inf_norm_formula_exact_when_max_dominates(rng):
             assert abs(v - max_output_inf_norm(ch)) <= 1e-9
 
 
-def test_inf_norm_formula_beaten_outside_exact_regime(fam3):
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_inf_norm_formula_beaten_outside_exact_regime(fam3, seed):
     # pinned counterexample: two strongly negative eigenvalues let inputs
     # superposed across those bases exceed the single-basis closed form;
     # the search value is confirmed by direct evaluation of the best pair
@@ -454,7 +475,7 @@ def test_inf_norm_formula_beaten_outside_exact_regime(fam3):
     assert not inf_norm_formula_is_exact(ch)
     closed = max_output_inf_norm(ch)
     seeds = mub_seed_states(fam3)
-    cfg = OracleConfig(restarts=seeds.shape[0] + 40, seed=3, max_iters=2000)
+    cfg = OracleConfig(restarts=seeds.shape[0] + 40, seed=seed, max_iters=2000)
     res = maximize_output_inf_norm(superoperator_of(ch), cfg, seeds)
     assert res.value >= closed - 1e-9  # the closed form stays a valid lower bound
     assert res.value - closed > 0.05   # and is decisively beaten here

@@ -14,12 +14,8 @@ from .channel import (
     channel_from_dict,
     channel_from_eigenvalues,
     channel_from_probabilities,
-    choi_of,
     compose,
-    depolarizing_channel,
     fujiwara_algoet_check,
-    identity_channel,
-    load_channel_file,
     probabilities_of,
     spectrum_of,
     superoperator_of,
@@ -29,7 +25,6 @@ from .dynamics import (
     EvolutionSpec,
     eigenvalue_trajectory,
     exponential_evolution,
-    load_evolution_file,
     sampled_evolution,
     timeline_report,
     validate_trajectory,
@@ -48,7 +43,6 @@ from .errors import (
 )
 from .metrics import (
     FidelityReport,
-    channel_fidelity,
     composition_two_norm_residual,
     fidelity_extremes,
     fidelity_report,
@@ -57,14 +51,11 @@ from .metrics import (
     multiplicativity_flags,
     regularized_max_fidelity,
     spectral_figures,
-    unitary_coefficients,
 )
 from .mub import (
     MubFamily,
-    basis_unitary,
     build_mub_family,
     load_mub_file,
-    save_mub_file,
     validate_mub_family,
 )
 from .oracle import (

@@ -30,7 +30,6 @@ vec(A X B) = (B^T kron A) vec(X).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -188,29 +187,18 @@ def channel_from_eigenvalues(
     return channel_from_probabilities(d, probabilities_of(sp), fam)
 
 
-def identity_channel(d: int, fam: MubFamily | None = None) -> GeneralizedPauliChannel:
-    p = np.zeros(d + 2)
-    p[0] = 1.0
-    return channel_from_probabilities(d, p, fam)
-
-
-def depolarizing_channel(d: int, fam: MubFamily | None = None) -> GeneralizedPauliChannel:
-    """The channel with all-zero spectrum (every input goes to I/d)."""
-    return channel_from_eigenvalues(d, np.zeros(d + 1), fam)
-
-
 def _dephase(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Phi_a[X] = sum_k <psi_k|X|psi_k> |psi_k><psi_k|; rows of `basis` are the psi_k
-    w = np.einsum("ki,ij,kj->k", basis.conj(), x, basis)
-    return np.einsum("k,ki,kj->ij", w, basis, basis.conj())
+    w = np.einsum("ki,...ij,kj->...k", basis.conj(), x, basis)
+    return np.einsum("...k,ki,kj->...ij", w, basis, basis.conj())
 
 
 def apply_channel(ch: GeneralizedPauliChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a matrix (density or otherwise) of matching size."""
+    """Apply the channel to a matrix, or a stack (..., d, d) of them, of matching size."""
     rho = np.asarray(rho, dtype=complex)
     d = ch.d
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {rho.shape}")
+    if rho.shape[-2:] != (d, d):
+        raise DimensionMismatchError(f"expected {d}x{d} matrices, got shape {rho.shape}")
     out = ((d * ch.probs[0] - 1.0) / (d - 1)) * rho
     scale = d / (d - 1)
     for a in range(d + 1):
@@ -289,24 +277,6 @@ def choi_from_spectrum(fam: MubFamily, lambdas) -> np.ndarray:
     return np.einsum("...a,aij->...ij", lam, choi) + np.eye(d * d, dtype=complex) / d**2
 
 
-def choi_of(ch: GeneralizedPauliChannel) -> np.ndarray:
-    """Choi matrix J = (id x Lambda)[|Omega><Omega|], |Omega> = sum_i |ii>/sqrt(d).
-
-    Normalized to trace one; J is positive semidefinite iff the channel is
-    completely positive.
-    """
-    d = ch.d
-    j = np.zeros((d * d, d * d), dtype=complex)
-    e = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            e[i, k] = 1.0
-            block = apply_channel(ch, e)
-            j[i * d : (i + 1) * d, k * d : (k + 1) * d] = block / d
-            e[i, k] = 0.0
-    return j
-
-
 def compose(a: GeneralizedPauliChannel, b: GeneralizedPauliChannel) -> GeneralizedPauliChannel:
     """Composition a after b; spectra multiply elementwise over a shared family."""
     if a.d != b.d or not families_equal(a.fam, b.fam):
@@ -380,8 +350,3 @@ def channel_from_dict(payload: dict, base_dir: str | None = None) -> Generalized
         return channel_from_eigenvalues(d, np.asarray(payload["eigenvalues"], dtype=float), fam)
     raise BadProbabilitiesError("channel spec needs 'probabilities' or 'eigenvalues'")
 
-
-def load_channel_file(path) -> GeneralizedPauliChannel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return channel_from_dict(payload, base_dir=os.path.dirname(os.fspath(path)))

@@ -89,6 +89,9 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_GUARD = 4
 
+#: largest evolve time grid
+MAX_STEPS = 10**6
+
 
 def _jsonable(obj):
     """Recursively convert numpy scalars/arrays so json can serialize them."""
@@ -353,6 +356,8 @@ def cmd_evolve(args) -> int:
     spec = evolution_from_dict(payload)
     if not np.isfinite(args.t_max):
         raise InvalidTrajectoryError(f"--t-max must be finite, got {args.t_max!r}")
+    if args.steps > MAX_STEPS:  # before the grid is allocated
+        raise TooLargeError(f"--steps {args.steps} exceeds {MAX_STEPS}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     tl = timeline_report(spec, grid)  # raises InvalidTrajectoryError with first time
     csv_text = timeline_csv_text(tl)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +238,7 @@ def generator_consistency_residual(spec: EvolutionSpec, times) -> float:
 
 
 # ---------------------------------------------------------------------------
-# files and CSV export
+# spec payloads and CSV export
 # ---------------------------------------------------------------------------
 
 
@@ -261,12 +260,6 @@ def evolution_from_dict(payload: dict) -> EvolutionSpec:
             raise InvalidTrajectoryError(f"malformed trajectory rows: {exc}") from exc
         return sampled_evolution(d, times, lams)
     raise InvalidTrajectoryError("evolution spec needs 'rates' or 'trajectory'")
-
-
-def load_evolution_file(path) -> EvolutionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return evolution_from_dict(payload)
 
 
 def timeline_csv_text(tl: Timeline) -> str:

@@ -47,7 +47,6 @@ import numpy as np
 
 from .channel import GeneralizedPauliChannel, compose, fa_slacks, spectrum_of
 from .errors import BadProbabilitiesError, DimensionMismatchError
-from .mub import MubFamily
 
 #: slack applied toward "true" when classifying non-strict inequalities
 CLASSIFY_SLACK = 1e-12
@@ -150,8 +149,8 @@ class RegularizedMaxFidelity:
     """Value (or bracket) for the n-th regularized maximal fidelity.
 
     When ``exact`` is set the value is f_max itself for every n.  Otherwise
-    ``lower``/``upper`` bracket the quantity; ``oracle_estimate`` holds the
-    tensor-power search value that refined the lower end, if one ran.
+    ``value`` is None and ``lower``/``upper`` are the closed forms f_max and
+    nu_inf; see :func:`regularized_max_fidelity` for what each end proves.
     """
 
     n: int
@@ -159,7 +158,6 @@ class RegularizedMaxFidelity:
     value: float | None
     lower: float
     upper: float
-    oracle_estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -190,27 +188,6 @@ def fidelity_extremes(ch: GeneralizedPauliChannel) -> FidelityExtremes:
     )
 
 
-def unitary_coefficients(fam: MubFamily, psi: np.ndarray) -> np.ndarray:
-    """Expansion coefficients x[a, k-1] of |psi><psi| over the basis unitaries.
-
-    |psi><psi| = (I + sum_{a,k} x[a,k] U(a,k)) / d; for any unit vector the
-    total weight sum |x|^2 equals d-1.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (fam.d,):
-        raise DimensionMismatchError(f"expected a length-{fam.d} vector, got {psi.shape}")
-    q = np.einsum("i,akij,j->ak", psi.conj(), fam.unitaries(), psi)
-    return q.conj()
-
-
-def channel_fidelity(ch: GeneralizedPauliChannel, psi: np.ndarray) -> float:
-    """Input-output fidelity Tr(P Lambda[P]) for the pure input P = |psi><psi|."""
-    x = unitary_coefficients(ch.fam, psi)
-    lam = spectrum_of(ch).lambdas
-    weights = np.sum(np.abs(x) ** 2, axis=1)
-    return float((1.0 + np.dot(lam, weights)) / ch.d)
-
-
 def max_output_2norm(ch: GeneralizedPauliChannel) -> float:
     """Largest Schatten 2-norm of any output from a pure input."""
     return float(_figures(ch).nu2)
@@ -232,11 +209,6 @@ def max_output_inf_norm(ch: GeneralizedPauliChannel) -> float:
     return float(_figures(ch).nu_inf)
 
 
-def inf_norm_formula_is_exact(ch: GeneralizedPauliChannel) -> bool:
-    """Whether the closed-form output inf-norm is the verified true maximum."""
-    return bool(_figures(ch).inf_exact)
-
-
 def composition_two_norm_residual(ch: GeneralizedPauliChannel) -> float:
     """|f_max(Lambda o Lambda) - nu_2(Lambda)^2|; contractually <= 1e-12."""
     squared = compose(ch, ch)
@@ -255,45 +227,26 @@ def multiplicativity_flags(ch: GeneralizedPauliChannel) -> MultiplicativityFlags
     return MultiplicativityFlags.of(_figures(ch))
 
 
-def regularized_max_fidelity(
-    ch: GeneralizedPauliChannel,
-    n: int,
-    mode: str = "closed",
-    cfg=None,
-) -> RegularizedMaxFidelity:
-    """n-th regularized maximal fidelity: exact value or bracket.
+def regularized_max_fidelity(ch: GeneralizedPauliChannel, n: int) -> RegularizedMaxFidelity:
+    """n-th regularized maximal fidelity from the closed forms: exact value or bracket.
 
     In the factorizing regime (max(lambda) >= |min(lambda)|) the value is
     f_max exactly for every n, and coincides with nu_inf.  Otherwise the
-    result brackets the quantity by [f_max, nu_inf]; ``mode="oracle"``
-    additionally runs the tensor-power searches up to order n and refines
-    the lower end with the best m-th root over m <= n.  Every m-th root of
-    a tensor search value lower-bounds the asymptotic regularization, so
-    the refined lower bound only improves with n; ``oracle_estimate``
-    carries the order-n search value itself.
+    result is the bracket [f_max, nu_inf].  Its lower end is attained by a
+    product of basis vectors; the m-th root of any tensor-power search value
+    (:func:`gpchannels.oracle.tensor_fidelity_probe`) also bounds the
+    regularization from below and can raise it.  Its upper end is the
+    closed-form nu_inf, which bounds every tensor-power fidelity only where
+    it is the true maximal output inf-norm and that norm is multiplicative,
+    as for d = 2; at d >= 3 outside that regime the search can exceed it.
     """
-    if mode not in ("closed", "oracle"):
-        raise ValueError(f"mode must be 'closed' or 'oracle', got {mode!r}")
     if n < 1:
         raise ValueError("regularization order must be >= 1")
     fig = _figures(ch)
     f_max = float(fig.f_max)
     if fig.fmax_multiplicative:
         return RegularizedMaxFidelity(n=n, exact=True, value=f_max, lower=f_max, upper=f_max)
-    upper = float(fig.nu_inf)
-    lower = f_max
-    estimate = None
-    if mode == "oracle" and n >= 2:
-        from .oracle import tensor_fidelity_probe  # local import, avoids cycle
-
-        for m in range(2, n + 1):
-            probe = tensor_fidelity_probe(ch, m, cfg)
-            lower = max(lower, probe.estimate ** (1.0 / m))
-            if m == n:
-                estimate = probe.estimate
-    return RegularizedMaxFidelity(
-        n=n, exact=False, value=None, lower=lower, upper=upper, oracle_estimate=estimate
-    )
+    return RegularizedMaxFidelity(n=n, exact=False, value=None, lower=f_max, upper=float(fig.nu_inf))
 
 
 def fidelity_report(ch: GeneralizedPauliChannel, n_reg: int = 1) -> FidelityReport:
@@ -310,5 +263,5 @@ def fidelity_report(ch: GeneralizedPauliChannel, n_reg: int = 1) -> FidelityRepo
         nu2_fmax_coincide=bool(fig.nu2_fmax_coincide),
         nu2_fmin_coincide=bool(fig.nu2_fmin_coincide),
         flags=MultiplicativityFlags.of(fig),
-        regularized=regularized_max_fidelity(ch, n_reg, mode="closed"),
+        regularized=regularized_max_fidelity(ch, n_reg),
     )

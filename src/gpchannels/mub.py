@@ -205,19 +205,6 @@ def _builtin_family(d: int) -> MubFamily:
     return fam
 
 
-def basis_unitary(fam: MubFamily, alpha: int, k: int) -> np.ndarray:
-    """The unitary U(alpha, k) = sum_l omega^(k*l) P_l generated by basis alpha.
-
-    ``alpha`` ranges over 0..d and ``k`` over 1..d-1; the result is unitary
-    and traceless.
-    """
-    if not (0 <= alpha < fam.n_bases):
-        raise IndexError(f"basis index {alpha} out of range 0..{fam.n_bases - 1}")
-    if not (1 <= k <= fam.d - 1):
-        raise IndexError(f"power {k} out of range 1..{fam.d - 1}")
-    return fam.unitaries()[alpha, k - 1].copy()
-
-
 def families_equal(a: MubFamily, b: MubFamily) -> bool:
     """Bitwise equality of two families (same object always passes)."""
     return a is b or (a.d == b.d and np.array_equal(a.bases, b.bases))
@@ -234,13 +221,7 @@ def mub_family_to_dict(fam: MubFamily) -> dict:
     }
 
 
-def save_mub_file(fam: MubFamily, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mub_family_to_dict(fam), fh)
-        fh.write("\n")
-
-
-def mub_family_from_dict(payload: dict, tol: float = LOAD_TOL) -> MubFamily:
+def mub_family_from_dict(payload: dict) -> MubFamily:
     try:
         d = int(payload["d"])
         raw = payload["bases"]
@@ -251,18 +232,18 @@ def mub_family_from_dict(payload: dict, tol: float = LOAD_TOL) -> MubFamily:
     except (KeyError, TypeError, ValueError) as exc:
         raise MubValidationError(f"malformed basis-family payload: {exc}") from exc
     fam = MubFamily(d=d, bases=bases)
-    report = validate_mub_family(fam, tol=tol)
+    report = validate_mub_family(fam, tol=LOAD_TOL)
     if not report.passed:
         raise MubValidationError(
-            f"loaded family failed validation at tol {tol:.1e}: "
+            f"loaded family failed validation at tol {LOAD_TOL:.1e}: "
             f"orthonormality {report.max_orthonormality_residual:.3e}, "
             f"unbiasedness {report.max_unbiasedness_residual:.3e}"
         )
     return fam
 
 
-def load_mub_file(path, tol: float = LOAD_TOL) -> MubFamily:
+def load_mub_file(path) -> MubFamily:
     """Load a family from JSON and re-validate its invariants."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return mub_family_from_dict(payload, tol=tol)
+    return mub_family_from_dict(payload)

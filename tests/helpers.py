@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from gpchannels import MubFamily, channel_from_probabilities
+from gpchannels import (
+    MubFamily,
+    apply_channel,
+    channel_from_eigenvalues,
+    channel_from_probabilities,
+    spectrum_of,
+)
 from gpchannels.metrics import FidelityExtremes
 
 
@@ -10,6 +16,43 @@ def random_cptp_channel(d, rng, fam=None, alpha=1.0):
     """Channel with probabilities drawn from a symmetric Dirichlet."""
     p = rng.dirichlet(np.full(d + 2, alpha))
     return channel_from_probabilities(d, p, fam)
+
+
+def identity_channel(d, fam=None):
+    return channel_from_probabilities(d, np.eye(d + 2)[0], fam)
+
+
+def depolarizing_channel(d, fam=None):
+    """The channel with all-zero spectrum (every input goes to I/d)."""
+    return channel_from_eigenvalues(d, np.zeros(d + 1), fam)
+
+
+def choi_of(ch):
+    """Choi matrix J = (id x Lambda)[|Omega><Omega|], |Omega> = sum_i |ii>/sqrt(d).
+
+    Normalized to trace one; the reference route for the spectral Choi form:
+    block (i, k) of J is Lambda[|i><k|] / d, every block from one stacked call.
+    """
+    d = ch.d
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, k] = |i><k|
+    return (apply_channel(ch, units) / d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def unitary_coefficients(fam, psi):
+    """Expansion coefficients x[a, k-1] of |psi><psi| over the basis unitaries.
+
+    |psi><psi| = (I + sum_{a,k} x[a,k] U(a,k)) / d; for any unit vector the
+    total weight sum |x|^2 equals d-1.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    return np.einsum("i,akij,j->ak", psi.conj(), fam.unitaries(), psi).conj()
+
+
+def channel_fidelity(ch, psi):
+    """Input-output fidelity Tr(P Lambda[P]) of P = |psi><psi| from the coefficient route."""
+    x = unitary_coefficients(ch.fam, psi)
+    weights = np.sum(np.abs(x) ** 2, axis=1)
+    return float((1.0 + np.dot(spectrum_of(ch).lambdas, weights)) / ch.d)
 
 
 def fidelity_extremes_probability_form(ch):

@@ -14,22 +14,22 @@ from gpchannels import (
     Spectrum,
     TooLargeError,
     apply_channel,
+    channel_from_dict,
     channel_from_eigenvalues,
     channel_from_probabilities,
-    choi_of,
     compose,
-    depolarizing_channel,
     fujiwara_algoet_check,
-    identity_channel,
-    load_channel_file,
     probabilities_of,
-    save_mub_file,
     spectrum_of,
     superoperator_of,
     tensor_power,
 )
 from gpchannels.channel import choi_from_spectrum, superop_from_spectrum
+from gpchannels.mub import mub_family_to_dict
 from helpers import (
+    choi_of,
+    depolarizing_channel,
+    identity_channel,
     random_cptp_channel,
     random_density,
     random_hermitian,
@@ -150,6 +150,18 @@ def test_apply_channel_dimension_mismatch(fam2):
     ch = identity_channel(2, fam2)
     with pytest.raises(DimensionMismatchError):
         apply_channel(ch, np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        apply_channel(ch, np.ones(2))
+
+
+def test_apply_channel_stack_matches_per_matrix_calls(fam5, rng):
+    ch = random_cptp_channel(5, rng, fam5)
+    stack = np.array([[random_hermitian(5, rng) for _ in range(3)] for _ in range(2)])
+    out = apply_channel(ch, stack)
+    assert out.shape == (2, 3, 5, 5)
+    for i in range(2):
+        for j in range(3):
+            assert np.max(np.abs(out[i, j] - apply_channel(ch, stack[i, j]))) <= 1e-13
 
 
 def test_eigenrelation_via_superoperator(fam3, rng):
@@ -333,6 +345,14 @@ def test_fa_slacks_are_scaled_inverse_probabilities(seed, d):
 # ---------------------------------------------------------------------------
 # spec files
 # ---------------------------------------------------------------------------
+
+
+def load_channel_file(path):
+    return channel_from_dict(json.loads(path.read_text()), base_dir=str(path.parent))
+
+
+def save_mub_file(fam, path):
+    path.write_text(json.dumps(mub_family_to_dict(fam)))
 
 
 def test_load_channel_probabilities_form(tmp_path):

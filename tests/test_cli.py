@@ -182,6 +182,31 @@ def test_tensor_guard_exit4(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_restarts_guard_exit4_before_drawing(tmp_path, capsys, monkeypatch):
+    from gpchannels import oracle
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the Haar starts were drawn")
+
+    monkeypatch.setattr(oracle, "_haar_block", no_draw)
+    spec = write_spec(tmp_path, "ch.json", {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]})
+    for argv in (["analyze", spec, "--oracle"], ["tensor", spec, "--n", "2"]):
+        code, out, err = run_cli(argv + ["--restarts", str(10**9)], capsys)
+        assert code == 4
+        assert "exceed" in err and out == ""
+
+
+def test_evolve_steps_guard_exit4_before_allocating(tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the time grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    spec = write_spec(tmp_path, "evo.json", {"d": 2, "rates": [1, 1, 1]})
+    code, out, err = run_cli(["evolve", spec, "--t-max", "1", "--steps", str(10**12)], capsys)
+    assert code == 4
+    assert "--steps" in err and out == ""
+
+
 def test_evolve_csv_and_summary(tmp_path, capsys):
     spec = write_spec(tmp_path, "evo.json", {"d": 2, "rates": [1, 1, 1]})
     csv_path = tmp_path / "tl.csv"

@@ -8,13 +8,13 @@ from gpchannels import (
     OutOfRangeError,
     eigenvalue_trajectory,
     exponential_evolution,
-    load_evolution_file,
     sampled_evolution,
     timeline_report,
     validate_trajectory,
 )
 from gpchannels.channel import fujiwara_algoet_check
 from gpchannels.dynamics import (
+    evolution_from_dict,
     generator_consistency_residual,
     timeline_csv_text,
 )
@@ -183,6 +183,10 @@ def test_csv_shape_and_columns(fam2):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[5]) == 1.0  # f_max at t=0
+
+
+def load_evolution_file(path):
+    return evolution_from_dict(json.loads(path.read_text()))
 
 
 def test_evolution_files(tmp_path, fam2):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,12 @@ from gpchannels import (
     MubFamily,
     MubValidationError,
     UnsupportedDimensionError,
-    basis_unitary,
     build_mub_family,
     load_mub_file,
-    save_mub_file,
     validate_mub_family,
 )
-from helpers import rotated_family, two_qubit_mub_bases
+from gpchannels.mub import mub_family_to_dict
+from helpers import choi_of, rotated_family, two_qubit_mub_bases
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -82,7 +83,7 @@ def test_single_basis_family_passes_vacuously():
 
 
 def test_basis_unitary_computational_d2_is_sigma_z(fam2):
-    assert np.allclose(basis_unitary(fam2, 0, 1), SZ, atol=1e-14)
+    assert np.allclose(fam2.unitaries()[0, 0], SZ, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -90,14 +91,14 @@ def test_basis_unitaries_traceless_and_unitary(d):
     fam = build_mub_family(d)
     for a in range(d + 1):
         for k in range(1, d):
-            u = basis_unitary(fam, a, k)
+            u = fam.unitaries()[a, k - 1]
             assert abs(np.trace(u)) <= 1e-12
             assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-12
 
 
 def test_unitary_cube_is_identity_d3(fam3):
     for a in range(4):
-        u = basis_unitary(fam3, a, 1)
+        u = fam3.unitaries()[a, 0]
         assert np.max(np.abs(u @ u @ u - np.eye(3))) <= 1e-12
 
 
@@ -105,15 +106,6 @@ def test_unitary_gram_has_unit_eigenvalues(fam5):
     u = fam5.unitaries()[3, 2]
     w = np.linalg.eigvalsh(u.conj().T @ u)
     assert np.max(np.abs(w - 1.0)) <= 1e-10
-
-
-def test_basis_unitary_index_bounds(fam3):
-    with pytest.raises(IndexError):
-        basis_unitary(fam3, 4, 1)
-    with pytest.raises(IndexError):
-        basis_unitary(fam3, 0, 0)
-    with pytest.raises(IndexError):
-        basis_unitary(fam3, 0, 3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -129,8 +121,8 @@ def test_adjoint_is_power_complement(d):
     fam = build_mub_family(d)
     for a in range(d + 1):
         for k in range(1, d):
-            lhs = basis_unitary(fam, a, k).conj().T
-            rhs = basis_unitary(fam, a, d - k)
+            lhs = fam.unitaries()[a, k - 1].conj().T
+            rhs = fam.unitaries()[a, d - k - 1]
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -142,8 +134,12 @@ def test_projector_completeness(d):
         for l in range(d):
             acc = np.eye(d, dtype=complex)
             for k in range(1, d):
-                acc += np.exp(-2j * np.pi * k * l / d) * basis_unitary(fam, a, k)
+                acc += np.exp(-2j * np.pi * k * l / d) * fam.unitaries()[a, k - 1]
             assert np.max(np.abs(acc / d - fam.projector(a, l))) <= 1e-12
+
+
+def save_mub_file(fam, path):
+    path.write_text(json.dumps(mub_family_to_dict(fam)))
 
 
 def test_file_round_trip(tmp_path, fam3):
@@ -208,7 +204,6 @@ def test_rotated_family_gives_same_extremal_values(fam3, rng):
     from gpchannels import (
         OracleConfig,
         channel_from_probabilities,
-        choi_of,
         eigenrelation_residual,
         extremize_self_fidelity,
         fidelity_extremes,

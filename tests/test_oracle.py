@@ -7,22 +7,26 @@ from gpchannels import (
     TooLargeError,
     channel_from_eigenvalues,
     cptp_equivalence_scan,
-    depolarizing_channel,
     eigenrelation_residual,
     extremize_self_fidelity,
     fidelity_extremes,
-    identity_channel,
     max_output_2norm,
     maximize_output_2norm,
     maximize_output_inf_norm,
     mub_seed_states,
     random_pure_state,
+    spectral_figures,
     spectrum_of,
     superoperator_of,
     tensor_fidelity_probe,
 )
 from gpchannels.cli import nearest_basis_index
-from helpers import random_cptp_channel
+from helpers import (
+    depolarizing_channel,
+    identity_channel,
+    random_cptp_channel,
+    unitary_coefficients,
+)
 
 
 def small_cfg(fam, extra=8, seed=7):
@@ -336,8 +340,6 @@ def test_start_states_keyed_by_global_restart_index(fam2):
 
 def test_returned_pair_respects_coefficient_bound(fam3, rng):
     # -1 <= sum_a sum_k x conj(y) <= d-1 for the optimal input/measurement pair
-    from gpchannels import unitary_coefficients
-
     ch = random_cptp_channel(3, rng, fam3)
     res = maximize_output_inf_norm(
         superoperator_of(ch), small_cfg(fam3), mub_seed_states(fam3)
@@ -360,14 +362,17 @@ def test_seeded_restart_wins_ties(fam3):
     assert np.max(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eigenrelation_residual_and_fault_injection(fam5, rng):
+def test_eigenrelation_residual_and_fault_injection(fam5, rng, monkeypatch):
+    from gpchannels import Spectrum, oracle
+
     ch = random_cptp_channel(5, rng, fam5)
     assert eigenrelation_residual(ch) <= 1e-12
     assert eigenrelation_residual(identity_channel(5, fam5)) <= 1e-13
     lam = spectrum_of(ch).lambdas.copy()
     lam[2] += 0.01
     # corrupted eigenvalue on one axis: residual is 0.01 * ||U||_F = 0.01 * sqrt(d)
-    assert eigenrelation_residual(ch, lam) == pytest.approx(0.01 * np.sqrt(5), rel=1e-9)
+    monkeypatch.setattr(oracle, "spectrum_of", lambda _: Spectrum(5, lam))
+    assert eigenrelation_residual(ch) == pytest.approx(0.01 * np.sqrt(5), rel=1e-9)
 
 
 def test_cptp_scan_d2_no_disagreements():
@@ -397,6 +402,34 @@ def test_scan_guard_trips_before_drawing(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(TooLargeError):
         cptp_equivalence_scan(2, SpectrumGrid(n_random=10**12))
+
+
+def test_restart_guard_trips_before_drawing(fam2, monkeypatch):
+    # 10^9 restarts would need tens of gigabytes: refused before any Haar start
+    from gpchannels import oracle
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the Haar starts were drawn")
+
+    monkeypatch.setattr(oracle, "_haar_block", no_draw)
+    s = superoperator_of(identity_channel(2, fam2))
+    seeds = mub_seed_states(fam2)
+    huge = OracleConfig(restarts=10**9)
+    searches = [
+        lambda cfg: extremize_self_fidelity(s, "min", cfg, seeds),
+        lambda cfg: maximize_output_2norm(s, cfg, seeds),
+        lambda cfg: maximize_output_inf_norm(s, cfg, seeds),
+        lambda cfg: tensor_fidelity_probe(identity_channel(2, fam2), 2, cfg),
+    ]
+    for search in searches:
+        with pytest.raises(TooLargeError):
+            search(huge)
+    # the bound is restarts (or seeds, if more) times the squared state dimension
+    monkeypatch.setattr(oracle, "MAX_START_ENTRIES", 4 * seeds.shape[0])
+    with pytest.raises(TooLargeError):
+        extremize_self_fidelity(s, "max", OracleConfig(restarts=seeds.shape[0] + 1), seeds)
+    with pytest.raises(AssertionError, match="drawn"):
+        extremize_self_fidelity(s, "max", OracleConfig(restarts=1), seeds)
 
 
 def test_tensor_probe_identity(fam2):
@@ -447,7 +480,6 @@ def test_tensor_probe_guard(fam5):
 def test_inf_norm_formula_exact_when_max_dominates(rng):
     # max(lambda) >= |min(lambda)|: search never beats the closed form
     from gpchannels import build_mub_family, max_output_inf_norm
-    from gpchannels.metrics import inf_norm_formula_is_exact
 
     for d in (3, 5):
         fam = build_mub_family(d)
@@ -456,7 +488,7 @@ def test_inf_norm_formula_exact_when_max_dominates(rng):
         checked = 0
         while checked < 6:
             ch = random_cptp_channel(d, rng, fam)
-            if not inf_norm_formula_is_exact(ch):
+            if not spectral_figures(spectrum_of(ch).lambdas).inf_exact:
                 continue
             checked += 1
             v = maximize_output_inf_norm(superoperator_of(ch), cfg, seeds).value
@@ -469,10 +501,9 @@ def test_inf_norm_formula_beaten_outside_exact_regime(fam3, seed):
     # superposed across those bases exceed the single-basis closed form;
     # the search value is confirmed by direct evaluation of the best pair
     from gpchannels import apply_channel, max_output_inf_norm
-    from gpchannels.metrics import inf_norm_formula_is_exact
 
     ch = channel_from_eigenvalues(3, [0.187, 0.153, -0.341, -0.419], fam3)
-    assert not inf_norm_formula_is_exact(ch)
+    assert not spectral_figures(spectrum_of(ch).lambdas).inf_exact
     closed = max_output_inf_norm(ch)
     seeds = mub_seed_states(fam3)
     cfg = OracleConfig(restarts=seeds.shape[0] + 40, seed=seed, max_iters=2000)

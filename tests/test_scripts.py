@@ -1,11 +1,12 @@
-"""Smoke tests for the experiment scripts, run in-process at tiny sizes."""
+"""Smoke tests for the experiment scripts and the README quick tour, run in-process."""
 
 import csv
 import importlib.util
 import json
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -36,3 +37,11 @@ def test_tensor_excess_probe(tmp_path):
     assert len(summary["records"]) == 2
     for rec in summary["records"]:
         assert rec["estimate"] >= rec["baseline"] - 1e-9  # product seeds are searched
+
+
+def test_readme_quick_tour_runs():
+    # every name the tour imports must resolve, and its own assert must hold
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from gpchannels import" in block
+    exec(compile(block, "README.md quick tour", "exec"), {})

@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every output of a fixed, seeded CLI battery.
+
+The battery runs in-process: `mub`, `validate` and `analyze` at d in
+{2, 3, 5, 7}, and `evolve` for an exponential and a sampled trajectory at
+each d, once with `--csv FILE` and once to stdout.  Spec files are written
+to a temporary directory and named by relative path, so the manifests and
+therefore every output byte depend only on the seed and the code.  Each
+output (stdout, a written file, or the summary evolve prints to stderr)
+gives one line `<sha256>  <command> [<output>]`; diff two runs to check
+that a change keeps the CLI's bytes.
+
+Usage:
+    PYTHONPATH=src python scripts/output_digest.py --seed 1 > digests.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from gpchannels.channel import lambdas_from_probabilities
+from gpchannels.cli import main as cli_main
+
+FULL_DIMS, FULL_STEPS = (2, 3, 5, 7), 2000
+TINY_DIMS, TINY_STEPS = (2, 3), 40
+TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr with
+
+
+def _specs(d, rng):
+    """Channel specs, in both parametrizations, and the two kinds of evolution spec."""
+    probs = rng.dirichlet(np.ones(d + 2))
+    lambdas = lambdas_from_probabilities(rng.dirichlet(np.full(d + 2, 0.3)))
+    rates = rng.uniform(0.0, 2.0, size=d + 1)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=4))])
+    gam = rng.uniform(0.0, 2.0, size=d + 1)
+    samples = np.exp(-np.outer(knots, gam.sum() - gam))  # valid, so interpolation is too
+    channels = {
+        f"probs-d{d}.json": {"d": d, "probabilities": probs.tolist()},
+        f"eigs-d{d}.json": {"d": d, "eigenvalues": lambdas.tolist()},
+    }
+    evolutions = {
+        f"exponential-d{d}.json": ({"d": d, "rates": rates.tolist()}, 10.0),
+        f"sampled-d{d}.json": (
+            {"d": d, "trajectory": [{"t": t, "lambdas": lam}
+                                    for t, lam in zip(knots.tolist(), samples.tolist())]},
+            float(knots[-1]),
+        ),
+    }
+    return channels, evolutions
+
+
+def _run(argv):
+    """(exit code, stdout, stderr without its timing line) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    lines = err.getvalue().splitlines(keepends=True)
+    if lines and lines[-1].startswith(TIMING_PREFIX):
+        lines.pop()
+    return code, out.getvalue(), "".join(lines)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def battery(seed, dims, steps):
+    """Digest lines of the battery, run in the current directory."""
+    rng = np.random.default_rng(seed)
+    lines = []
+
+    def record(argv, files=(), stderr=False):
+        code, out, err = _run(argv)
+        command = " ".join(argv)
+        if code != 0:
+            raise RuntimeError(f"`{command}` exited {code}: {err.strip()}")
+        outputs = [("stdout", out)] + ([("stderr", err)] if stderr else [])
+        for name in files:
+            with open(name, encoding="utf-8") as fh:
+                outputs.append((name, fh.read()))
+        lines.extend(f"{_digest(text)}  {command} [{name}]" for name, text in outputs)
+
+    for d in dims:
+        channels, evolutions = _specs(d, rng)
+        record(["mub", "--d", str(d)])
+        for name, spec in channels.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            record(["validate", name])
+            record(["analyze", name])
+        for name, (spec, t_max) in evolutions.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            argv = ["evolve", name, "--t-max", repr(t_max), "--steps", str(steps)]
+            csv_name = name.replace(".json", ".csv")
+            record(argv + ["--csv", csv_name], files=[csv_name])
+            record(argv, stderr=True)  # CSV on stdout, summary on stderr
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--tiny", action="store_true",
+                    help=f"d in {TINY_DIMS} and {TINY_STEPS} evolve steps, for the tests")
+    args = ap.parse_args(argv)
+    dims, steps = (TINY_DIMS, TINY_STEPS) if args.tiny else (FULL_DIMS, FULL_STEPS)
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # relative spec paths keep the manifests free of the temp name
+        try:
+            lines = battery(args.seed, dims, steps)
+        finally:
+            os.chdir(start)
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

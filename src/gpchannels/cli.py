@@ -603,6 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    """Print the one-line error, naming the exception class, and return the exit code."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -610,16 +616,13 @@ def main(argv=None) -> int:
     try:
         code = args.fn(args)
     except (NotCPTPError, InvalidTrajectoryError, OutOfRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(exc, EXIT_INVALID)
     except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return _fail(exc, EXIT_GUARD)
     except (OSError, KeyError, GpcError, ValueError) as exc:
         # JSON syntax and every remaining package error (bad weights,
         # dimensions, basis families) subclass ValueError or GpcError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
     print(
         f"[gpchannels] {args.command} finished in {time.monotonic() - start:.3f}s",
         file=sys.stderr,

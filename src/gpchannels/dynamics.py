@@ -24,8 +24,7 @@ reports carry those flags per grid time.
 
 from __future__ import annotations
 
-import csv
-import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,9 @@ from .mub import MubFamily, build_mub_family
 TRAJ_TOL = 1e-12
 #: identity-spectrum drift allowed at t=0 for sampled trajectories
 T0_TOL = 1e-9
+#: timeline rows per json.dumps call in the CSV export; a whole-table encode
+#: is no faster and raises peak memory with the table's text
+CSV_BLOCK_ROWS = 256
 
 
 @dataclass(eq=False)
@@ -84,7 +86,7 @@ def sampled_evolution(d: int, times, lambdas, fam: MubFamily | None = None) -> E
         raise InvalidTrajectoryError("trajectory samples must be finite")
     if t.size < 1 or abs(t[0]) > 1e-12:
         raise InvalidTrajectoryError("sampled trajectories must start at t = 0")
-    if np.any(np.diff(t) <= 0):
+    if np.any(t[1:] <= t[:-1]):  # compared, not subtracted: a difference can overflow
         raise InvalidTrajectoryError("sample times must be strictly increasing")
     if np.max(np.abs(lam[0] - 1.0)) > T0_TOL:
         raise InvalidTrajectoryError("lambda(0) must be the identity spectrum (all ones)")
@@ -101,7 +103,8 @@ def _trajectory_grid(spec: EvolutionSpec, times: np.ndarray) -> np.ndarray:
         raise OutOfRangeError("trajectory times must be >= 0")
     if spec.kind == "exponential":
         decay = np.sum(spec.rates) - spec.rates  # G - gamma_a, per basis
-        return np.exp(-np.outer(times, decay))
+        with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
+            return np.exp(-np.outer(times, decay))
     lo, hi = spec.sample_times[0], spec.sample_times[-1]
     if np.any(times < lo - 1e-12) or np.any(times > hi + 1e-12):
         raise OutOfRangeError(
@@ -135,14 +138,18 @@ class TrajectoryValidation:
 def _checked_grid(spec: EvolutionSpec, t_grid):
     """Validation of the grid plus the eigenvalues and figures it was built from."""
     times = np.asarray(t_grid, dtype=float)
-    if times.size == 0 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+    if times.size == 0 or not np.all(np.isfinite(times)) or np.any(times[1:] < times[:-1]):
         raise InvalidTrajectoryError("time grid must be nonempty, finite and nondecreasing")
     lam = _trajectory_grid(spec, times)
-    fig = spectral_figures(lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge samples; flagged below
+        fig = spectral_figures(lam)
     lam_min = lam.min(axis=1)
     lower, upper = fig.fa_lower_slack, fig.fa_upper_slack
     neg = lam_min < -TRAJ_TOL
-    bad = neg | (lower < -TRAJ_TOL) | (upper < -TRAJ_TOL)
+    # an eigenvalue outside [-1, 1] breaks a Fujiwara-Algoet bound by at least
+    # as much; testing it directly keeps rows whose slacks overflowed to nan bad
+    outside = np.any(np.abs(lam) > 1.0 + TRAJ_TOL, axis=1)
+    bad = neg | outside | (lower < -TRAJ_TOL) | (upper < -TRAJ_TOL)
     first_time = first_kind = None
     if bad.any():
         i = int(np.argmax(bad))
@@ -263,15 +270,23 @@ def evolution_from_dict(payload: dict) -> EvolutionSpec:
 
 
 def timeline_csv_text(tl: Timeline) -> str:
-    """CSV export of a timeline: one row per grid time, flags as 0/1."""
+    """CSV export of a timeline: one row per grid time, flags as 0/1.
+
+    Every float is written as Python's shortest round-trip ``repr``, so the
+    text reads back to the exact doubles of the timeline.  Rows go through
+    the C json encoder a block at a time, which writes floats with that
+    same ``repr``; non-finite values raise ``ValueError``.
+    """
     figures = ["f_min", "f_max", "nu2", "nu_inf"]
     flags = ["fmax_multiplicative", "fmin_multiplicative", "nuinf_equals_fmax",
              "nuinf_multiplicative"]
     values = np.column_stack([tl.times, tl.lambdas] + [getattr(tl, n) for n in figures])
     bits = np.column_stack([getattr(tl, n) for n in flags]).astype(int)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"lambda_{a + 1}" for a in range(tl.d + 1)] + figures + flags)
-    for row, row_bits in zip(values.tolist(), bits.tolist()):
-        writer.writerow([repr(x) for x in row] + [str(b) for b in row_bits])
-    return buf.getvalue()
+    header = ",".join(["t"] + [f"lambda_{a + 1}" for a in range(tl.d + 1)] + figures + flags)
+    lines = [header]
+    for start in range(0, values.shape[0], CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        rows = [v + b for v, b in zip(values[start:stop].tolist(), bits[start:stop].tolist())]
+        text = json.dumps(rows, separators=(",", ":"), allow_nan=False)
+        lines.extend(text[2:-2].split("],["))
+    return "\n".join(lines) + "\n"

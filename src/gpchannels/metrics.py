@@ -249,7 +249,7 @@ def regularized_max_fidelity(ch: GeneralizedPauliChannel, n: int) -> Regularized
     return RegularizedMaxFidelity(n=n, exact=False, value=None, lower=f_max, upper=float(fig.nu_inf))
 
 
-def fidelity_report(ch: GeneralizedPauliChannel, n_reg: int = 1) -> FidelityReport:
+def fidelity_report(ch: GeneralizedPauliChannel) -> FidelityReport:
     """Assemble all closed-form quantities for one channel."""
     fig = _figures(ch)
     return FidelityReport(
@@ -263,5 +263,5 @@ def fidelity_report(ch: GeneralizedPauliChannel, n_reg: int = 1) -> FidelityRepo
         nu2_fmax_coincide=bool(fig.nu2_fmax_coincide),
         nu2_fmin_coincide=bool(fig.nu2_fmin_coincide),
         flags=MultiplicativityFlags.of(fig),
-        regularized=regularized_max_fidelity(ch, n_reg),
+        regularized=regularized_max_fidelity(ch, 1),
     )

@@ -457,8 +457,6 @@ class SpectrumGrid:
 
     n_random: int = 10_000
     seed: int = DEFAULT_SEED
-    include_boundary: bool = True
-    include_violations: bool = True
 
 
 @dataclass(frozen=True)
@@ -477,32 +475,29 @@ class ScanReport:
 
 
 def _grid_spectra(d: int, grid: SpectrumGrid) -> np.ndarray:
-    blocks = []
     lower_const = -1.0 / (d * d - 1)  # constant spectrum with lower slack 0
-    if grid.include_boundary:
-        axis = np.zeros(d + 1)
-        axis[0] = 1.0
-        # identity (upper slack 0), lower slack 0, one preserved axis (upper slack 0), interior
-        blocks.append(np.vstack([np.ones(d + 1), np.full(d + 1, lower_const), axis, 0 * axis]))
-    if grid.include_violations:
-        over_axis = np.zeros(d + 1)
-        over_axis[0] = 1.0 + 1e-3
-        bumped = np.ones(d + 1)
-        bumped[-1] = 1.0 + 1e-3
-        rows = [
-            np.full(d + 1, lower_const - 1e-3),          # just past the lower bound
-            over_axis,                                   # just past the upper bound
-            np.full(d + 1, -1.0),                        # gross lower violation
-            bumped,                                      # gross upper violation
-        ]
-        if d == 3:
-            rows.append(np.array([0.5, 0.2, -0.1, 0.3]))  # upper bound off by 0.2
-        blocks.append(np.vstack(rows))
-    n = grid.n_random + sum(block.shape[0] for block in blocks)
+    axis = np.zeros(d + 1)
+    axis[0] = 1.0
+    # identity (upper slack 0), lower slack 0, one preserved axis (upper slack 0), interior
+    boundary = np.vstack([np.ones(d + 1), np.full(d + 1, lower_const), axis, 0 * axis])
+    over_axis = np.zeros(d + 1)
+    over_axis[0] = 1.0 + 1e-3
+    bumped = np.ones(d + 1)
+    bumped[-1] = 1.0 + 1e-3
+    violations = [
+        np.full(d + 1, lower_const - 1e-3),          # just past the lower bound
+        over_axis,                                   # just past the upper bound
+        np.full(d + 1, -1.0),                        # gross lower violation
+        bumped,                                      # gross upper violation
+    ]
+    if d == 3:
+        violations.append(np.array([0.5, 0.2, -0.1, 0.3]))  # upper bound off by 0.2
+    fixed = np.vstack([boundary, *violations])
+    n = grid.n_random + fixed.shape[0]
     if n > MAX_SCAN_POINTS:  # before the random block is drawn
         raise TooLargeError(f"scan grid of {n} points exceeds {MAX_SCAN_POINTS}")
     rng = np.random.default_rng(grid.seed)
-    return np.vstack([rng.uniform(-1.0, 1.0, size=(grid.n_random, d + 1)), *blocks])
+    return np.vstack([rng.uniform(-1.0, 1.0, size=(grid.n_random, d + 1)), fixed])
 
 
 def cptp_equivalence_scan(

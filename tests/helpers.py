@@ -1,5 +1,8 @@
 """Shared sampling and construction helpers for the test suite."""
 
+import csv
+import io
+
 import numpy as np
 
 from gpchannels import (
@@ -67,6 +70,25 @@ def fidelity_extremes_probability_form(ch):
         argmin_alpha=amin,
         argmax_alpha=amax,
     )
+
+
+def timeline_csv_reference(tl):
+    """Timeline CSV written row by row with csv.writer and float ``repr``.
+
+    The reference route for :func:`gpchannels.dynamics.timeline_csv_text`,
+    which must produce the same bytes.
+    """
+    figures = ["f_min", "f_max", "nu2", "nu_inf"]
+    flags = ["fmax_multiplicative", "fmin_multiplicative", "nuinf_equals_fmax",
+             "nuinf_multiplicative"]
+    values = np.column_stack([tl.times, tl.lambdas] + [getattr(tl, n) for n in figures])
+    bits = np.column_stack([getattr(tl, n) for n in flags]).astype(int)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"lambda_{a + 1}" for a in range(tl.d + 1)] + figures + flags)
+    for row, row_bits in zip(values.tolist(), bits.tolist()):
+        writer.writerow([repr(x) for x in row] + [str(b) for b in row_bits])
+    return buf.getvalue()
 
 
 def validate_density_matrix(rho, tol_herm=1e-12, tol_trace=1e-12, tol_psd=1e-10):

@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpchannels.cli import main
+from gpchannels.dynamics import evolution_from_dict, timeline_report
+from helpers import timeline_csv_reference
 
 
 def run_cli(args, capsys):
@@ -230,6 +239,17 @@ def test_evolve_csv_and_summary(tmp_path, capsys):
     assert summary["summary"]["final"]["f_max"] == pytest.approx((1 + np.exp(-4)) / 2)
 
 
+def test_evolve_stdout_matches_csv_file(tmp_path, capsys):
+    spec = write_spec(tmp_path, "evo.json", {"d": 3, "rates": [0.3, 0.0, 1.2, 0.7]})
+    argv = ["evolve", spec, "--t-max", "4", "--steps", "300"]
+    csv_path = tmp_path / "tl.csv"
+    code, out, _ = run_cli(argv + ["--csv", str(csv_path)], capsys)
+    assert code == 0 and json.loads(out)["summary"]["points"] == 300
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.encode() == csv_path.read_bytes()
+
+
 def test_evolve_constant_rows_for_zero_rates(tmp_path, capsys):
     spec = write_spec(tmp_path, "evo.json", {"d": 2, "rates": [0, 0, 0]})
     code, out, _ = run_cli(["evolve", spec, "--t-max", "1", "--steps", "10"], capsys)
@@ -332,6 +352,84 @@ def test_non_finite_input_fails_without_report(tmp_path, capsys, command, payloa
     assert code == expected
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, expected, name",
+    [
+        (["mub", "--d", "6"], None, 2, "UnsupportedDimensionError"),
+        (["analyze"], {"d": 3, "eigenvalues": [0.5, 0.2, -0.1, 0.3]}, 3, "NotCPTPError"),
+        (["evolve", "--t-max", "1", "--steps", str(10**7)], {"d": 2, "rates": [1, 1, 1]},
+         4, "TooLargeError"),
+    ],
+)
+def test_error_line_names_class(tmp_path, capsys, argv, payload, expected, name):
+    if payload is not None:
+        argv = argv[:1] + [write_spec(tmp_path, "spec.json", payload)] + argv[1:]
+    code, out, err = run_cli(argv, capsys)
+    assert code == expected and out == ""
+    assert err.startswith(f"error: {name}: ")
+    if name == "NotCPTPError":  # the bound and the violation
+        assert "upper Fujiwara-Algoet bound by 0.2" in err
+
+
+_SPECIAL_NUMBERS = st.sampled_from(
+    [0.0, -0.0, -1.0, 1e308, -1e308, math.nan, math.inf, -math.inf]
+)
+
+
+@st.composite
+def _evolve_cases(draw):
+    """(spec, t_max): half valid by construction, half with hostile numbers anywhere."""
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    clean = draw(st.booleans())
+    number = st.floats(0.0, 3.0) if clean else st.one_of(st.floats(-1.0, 3.0), _SPECIAL_NUMBERS)
+    rates = draw(st.lists(number, min_size=d + 1, max_size=d + 1))
+    horizon = st.floats(0.0, 6.0) if clean else st.one_of(st.floats(-1.0, 6.0), _SPECIAL_NUMBERS)
+    t_max = draw(horizon)
+    if draw(st.booleans()):
+        return {"d": d, "rates": rates}, t_max
+    if clean:  # knots of a valid exponential trajectory; interpolation stays CPTP
+        knots = sorted(set(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=3))))
+        gam = np.asarray(rates)
+        lams = np.exp(-np.outer(knots, gam.sum() - gam)).tolist()
+        t_max = min(t_max, knots[-1])
+    else:
+        knots = draw(st.lists(st.one_of(st.floats(0.0, 5.0), _SPECIAL_NUMBERS), max_size=3))
+        lams = [draw(st.lists(number, min_size=d + 1, max_size=d + 1)) for _ in knots]
+    rows = [{"t": t, "lambdas": lam} for t, lam in zip(knots, lams)]
+    if clean or draw(st.booleans()):
+        rows.insert(0, {"t": 0.0, "lambdas": [1.0] * (d + 1)})
+    return {"d": d, "trajectory": rows}, t_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_evolve_cases(), steps=st.integers(0, 600), to_file=st.booleans())
+def test_evolve_fuzz_exit_codes_and_csv(case, steps, to_file):
+    spec, t_max = case
+    # json.dumps writes NaN/Infinity constants, which the spec loader accepts
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        csv_path = Path(tmp) / "tl.csv"
+        argv = ["evolve", str(spec_path), f"--t-max={t_max!r}", "--steps", str(steps)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + (["--csv", str(csv_path)] if to_file else []))
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            return
+        text = csv_path.read_text() if to_file else out.getvalue()
+    lines = text.split("\n")
+    assert lines[-1] == "" and len(lines) == steps + 2  # header, one row per step, final newline
+    d = spec["d"]
+    for line in lines[1:-1]:
+        fields = line.split(",")
+        assert all(math.isfinite(float(x)) for x in fields[: d + 6])
+        assert set(fields[d + 6 :]) <= {"0", "1"}
+    tl = timeline_report(evolution_from_dict(spec), np.linspace(0.0, t_max, steps))
+    assert text == timeline_csv_reference(tl)
 
 
 def test_selftest_passes_quick(capsys):

@@ -18,6 +18,7 @@ from gpchannels.dynamics import (
     generator_consistency_residual,
     timeline_csv_text,
 )
+from helpers import timeline_csv_reference
 
 
 def test_zero_rates_freeze_identity(fam2):
@@ -183,6 +184,32 @@ def test_csv_shape_and_columns(fam2):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[5]) == 1.0  # f_max at t=0
+
+
+def _csv_trajectories(d, rng):
+    """Exponential specs (random, all-zero and one zero rate) and one sampled spec."""
+    rates = rng.uniform(0.0, 2.0, size=d + 1)
+    one_zero = rates.copy()
+    one_zero[1] = 0.0
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 4.0, size=5))])
+    gam = rng.uniform(0.0, 2.0, size=d + 1)
+    # samples of a valid exponential trajectory; linear interpolation stays CPTP
+    samples = np.exp(-np.outer(knots, gam.sum() - gam))
+    return [
+        (exponential_evolution(d, rates), 5.0),
+        (exponential_evolution(d, np.zeros(d + 1)), 1.0),
+        (exponential_evolution(d, one_zero), 3.0),
+        (sampled_evolution(d, knots, samples), float(knots[-1])),
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_timeline_csv_bytes_match_reference(d):
+    rng = np.random.default_rng(1000 + d)
+    for spec, t_max in _csv_trajectories(d, rng):
+        for steps in (1, 255, 256, 257, 2000):  # around the block size, and one long grid
+            tl = timeline_report(spec, np.linspace(0.0, t_max, steps))
+            assert timeline_csv_text(tl) == timeline_csv_reference(tl)
 
 
 def load_evolution_file(path):

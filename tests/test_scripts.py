@@ -45,3 +45,25 @@ def test_readme_quick_tour_runs():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "from gpchannels import" in block
     exec(compile(block, "README.md quick tour", "exec"), {})
+
+
+def test_output_digest_is_deterministic(capsys):
+    digest = _load("output_digest")
+    runs = []
+    for _ in range(2):
+        assert digest.main(["--seed", "5", "--tiny"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    # per d: mub, validate and analyze of two specs, and 2 kinds x (--csv: 2, stdout: 2)
+    assert len(lines) == len(digest.TINY_DIMS) * (1 + 4 + 8)
+    for line in lines:
+        sha, command = line.split("  ", 1)
+        assert len(sha) == 64 and int(sha, 16) >= 0
+        assert command.split()[0] in {"mub", "validate", "analyze", "evolve"}
+    by_command = dict(reversed(line.split("  ", 1)) for line in lines)
+    # the same evolve command writes the same CSV to a file and to stdout
+    for command, sha in by_command.items():
+        if command.endswith(".csv]"):
+            argv = command.split(" --csv ")[0]
+            assert by_command[f"{argv} [stdout]"] == sha

@@ -22,10 +22,10 @@ from gpchannels import (
     OracleConfig,
     build_mub_family,
     channel_from_probabilities,
+    fidelity_report,
     max_output_inf_norm,
     maximize_output_inf_norm,
     mub_seed_states,
-    multiplicativity_flags,
     spectrum_of,
     superoperator_of,
 )
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         closed = max_output_inf_norm(ch)
         found = maximize_output_inf_norm(superoperator_of(ch), cfg, seeds).value
         excess = found - closed
-        dominant = multiplicativity_flags(ch).fmax_multiplicative
+        dominant = fidelity_report(ch).fmax_multiplicative
         regime = "dominant-max" if dominant else "dominated-max"
         if excess > 1e-6:
             n_excess += 1

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of every output of a fixed, seeded CLI battery.
 
-The battery runs in-process: `mub`, `validate` and `analyze` at d in
-{2, 3, 5, 7}, and `evolve` for an exponential and a sampled trajectory at
-each d, once with `--csv FILE` and once to stdout.  Spec files are written
-to a temporary directory and named by relative path, so the manifests and
-therefore every output byte depend only on the seed and the code.  Each
+The battery runs in-process: `mub`, `validate`, `analyze` and `analyze
+--oracle` (with a small restart budget) at d in {2, 3, 5, 7}; `tensor --n 2`
+at d in {2, 3}; `evolve` for an exponential and a sampled trajectory at each
+d, once with `--csv FILE` and once to stdout; and last `selftest --d 2`,
+whose stdout carries no timing.  Spec files are written to a temporary
+directory and named by relative path, so the manifests and therefore every
+output byte depend only on the seed and the code.  Each
 output (stdout, a written file, or the summary evolve prints to stderr)
 gives one line `<sha256>  <command> [<output>]`; diff two runs to check
 that a change keeps the CLI's bytes.
@@ -30,6 +32,8 @@ from gpchannels.cli import main as cli_main
 
 FULL_DIMS, FULL_STEPS = (2, 3, 5, 7), 2000
 TINY_DIMS, TINY_STEPS = (2, 3), 40
+TENSOR_DIMS = (2, 3)
+SEARCH_RESTARTS = "16"  # the basis seed states are searched even where they outnumber it
 TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr with
 
 
@@ -95,6 +99,9 @@ def battery(seed, dims, steps):
                 json.dump(spec, fh)
             record(["validate", name])
             record(["analyze", name])
+            record(["analyze", name, "--oracle", "--restarts", SEARCH_RESTARTS])
+            if d in TENSOR_DIMS:
+                record(["tensor", name, "--n", "2", "--restarts", SEARCH_RESTARTS])
         for name, (spec, t_max) in evolutions.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(spec, fh)
@@ -102,6 +109,7 @@ def battery(seed, dims, steps):
             csv_name = name.replace(".json", ".csv")
             record(argv + ["--csv", csv_name], files=[csv_name])
             record(argv, stderr=True)  # CSV on stdout, summary on stderr
+    record(["selftest", "--d", "2", "--seed", str(seed)])
     return lines
 
 

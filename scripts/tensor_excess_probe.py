@@ -22,8 +22,8 @@ from gpchannels import (
     OracleConfig,
     build_mub_family,
     channel_from_eigenvalues,
+    fidelity_report,
     fujiwara_algoet_check,
-    multiplicativity_flags,
     spectrum_of,
     tensor_fidelity_probe,
 )
@@ -37,7 +37,7 @@ def sample_open_regime_channel(d, fam, rng):
         if not fujiwara_algoet_check(Spectrum(d, lam)).passed:
             continue
         ch = channel_from_eigenvalues(d, lam, fam)
-        if not multiplicativity_flags(ch).fmax_multiplicative:
+        if not fidelity_report(ch).fmax_multiplicative:
             return ch
 
 
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
         records.append(
             {
                 "lambdas": [float(x) for x in spectrum_of(ch).lambdas],
-                "fmax_multiplicative_flag": multiplicativity_flags(ch).fmax_multiplicative,
+                "fmax_multiplicative_flag": bool(fidelity_report(ch).fmax_multiplicative),
                 "estimate": probe.estimate,
                 "baseline": probe.baseline,
                 "excess": probe.excess,

@@ -42,13 +42,11 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .metrics import (
-    FidelityReport,
     composition_two_norm_residual,
     fidelity_extremes,
     fidelity_report,
     max_output_2norm,
     max_output_inf_norm,
-    multiplicativity_flags,
     regularized_max_fidelity,
     spectral_figures,
 )

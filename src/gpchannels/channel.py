@@ -104,17 +104,18 @@ def fa_slacks(lambdas) -> tuple[np.ndarray, np.ndarray]:
     """
     lam = np.asarray(lambdas, dtype=float)
     d = lam.shape[-1] - 1
-    total = lam.sum(axis=-1)
-    return total + 1.0 / (d - 1), 1.0 + d * lam.min(axis=-1) - total
+    with np.errstate(over="ignore", invalid="ignore"):  # huge spectra: slacks go inf or nan
+        total = lam.sum(axis=-1)
+        return total + 1.0 / (d - 1), 1.0 + d * lam.min(axis=-1) - total
 
 
 def fujiwara_algoet_check(sp: Spectrum) -> FujiwaraAlgoetResult:
     """Evaluate -1/(d-1) <= sum(lambda) <= 1 + d*min(lambda) with slacks."""
     lower, upper = (float(x) for x in fa_slacks(sp.lambdas))
     violated = None
-    if lower < -FA_TOL:
+    if not lower >= -FA_TOL:  # negated, so that a nan slack fails too
         violated = "lower"
-    elif upper < -FA_TOL:
+    elif not upper >= -FA_TOL:
         violated = "upper"
     return FujiwaraAlgoetResult(violated is None, lower, upper, violated)
 
@@ -342,7 +343,8 @@ def channel_from_dict(payload: dict, base_dir: str | None = None) -> Generalized
     if "probabilities" in payload:
         p = np.asarray(payload["probabilities"], dtype=float)
         # non-finite weights are left for channel_from_probabilities to reject
-        total = float(np.sum(p)) if np.all(np.isfinite(p)) else 1.0
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected as a drift
+            total = float(np.sum(p)) if np.all(np.isfinite(p)) else 1.0
         if abs(total - 1.0) > LOAD_DRIFT:
             raise BadProbabilitiesError(f"probabilities sum to {total!r}, beyond 1e-9 drift")
         return channel_from_probabilities(d, p / total, fam)

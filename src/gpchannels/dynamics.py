@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import Spectrum, dephasing_superoperator, superop_from_spectrum
 from .errors import InvalidTrajectoryError, OutOfRangeError
-from .metrics import spectral_figures
+from .metrics import SpectralFigures, spectral_figures
 from .mub import MubFamily, build_mub_family
 
 #: eigenvalue negativity tolerated on validated trajectories
@@ -60,6 +60,7 @@ class EvolutionSpec:
 
 def exponential_evolution(d: int, rates, fam: MubFamily | None = None) -> EvolutionSpec:
     """Constant-rate evolution; all rates must be nonnegative."""
+    fam = fam or build_mub_family(d)  # an unsupported d fails first, whatever the rates
     gam = np.asarray(rates, dtype=float).copy()
     if gam.shape != (d + 1,):
         raise InvalidTrajectoryError(f"need {d + 1} rates for d={d}, got shape {gam.shape}")
@@ -69,13 +70,13 @@ def exponential_evolution(d: int, rates, fam: MubFamily | None = None) -> Evolut
         raise InvalidTrajectoryError(f"rates {gam.tolist()} must be finite with a finite sum")
     if np.min(gam) < 0:
         raise InvalidTrajectoryError(f"negative rate {np.min(gam):.3e}")
-    fam = fam or build_mub_family(d)
     gam.setflags(write=False)
     return EvolutionSpec(d=d, fam=fam, rates=gam)
 
 
 def sampled_evolution(d: int, times, lambdas, fam: MubFamily | None = None) -> EvolutionSpec:
     """User-supplied trajectory samples; interpolation is linear in between."""
+    fam = fam or build_mub_family(d)
     t = np.asarray(times, dtype=float).copy()
     lam = np.asarray(lambdas, dtype=float).copy()
     if t.ndim != 1 or lam.shape != (t.size, d + 1):
@@ -90,7 +91,6 @@ def sampled_evolution(d: int, times, lambdas, fam: MubFamily | None = None) -> E
         raise InvalidTrajectoryError("sample times must be strictly increasing")
     if np.max(np.abs(lam[0] - 1.0)) > T0_TOL:
         raise InvalidTrajectoryError("lambda(0) must be the identity spectrum (all ones)")
-    fam = fam or build_mub_family(d)
     t.setflags(write=False)
     lam.setflags(write=False)
     return EvolutionSpec(d=d, fam=fam, sample_times=t, sample_lambdas=lam)
@@ -141,6 +141,10 @@ def _checked_grid(spec: EvolutionSpec, t_grid):
     if times.size == 0 or not np.all(np.isfinite(times)) or np.any(times[1:] < times[:-1]):
         raise InvalidTrajectoryError("time grid must be nonempty, finite and nondecreasing")
     lam = _trajectory_grid(spec, times)
+    finite = np.all(np.isfinite(lam), axis=1)
+    if not finite.all():  # interpolating between huge samples can overflow
+        t_bad = float(times[np.argmin(finite)])
+        raise InvalidTrajectoryError(f"trajectory eigenvalues are not finite at t={t_bad:g}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge samples; flagged below
         fig = spectral_figures(lam)
     lam_min = lam.min(axis=1)
@@ -167,21 +171,16 @@ def validate_trajectory(spec: EvolutionSpec, t_grid) -> TrajectoryValidation:
 
 
 @dataclass(frozen=True)
-class Timeline:
-    """Column-oriented time series of the closed-form figures of merit."""
+class Timeline(SpectralFigures):
+    """The closed-form record of every grid time, with the grid it was taken on.
+
+    Each inherited column has one entry per grid time; ``d``, ``times`` and
+    ``lambdas`` (shape (T, d+1)) say where the figures were evaluated.
+    """
 
     d: int
     times: np.ndarray
-    lambdas: np.ndarray  # (T, d+1)
-    f_min: np.ndarray
-    f_max: np.ndarray
-    nu2: np.ndarray
-    nu_inf: np.ndarray
-    fmax_multiplicative: np.ndarray
-    fmin_multiplicative: np.ndarray
-    nuinf_equals_fmax: np.ndarray
-    nuinf_multiplicative: np.ndarray
-    regularized_exact: np.ndarray
+    lambdas: np.ndarray
 
 
 def timeline_report(spec: EvolutionSpec, t_grid) -> Timeline:
@@ -190,7 +189,8 @@ def timeline_report(spec: EvolutionSpec, t_grid) -> Timeline:
     Raises :class:`InvalidTrajectoryError` if the trajectory violates
     validity anywhere on the grid.  For nonnegative-eigenvalue
     trajectories the maximal fidelity equals the maximal output inf-norm
-    at every time and the reported regularized value is exact.
+    at every time and ``fmax_multiplicative`` marks the regularized value
+    exact.
     """
     check, lam, fig = _checked_grid(spec, t_grid)
     if not check.passed:
@@ -198,20 +198,7 @@ def timeline_report(spec: EvolutionSpec, t_grid) -> Timeline:
             f"trajectory invalid at t={check.first_violation_time:g} "
             f"({check.first_violation_kind})"
         )
-    return Timeline(
-        d=spec.d,
-        times=check.times,
-        lambdas=lam,
-        f_min=fig.f_min,
-        f_max=fig.f_max,
-        nu2=fig.nu2,
-        nu_inf=fig.nu_inf,
-        fmax_multiplicative=fig.fmax_multiplicative,
-        fmin_multiplicative=fig.fmin_multiplicative,
-        nuinf_equals_fmax=fig.nuinf_equals_fmax,
-        nuinf_multiplicative=fig.nuinf_multiplicative,
-        regularized_exact=fig.fmax_multiplicative,
-    )
+    return Timeline(**vars(fig), d=spec.d, times=check.times, lambdas=lam)
 
 
 def generator_superoperator(spec: EvolutionSpec) -> np.ndarray:

@@ -20,23 +20,31 @@ the single-copy power whenever max(lambda) >= |min(lambda)|, in which case
 the n-th regularized maximal fidelity equals f_max for every n and also
 equals nu_inf.  Outside that regime only the bracket
 [f_max, nu_inf] is reported; whether tensor inputs can beat product
-inputs there is probed numerically, never asserted.
+inputs there is probed numerically, never asserted.  The four flags are
+
+    fmax_multiplicative   max(lambda) >= |min(lambda)|
+                          (the dominant eigenvalue is the nonnegative one),
+    fmin_multiplicative   |max(lambda)| <= |min(lambda)|,
+    nuinf_equals_fmax     max(lambda) >= -min(lambda)/(d-1)
+                          (nu_inf collapses onto f_max),
+    nuinf_multiplicative  fmax_multiplicative and nuinf_equals_fmax.
 
 Every formula above is written once, in :func:`spectral_figures`, which
-takes spectra of shape (..., d+1) and returns, each of shape (...), the
-closed forms f_min, f_max, nu2 and nu_inf; the attaining bases
-argmin_alpha, argmax_alpha and nu2_alpha (argmax of lambda^2); the flags
-of :func:`multiplicativity_flags`; nu2_fmax_coincide (|max(lambda)| >=
+takes spectra of shape (..., d+1) and returns one :class:`SpectralFigures`
+record holding, each of shape (...), the closed forms f_min, f_max, nu2
+and nu_inf; the attaining bases argmin_alpha, argmax_alpha and nu2_alpha
+(argmax of lambda^2); the four flags; nu2_fmax_coincide (|max(lambda)| >=
 |min(lambda)|) and nu2_fmin_coincide (max(lambda)^2 <= min(lambda)^2);
 inf_exact (d = 2 or f_max factorizes: nu_inf is then the verified
 maximum); and the Fujiwara-Algoet slacks fa_lower_slack and
 fa_upper_slack of :func:`gpchannels.channel.fa_slacks`.
 
-The per-channel functions below, the trajectory timelines and the
-complete-positivity scan all read their numbers from it.  Argmax/argmin
-ties break toward the lowest basis index everywhere, so attainment indices
-are deterministic.  Comparisons carry :data:`CLASSIFY_SLACK` (1e-12) toward
-"true" on equalities.
+That record is the only one: the per-channel functions below return it for
+a single spectrum (numpy scalars), the trajectory timelines extend it with
+their time grid, and the complete-positivity scan reads its slacks.
+Argmax/argmin ties break toward the lowest basis index everywhere, so
+attainment indices are deterministic.  Comparisons carry
+:data:`CLASSIFY_SLACK` (1e-12) toward "true" on equalities.
 """
 
 from __future__ import annotations
@@ -113,35 +121,41 @@ def spectral_figures(lambdas) -> SpectralFigures:
     )
 
 
-def _figures(ch: GeneralizedPauliChannel) -> SpectralFigures:
+def fidelity_report(ch: GeneralizedPauliChannel) -> SpectralFigures:
+    """Every closed form of one channel, as numpy scalars."""
     return spectral_figures(spectrum_of(ch).lambdas)
 
 
-@dataclass(frozen=True)
-class FidelityExtremes:
-    f_min: float
-    f_max: float
-    argmin_alpha: int
-    argmax_alpha: int
+def fidelity_extremes(ch: GeneralizedPauliChannel) -> SpectralFigures:
+    """The same record, read for f_min, f_max and the bases attaining them."""
+    return spectral_figures(spectrum_of(ch).lambdas)
 
 
-@dataclass(frozen=True)
-class MultiplicativityFlags:
-    """Which factorization guarantees apply to the channel's spectrum."""
+def max_output_2norm(ch: GeneralizedPauliChannel) -> float:
+    """Largest Schatten 2-norm of any output from a pure input."""
+    return float(fidelity_report(ch).nu2)
 
-    fmax_multiplicative: bool
-    fmin_multiplicative: bool
-    nuinf_equals_fmax: bool
-    nuinf_multiplicative: bool
 
-    @classmethod
-    def of(cls, fig: SpectralFigures) -> "MultiplicativityFlags":
-        return cls(
-            fmax_multiplicative=bool(fig.fmax_multiplicative),
-            fmin_multiplicative=bool(fig.fmin_multiplicative),
-            nuinf_equals_fmax=bool(fig.nuinf_equals_fmax),
-            nuinf_multiplicative=bool(fig.nuinf_multiplicative),
-        )
+def max_output_inf_norm(ch: GeneralizedPauliChannel) -> float:
+    """Closed form max(1 + (d-1)*max(lambda), 1 - min(lambda)) / d.
+
+    This is the best value over basis-projector inputs: the first branch is
+    attained with equal input and measurement projectors on a vector of the
+    maximizing basis, the second with two orthogonal vectors of the
+    minimizing basis.  It equals the true maximal output eigenvalue for
+    d = 2, and for any d when max(lambda) >= |min(lambda)|.  When
+    max(lambda) < |min(lambda)| at d >= 3, inputs superposed across several
+    negative-eigenvalue bases can beat it (brute-force search confirms
+    excesses up to a few percent), so there it is a lower bound only; see
+    :func:`gpchannels.oracle.maximize_output_inf_norm`.
+    """
+    return float(fidelity_report(ch).nu_inf)
+
+
+def composition_two_norm_residual(ch: GeneralizedPauliChannel) -> float:
+    """|f_max(Lambda o Lambda) - nu_2(Lambda)^2|; contractually <= 1e-12."""
+    squared = compose(ch, ch)
+    return abs(float(fidelity_report(squared).f_max) - max_output_2norm(ch) ** 2)
 
 
 @dataclass(frozen=True)
@@ -160,73 +174,6 @@ class RegularizedMaxFidelity:
     upper: float
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    """Everything the analyzer knows about one channel, closed forms only."""
-
-    f_min: float
-    f_max: float
-    nu2: float
-    nu_inf: float
-    argmin_alpha: int
-    argmax_alpha: int
-    nu2_alpha: int
-    nu2_fmax_coincide: bool
-    nu2_fmin_coincide: bool
-    flags: MultiplicativityFlags
-    regularized: RegularizedMaxFidelity
-
-
-def fidelity_extremes(ch: GeneralizedPauliChannel) -> FidelityExtremes:
-    """Extremal pure-state fidelities and the basis indices attaining them."""
-    fig = _figures(ch)
-    return FidelityExtremes(
-        f_min=float(fig.f_min),
-        f_max=float(fig.f_max),
-        argmin_alpha=int(fig.argmin_alpha),
-        argmax_alpha=int(fig.argmax_alpha),
-    )
-
-
-def max_output_2norm(ch: GeneralizedPauliChannel) -> float:
-    """Largest Schatten 2-norm of any output from a pure input."""
-    return float(_figures(ch).nu2)
-
-
-def max_output_inf_norm(ch: GeneralizedPauliChannel) -> float:
-    """Closed form max(1 + (d-1)*max(lambda), 1 - min(lambda)) / d.
-
-    This is the best value over basis-projector inputs: the first branch is
-    attained with equal input and measurement projectors on a vector of the
-    maximizing basis, the second with two orthogonal vectors of the
-    minimizing basis.  It equals the true maximal output eigenvalue for
-    d = 2, and for any d when max(lambda) >= |min(lambda)|.  When
-    max(lambda) < |min(lambda)| at d >= 3, inputs superposed across several
-    negative-eigenvalue bases can beat it (brute-force search confirms
-    excesses up to a few percent), so there it is a lower bound only; see
-    :func:`gpchannels.oracle.maximize_output_inf_norm`.
-    """
-    return float(_figures(ch).nu_inf)
-
-
-def composition_two_norm_residual(ch: GeneralizedPauliChannel) -> float:
-    """|f_max(Lambda o Lambda) - nu_2(Lambda)^2|; contractually <= 1e-12."""
-    squared = compose(ch, ch)
-    return abs(fidelity_extremes(squared).f_max - max_output_2norm(ch) ** 2)
-
-
-def multiplicativity_flags(ch: GeneralizedPauliChannel) -> MultiplicativityFlags:
-    """Classify which factorization guarantees hold for this spectrum.
-
-    f_max factorizes when max(lambda) >= |min(lambda)| (so the dominant
-    eigenvalue is the nonnegative one); f_min factorizes when
-    |max(lambda)| <= |min(lambda)|; nu_inf collapses onto f_max when
-    max(lambda) >= -min(lambda)/(d-1); and nu_inf factorizes when both the
-    f_max and the collapse conditions hold.
-    """
-    return MultiplicativityFlags.of(_figures(ch))
-
-
 def regularized_max_fidelity(ch: GeneralizedPauliChannel, n: int) -> RegularizedMaxFidelity:
     """n-th regularized maximal fidelity from the closed forms: exact value or bracket.
 
@@ -242,26 +189,8 @@ def regularized_max_fidelity(ch: GeneralizedPauliChannel, n: int) -> Regularized
     """
     if n < 1:
         raise ValueError("regularization order must be >= 1")
-    fig = _figures(ch)
+    fig = fidelity_report(ch)
     f_max = float(fig.f_max)
     if fig.fmax_multiplicative:
         return RegularizedMaxFidelity(n=n, exact=True, value=f_max, lower=f_max, upper=f_max)
     return RegularizedMaxFidelity(n=n, exact=False, value=None, lower=f_max, upper=float(fig.nu_inf))
-
-
-def fidelity_report(ch: GeneralizedPauliChannel) -> FidelityReport:
-    """Assemble all closed-form quantities for one channel."""
-    fig = _figures(ch)
-    return FidelityReport(
-        f_min=float(fig.f_min),
-        f_max=float(fig.f_max),
-        nu2=float(fig.nu2),
-        nu_inf=float(fig.nu_inf),
-        argmin_alpha=int(fig.argmin_alpha),
-        argmax_alpha=int(fig.argmax_alpha),
-        nu2_alpha=int(fig.nu2_alpha),
-        nu2_fmax_coincide=bool(fig.nu2_fmax_coincide),
-        nu2_fmin_coincide=bool(fig.nu2_fmin_coincide),
-        flags=MultiplicativityFlags.of(fig),
-        regularized=regularized_max_fidelity(ch, 1),
-    )

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -12,7 +13,6 @@ from gpchannels import (
     channel_from_probabilities,
     spectrum_of,
 )
-from gpchannels.metrics import FidelityExtremes
 
 
 def random_cptp_channel(d, rng, fam=None, alpha=1.0):
@@ -64,7 +64,7 @@ def fidelity_extremes_probability_form(ch):
     rest = ch.probs[1:]
     amin = int(np.argmin(rest))
     amax = int(np.argmax(rest))
-    return FidelityExtremes(
+    return SimpleNamespace(
         f_min=p0 + float(rest[amin]),
         f_max=p0 + float(rest[amax]),
         argmin_alpha=amin,

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,14 @@ def test_non_finite_input_fails_without_report(tmp_path, capsys, command, payloa
         (["analyze"], {"d": 3, "eigenvalues": [0.5, 0.2, -0.1, 0.3]}, 3, "NotCPTPError"),
         (["evolve", "--t-max", "1", "--steps", str(10**7)], {"d": 2, "rates": [1, 1, 1]},
          4, "TooLargeError"),
+        # interpolating between huge samples overflows inside the grid
+        (["evolve", "--t-max", "0.5", "--steps", "5"],
+         {"d": 2, "trajectory": [{"t": 0, "lambdas": [1, 1, 1]},
+                                 {"t": 1e-300, "lambdas": [1e308, 1, 1]},
+                                 {"t": 1, "lambdas": [-1e308, 1, 1]}]},
+         3, "InvalidTrajectoryError"),
+        (["evolve", "--t-max", "1", "--steps", "3"], {"d": -1, "rates": []},
+         2, "UnsupportedDimensionError"),
     ],
 )
 def test_error_line_names_class(tmp_path, capsys, argv, payload, expected, name):
@@ -371,6 +380,8 @@ def test_error_line_names_class(tmp_path, capsys, argv, payload, expected, name)
     assert err.startswith(f"error: {name}: ")
     if name == "NotCPTPError":  # the bound and the violation
         assert "upper Fujiwara-Algoet bound by 0.2" in err
+    if name == "InvalidTrajectoryError":  # the first grid time that overflowed
+        assert "not finite at t=0.125" in err
 
 
 _SPECIAL_NUMBERS = st.sampled_from(
@@ -430,6 +441,60 @@ def test_evolve_fuzz_exit_codes_and_csv(case, steps, to_file):
         assert set(fields[d + 6 :]) <= {"0", "1"}
     tl = timeline_report(evolution_from_dict(spec), np.linspace(0.0, t_max, steps))
     assert text == timeline_csv_reference(tl)
+
+
+@st.composite
+def _channel_cases(draw):
+    """(argv head, spec): a command and a channel spec, valid or hostile."""
+    command = draw(st.sampled_from(["validate", "analyze", "analyze-noncptp", "tensor"]))
+    head = {"analyze-noncptp": ["analyze", "--allow-noncptp"],
+            "tensor": ["tensor", "--n", "2", "--restarts", "4"]}.get(command, [command])
+    supported = [2] if command == "tensor" else [2, 3, 5, 7]  # d=2 keeps n=2 cheap
+    d = draw(st.sampled_from(supported + [-1, 0, 1, 4, 37]))
+    key = draw(st.sampled_from(["probabilities", "eigenvalues"]))
+    size = max(d, 1) + (2 if key == "probabilities" else 1)  # any length fails an unsupported d
+    if draw(st.booleans()):  # finite: normalized weights, or a spectrum in (0, 1], CPTP or not
+        w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
+        values = (w / w.sum() if key == "probabilities" else w / w.max()).tolist()
+    else:
+        number = st.one_of(st.floats(-1.0, 1.5), _SPECIAL_NUMBERS)
+        length = draw(st.sampled_from([size, size, size - 1, size + 1]))
+        values = draw(st.lists(number, min_size=length, max_size=length))
+    return head, {"d": d, key: values}
+
+
+def _numbers(node):
+    """Every number in a parsed report, flattened."""
+    if isinstance(node, dict):
+        return [x for v in node.values() for x in _numbers(v)]
+    if isinstance(node, list):
+        return [x for v in node for x in _numbers(v)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_channel_cases())
+def test_channel_commands_fuzz_exit_codes_and_reports(case):
+    head, spec = case
+    # json.dumps writes NaN/Infinity constants, which the spec loader accepts
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(head[:1] + [str(spec_path)] + head[1:])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 0:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert all(math.isfinite(x) for x in _numbers(report))
 
 
 def test_selftest_passes_quick(capsys):

@@ -6,6 +6,7 @@ import pytest
 from gpchannels import (
     InvalidTrajectoryError,
     OutOfRangeError,
+    UnsupportedDimensionError,
     eigenvalue_trajectory,
     exponential_evolution,
     sampled_evolution,
@@ -47,6 +48,15 @@ def test_single_rate_keeps_unit_axis_on_boundary(fam3):
 def test_rates_must_be_nonnegative(fam2):
     with pytest.raises(InvalidTrajectoryError):
         exponential_evolution(2, [1, -0.1, 0], fam2)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1, 4])
+def test_unsupported_dimension_fails_before_sample_checks(d):
+    # wrong-length rates and samples would be InvalidTrajectoryError; the family comes first
+    with pytest.raises(UnsupportedDimensionError):
+        exponential_evolution(d, [])
+    with pytest.raises(UnsupportedDimensionError):
+        sampled_evolution(d, [0.0], [[1.0]])
 
 
 def test_exponential_semigroup_property(fam3, rng):
@@ -107,7 +117,7 @@ def test_timeline_zero_rates_constant_ones(fam2):
     tl = timeline_report(spec, np.linspace(0, 5, 10))
     for col in (tl.f_min, tl.f_max, tl.nu2, tl.nu_inf):
         assert np.allclose(col, 1.0, atol=1e-14)
-    assert np.all(tl.fmax_multiplicative) and np.all(tl.regularized_exact)
+    assert np.all(tl.fmax_multiplicative)
 
 
 def test_timeline_hand_value_at_half_life(fam2):
@@ -130,7 +140,6 @@ def test_timeline_contract_flags_and_equality(fam3, rng):
     assert np.all(tl.f_max == tl.nu_inf)
     assert np.all(tl.fmax_multiplicative)
     assert np.all(tl.nuinf_equals_fmax)
-    assert np.all(tl.regularized_exact)
     assert np.all(np.diff(tl.f_max) <= 1e-15)
 
 
@@ -160,6 +169,16 @@ def test_timeline_rejects_invalid_trajectory(fam2):
     spec = sampled_evolution(2, times, lams, fam2)
     with pytest.raises(InvalidTrajectoryError, match="t=2"):
         timeline_report(spec, times)
+
+
+def test_overflowing_interpolation_is_invalid_trajectory(fam2):
+    # both samples are finite, but the line between them leaves the float range
+    lams = [[1, 1, 1], [1e308, 1, 1], [-1e308, 1, 1]]
+    spec = sampled_evolution(2, [0.0, 1e-300, 1.0], lams, fam2)
+    grid = np.linspace(0.0, 0.5, 5)
+    for check in (timeline_report, validate_trajectory):
+        with pytest.raises(InvalidTrajectoryError, match="not finite at t=0.125"):
+            check(spec, grid)
 
 
 @pytest.mark.parametrize("d", [2, 3])

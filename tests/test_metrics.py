@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,14 +18,13 @@ from gpchannels import (
     fujiwara_algoet_check,
     max_output_2norm,
     max_output_inf_norm,
-    multiplicativity_flags,
     regularized_max_fidelity,
     spectral_figures,
     spectrum_of,
     tensor_fidelity_probe,
     timeline_report,
 )
-from gpchannels.metrics import CLASSIFY_SLACK
+from gpchannels.metrics import CLASSIFY_SLACK, SpectralFigures
 from helpers import (
     channel_fidelity,
     depolarizing_channel,
@@ -136,19 +137,19 @@ def test_composition_residual_sweep(rng):
 
 
 def test_multiplicativity_flags_examples(fam2):
-    all_pos = multiplicativity_flags(channel_from_eigenvalues(2, [0.6, 0.6, 0.6], fam2))
+    all_pos = fidelity_report(channel_from_eigenvalues(2, [0.6, 0.6, 0.6], fam2))
     assert all_pos.fmax_multiplicative
     assert all_pos.fmin_multiplicative
     assert all_pos.nuinf_equals_fmax
     assert all_pos.nuinf_multiplicative
 
-    all_neg = multiplicativity_flags(channel_from_eigenvalues(2, [-1 / 3, -1 / 3, -1 / 3], fam2))
+    all_neg = fidelity_report(channel_from_eigenvalues(2, [-1 / 3, -1 / 3, -1 / 3], fam2))
     assert all_neg.fmin_multiplicative
     assert not all_neg.fmax_multiplicative
     assert not all_neg.nuinf_equals_fmax
     assert not all_neg.nuinf_multiplicative
 
-    zero = multiplicativity_flags(depolarizing_channel(2, fam2))
+    zero = fidelity_report(depolarizing_channel(2, fam2))
     assert zero.fmax_multiplicative and zero.fmin_multiplicative
     assert zero.nuinf_equals_fmax and zero.nuinf_multiplicative
 
@@ -161,7 +162,7 @@ def test_chain_fmax_below_nuinf_with_equality_condition(rng):
         nu_inf = max_output_inf_norm(ch)
         assert f_max <= nu_inf + 1e-12
         equal = abs(f_max - nu_inf) <= 1e-12
-        assert equal == multiplicativity_flags(ch).nuinf_equals_fmax
+        assert equal == fidelity_report(ch).nuinf_equals_fmax
 
 
 def test_attainment_coincidence_indices(rng):
@@ -266,9 +267,7 @@ def test_report_invariants(rng):
         rep = fidelity_report(random_cptp_channel(d, rng))
         assert 0.0 - 1e-12 <= rep.f_min <= rep.f_max <= rep.nu_inf <= 1.0 + 1e-12
         assert 0.0 <= rep.nu2 <= 1.0 + 1e-12
-        assert rep.flags.nuinf_multiplicative == (
-            rep.flags.fmax_multiplicative and rep.flags.nuinf_equals_fmax
-        )
+        assert rep.nuinf_multiplicative == (rep.fmax_multiplicative and rep.nuinf_equals_fmax)
 
 
 def _scalar_figures(lam):
@@ -348,18 +347,11 @@ def test_spectral_figures_bitwise_against_per_channel_api(d):
     for i, ch in enumerate(channels):
         rep = fidelity_report(ch)
         ext = fidelity_extremes(ch)
-        flags = multiplicativity_flags(ch)
-        assert (rep.f_min, rep.f_max) == (ext.f_min, ext.f_max) == (fig.f_min[i], fig.f_max[i])
-        assert (ext.argmin_alpha, ext.argmax_alpha) == (fig.argmin_alpha[i], fig.argmax_alpha[i])
-        assert rep.nu2 == max_output_2norm(ch) == fig.nu2[i]
-        assert rep.nu_inf == max_output_inf_norm(ch) == fig.nu_inf[i]
-        assert rep.nu2_alpha == fig.nu2_alpha[i]
-        assert rep.nu2_fmax_coincide == fig.nu2_fmax_coincide[i]
-        assert rep.nu2_fmin_coincide == fig.nu2_fmin_coincide[i]
-        assert rep.flags == flags
-        for name in ("fmax_multiplicative", "fmin_multiplicative",
-                     "nuinf_equals_fmax", "nuinf_multiplicative"):
-            assert getattr(flags, name) == getattr(fig, name)[i]
+        for field in fields(SpectralFigures):
+            want = getattr(fig, field.name)[i]
+            assert getattr(rep, field.name) == getattr(ext, field.name) == want, (i, field.name)
+        assert max_output_2norm(ch) == fig.nu2[i]
+        assert max_output_inf_norm(ch) == fig.nu_inf[i]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -369,10 +361,8 @@ def test_timeline_rows_equal_kernel_on_their_spectra(d):
                          np.linspace(0.0, 4.0, 33))
     for i, row in enumerate(tl.lambdas):
         fig = spectral_figures(row)
-        for name in ("f_min", "f_max", "nu2", "nu_inf", "fmax_multiplicative",
-                     "fmin_multiplicative", "nuinf_equals_fmax", "nuinf_multiplicative"):
-            assert getattr(tl, name)[i] == getattr(fig, name), (i, name)
-        assert tl.regularized_exact[i] == fig.fmax_multiplicative
+        for field in fields(SpectralFigures):  # every inherited column
+            assert getattr(tl, field.name)[i] == getattr(fig, field.name), (i, field.name)
 
 
 def test_spectral_figures_rejects_non_finite_and_short_spectra():

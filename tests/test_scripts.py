@@ -55,12 +55,15 @@ def test_output_digest_is_deterministic(capsys):
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
     lines = runs[0].splitlines()
-    # per d: mub, validate and analyze of two specs, and 2 kinds x (--csv: 2, stdout: 2)
-    assert len(lines) == len(digest.TINY_DIMS) * (1 + 4 + 8)
+    # per d: mub; validate, analyze, analyze --oracle and tensor of two specs;
+    # 2 evolve kinds x (--csv: 2, stdout: 2); then one selftest
+    assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
+    assert len(lines) == len(digest.TINY_DIMS) * (1 + 8 + 8) + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0
-        assert command.split()[0] in {"mub", "validate", "analyze", "evolve"}
+        assert command.split()[0] in {"mub", "validate", "analyze", "tensor", "evolve", "selftest"}
+    assert lines[-1].endswith("  selftest --d 2 --seed 5 [stdout]")
     by_command = dict(reversed(line.split("  ", 1)) for line in lines)
     # the same evolve command writes the same CSV to a file and to stdout
     for command, sha in by_command.items():

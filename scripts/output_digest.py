@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of every output of a fixed, seeded CLI battery.
 
-The battery runs in-process: `mub`, `validate`, `analyze` and `analyze
---oracle` (with a small restart budget) at d in {2, 3, 5, 7}; `tensor --n 2`
-at d in {2, 3}; `evolve` for an exponential and a sampled trajectory at each
-d, once with `--csv FILE` and once to stdout; and last `selftest --d 2`,
-whose stdout carries no timing.  Spec files are written to a temporary
+The battery runs in-process, at d in {2, 3, 5, 7}: `mub --out FILE` and
+`validate` of that family file; `validate`, `analyze` and `analyze --oracle`
+(with a small restart budget) of two channel specs; `analyze
+--allow-noncptp` of a finite spectrum that is not CPTP; `tensor --n 2` at d
+in {2, 3}; and `evolve` for an exponential and a sampled trajectory, once
+with `--csv FILE` and once to stdout.  Last comes `selftest --d 2`, whose
+stdout carries no timing.  Spec files are written to a temporary
 directory and named by relative path, so the manifests and therefore every
 output byte depend only on the seed and the code.  Each
 output (stdout, a written file, or the summary evolve prints to stderr)
@@ -38,7 +40,8 @@ TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr
 
 
 def _specs(d, rng):
-    """Channel specs, in both parametrizations, and the two kinds of evolution spec."""
+    """Channel specs, in both parametrizations, a non-CPTP spectrum, and the two
+    kinds of evolution spec."""
     probs = rng.dirichlet(np.ones(d + 2))
     lambdas = lambdas_from_probabilities(rng.dirichlet(np.full(d + 2, 0.3)))
     rates = rng.uniform(0.0, 2.0, size=d + 1)
@@ -57,7 +60,9 @@ def _specs(d, rng):
             float(knots[-1]),
         ),
     }
-    return channels, evolutions
+    # an eigenvalue above 1 breaks the upper Fujiwara-Algoet bound
+    noncptp = {"d": d, "eigenvalues": [1.25] + lambdas[1:].tolist()}
+    return channels, noncptp, evolutions
 
 
 def _run(argv):
@@ -92,8 +97,10 @@ def battery(seed, dims, steps):
         lines.extend(f"{_digest(text)}  {command} [{name}]" for name, text in outputs)
 
     for d in dims:
-        channels, evolutions = _specs(d, rng)
-        record(["mub", "--d", str(d)])
+        channels, noncptp, evolutions = _specs(d, rng)
+        family = f"mub-d{d}.json"
+        record(["mub", "--d", str(d), "--out", family], files=[family])
+        record(["validate", family])
         for name, spec in channels.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(spec, fh)
@@ -102,6 +109,10 @@ def battery(seed, dims, steps):
             record(["analyze", name, "--oracle", "--restarts", SEARCH_RESTARTS])
             if d in TENSOR_DIMS:
                 record(["tensor", name, "--n", "2", "--restarts", SEARCH_RESTARTS])
+        name = f"noncptp-d{d}.json"
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(noncptp, fh)
+        record(["analyze", name, "--allow-noncptp"])
         for name, (spec, t_max) in evolutions.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(spec, fh)

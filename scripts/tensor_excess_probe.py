@@ -50,8 +50,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--out", default=None, help="JSON path (default stdout)")
     args = ap.parse_args(argv)
-    if args.d == 3 and args.n == 3:
-        ap.error("d=3 supports n=2 only (superoperator guard)")
 
     rng = np.random.default_rng(args.seed)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)

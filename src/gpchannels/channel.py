@@ -180,10 +180,14 @@ def channel_from_eigenvalues(
     check = fujiwara_algoet_check(sp)
     if not check.passed:
         slack = check.lower_slack if check.violated == "lower" else check.upper_slack
+        if np.isfinite(slack):
+            by, violation = f" by {-slack:.6g}", -slack
+        else:  # huge eigenvalues: the sums behind the slack overflowed
+            by, violation = "; its slack overflowed the float range", np.inf
         raise NotCPTPError(
-            f"spectrum violates the {check.violated} Fujiwara-Algoet bound by {-slack:.6g}",
+            f"spectrum violates the {check.violated} Fujiwara-Algoet bound{by}",
             bound=check.violated,
-            violation=-slack,
+            violation=violation,
         )
     return channel_from_probabilities(d, probabilities_of(sp), fam)
 

@@ -88,23 +88,18 @@ EXIT_GUARD = 4
 MAX_STEPS = 10**6
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
+def _json_default(obj):
+    """numpy arrays, booleans and integers as Python values; numpy floats already are floats."""
+    if isinstance(obj, (np.ndarray, np.bool_, np.integer)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _report_text(report: dict) -> str:
+    # allow_nan=False: a non-finite number fails the command instead of
+    # writing a bare NaN, which is not JSON
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default) + "\n"
 
 
 def _digest(path: str) -> str:
@@ -125,9 +120,7 @@ def _manifest(command: str, inputs: list[str], seed: int | None, config: dict) -
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    # allow_nan=False: a non-finite number fails the command instead of
-    # writing a bare NaN, which is not JSON
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _report_text(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -156,7 +149,7 @@ def _channel_section(sp: Spectrum, probs) -> dict:
 
 def _metrics_section(ch: GeneralizedPauliChannel) -> dict:
     rep = fidelity_report(ch)
-    reg = regularized_max_fidelity(ch, 1)
+    reg = regularized_max_fidelity(ch)
     return {
         "f_min": rep.f_min,
         "f_max": rep.f_max,
@@ -294,8 +287,10 @@ def cmd_analyze(args) -> int:
         if not args.allow_noncptp:
             raise
         sp = Spectrum(int(payload["d"]), np.asarray(payload["eigenvalues"], dtype=float))
-        with np.errstate(over="ignore", invalid="ignore"):  # huge eigenvalues: _emit refuses
+        with np.errstate(over="ignore", invalid="ignore"):  # huge eigenvalues: refused below
             section = {**_channel_section(sp, probabilities_of(sp)), "violated_bound": exc.bound}
+        if not np.all(np.isfinite([*section["probabilities"], *section["slacks"].values()])):
+            raise  # the diagnostics overflowed: refuse the spectrum, as without the flag
         _emit({"manifest": manifest, "channel": section}, args.out)
         return EXIT_OK
     report = {
@@ -384,12 +379,10 @@ def cmd_evolve(args) -> int:
             },
         },
     }
-    if args.out:
+    if args.out or args.csv:
         _emit(summary, args.out)
-    elif args.csv:
-        _emit(summary, None)
-    else:
-        sys.stderr.write(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
+    else:  # the CSV went to stdout
+        sys.stderr.write(_report_text(summary))
     return EXIT_OK
 
 

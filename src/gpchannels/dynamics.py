@@ -124,19 +124,15 @@ def eigenvalue_trajectory(spec: EvolutionSpec, t: float) -> Spectrum:
 
 @dataclass(frozen=True)
 class TrajectoryValidation:
-    """Per-grid-time validity: eigenvalue positivity and the CPTP inequalities."""
+    """Eigenvalue positivity and the CPTP inequalities on a grid; the first bad time, if any."""
 
-    times: np.ndarray
-    lambda_min: np.ndarray
-    fa_lower_slack: np.ndarray
-    fa_upper_slack: np.ndarray
     passed: bool
     first_violation_time: float | None
     first_violation_kind: str | None
 
 
 def _checked_grid(spec: EvolutionSpec, t_grid):
-    """Validation of the grid plus the eigenvalues and figures it was built from."""
+    """Validation of the grid plus the times, eigenvalues and figures it was built from."""
     times = np.asarray(t_grid, dtype=float)
     if times.size == 0 or not np.all(np.isfinite(times)) or np.any(times[1:] < times[:-1]):
         raise InvalidTrajectoryError("time grid must be nonempty, finite and nondecreasing")
@@ -147,22 +143,17 @@ def _checked_grid(spec: EvolutionSpec, t_grid):
         raise InvalidTrajectoryError(f"trajectory eigenvalues are not finite at t={t_bad:g}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge samples; flagged below
         fig = spectral_figures(lam)
-    lam_min = lam.min(axis=1)
-    lower, upper = fig.fa_lower_slack, fig.fa_upper_slack
-    neg = lam_min < -TRAJ_TOL
+    neg = lam.min(axis=1) < -TRAJ_TOL
     # an eigenvalue outside [-1, 1] breaks a Fujiwara-Algoet bound by at least
     # as much; testing it directly keeps rows whose slacks overflowed to nan bad
     outside = np.any(np.abs(lam) > 1.0 + TRAJ_TOL, axis=1)
-    bad = neg | outside | (lower < -TRAJ_TOL) | (upper < -TRAJ_TOL)
+    bad = neg | outside | (fig.fa_lower_slack < -TRAJ_TOL) | (fig.fa_upper_slack < -TRAJ_TOL)
     first_time = first_kind = None
     if bad.any():
         i = int(np.argmax(bad))
         first_time = float(times[i])
         first_kind = "negative-eigenvalue" if neg[i] else "fujiwara-algoet"
-    check = TrajectoryValidation(
-        times, lam_min, lower, upper, not bad.any(), first_time, first_kind
-    )
-    return check, lam, fig
+    return TrajectoryValidation(not bad.any(), first_time, first_kind), times, lam, fig
 
 
 def validate_trajectory(spec: EvolutionSpec, t_grid) -> TrajectoryValidation:
@@ -192,13 +183,13 @@ def timeline_report(spec: EvolutionSpec, t_grid) -> Timeline:
     at every time and ``fmax_multiplicative`` marks the regularized value
     exact.
     """
-    check, lam, fig = _checked_grid(spec, t_grid)
+    check, times, lam, fig = _checked_grid(spec, t_grid)
     if not check.passed:
         raise InvalidTrajectoryError(
             f"trajectory invalid at t={check.first_violation_time:g} "
             f"({check.first_violation_kind})"
         )
-    return Timeline(**vars(fig), d=spec.d, times=check.times, lambdas=lam)
+    return Timeline(**vars(fig), d=spec.d, times=times, lambdas=lam)
 
 
 def generator_superoperator(spec: EvolutionSpec) -> np.ndarray:

@@ -160,22 +160,20 @@ def composition_two_norm_residual(ch: GeneralizedPauliChannel) -> float:
 
 @dataclass(frozen=True)
 class RegularizedMaxFidelity:
-    """Value (or bracket) for the n-th regularized maximal fidelity.
+    """Closed-form bracket [lower, upper] on the regularized maximal fidelity.
 
-    When ``exact`` is set the value is f_max itself for every n.  Otherwise
-    ``value`` is None and ``lower``/``upper`` are the closed forms f_max and
-    nu_inf; see :func:`regularized_max_fidelity` for what each end proves.
+    When ``exact`` is set, ``lower`` = ``upper`` = f_max is the value itself.
+    Otherwise the ends are the closed forms f_max and nu_inf; see
+    :func:`regularized_max_fidelity` for what each end proves.
     """
 
-    n: int
     exact: bool
-    value: float | None
     lower: float
     upper: float
 
 
-def regularized_max_fidelity(ch: GeneralizedPauliChannel, n: int) -> RegularizedMaxFidelity:
-    """n-th regularized maximal fidelity from the closed forms: exact value or bracket.
+def regularized_max_fidelity(ch: GeneralizedPauliChannel) -> RegularizedMaxFidelity:
+    """Regularized maximal fidelity from the closed forms, at every order: exact value or bracket.
 
     In the factorizing regime (max(lambda) >= |min(lambda)|) the value is
     f_max exactly for every n, and coincides with nu_inf.  Otherwise the
@@ -187,10 +185,8 @@ def regularized_max_fidelity(ch: GeneralizedPauliChannel, n: int) -> Regularized
     it is the true maximal output inf-norm and that norm is multiplicative,
     as for d = 2; at d >= 3 outside that regime the search can exceed it.
     """
-    if n < 1:
-        raise ValueError("regularization order must be >= 1")
     fig = fidelity_report(ch)
     f_max = float(fig.f_max)
     if fig.fmax_multiplicative:
-        return RegularizedMaxFidelity(n=n, exact=True, value=f_max, lower=f_max, upper=f_max)
-    return RegularizedMaxFidelity(n=n, exact=False, value=None, lower=f_max, upper=float(fig.nu_inf))
+        return RegularizedMaxFidelity(exact=True, lower=f_max, upper=f_max)
+    return RegularizedMaxFidelity(exact=False, lower=f_max, upper=float(fig.nu_inf))

@@ -82,11 +82,6 @@ class MubFamily:
         return self.bases.shape[0] == self.d + 1
 
     @property
-    def omega(self) -> complex:
-        """Primitive d-th root of unity used by the basis unitaries."""
-        return np.exp(2j * np.pi / self.d)
-
-    @property
     def n_bases(self) -> int:
         return self.bases.shape[0]
 

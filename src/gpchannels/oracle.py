@@ -28,17 +28,18 @@ if it improves, so every restart's value is nondecreasing.
 A restart stops on the first-order certificate ||Lambda_H[P] x - f x|| <=
 CERT_TOL ||H||_2; when a steepest-ascent line search gains nothing; when
 STALL_CYCLES reset cycles in a row fail to halve that gradient norm; or, in a
-loose stop, when a step gains at most ``value_tol`` once the gradient norm is
-at most LOOSE_CERT_TOL ||H||_2.  The restart that is reported is resumed
-after a loose stop until it stops by one of the other rules.
+loose stop, when a step gains at most VALUE_TOL once the gradient norm is at
+most LOOSE_CERT_TOL ||H||_2.  A line-search step shorter than STEP_TOL (an
+angle along the geodesic) is not taken.  The restart that is reported is
+resumed after a loose stop until it stops by one of the other rules.
 
 Restart seeding always includes the supplied candidate states (basis
 vectors, or their tensor products for tensor-power probes) ahead of Haar
 draws, so conjectured optima are starting points and the search's job is
 to confirm nothing beats them.  Each Haar restart draws from a generator
 spawned from the master seed and the restart's global index, making
-results independent of batching or worker count.  On ties within the
-value tolerance the earliest restart wins, so seeded optima are reported
+results independent of batching or worker count.  On ties within
+VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
 """
 
@@ -70,9 +71,11 @@ MAX_ORACLE_DIM = 64
 MAX_START_ENTRIES = 2**24
 #: hard cap on spectra per equivalence scan
 MAX_SCAN_POINTS = 100_000
-#: stop rules of the ascent (see the module docstring); tolerances relative to ||H||_2
+#: stop rules of the ascent (see the module docstring); CERT_TOLs relative to ||H||_2
 CERT_TOL = 1e-10
 LOOSE_CERT_TOL = 1e-7
+STEP_TOL = 1e-9
+VALUE_TOL = 1e-10
 STALL_CYCLES = 3
 LINE_SEARCH_POINTS = 32
 
@@ -83,17 +86,14 @@ DEFAULT_SEED = 2026
 class OracleConfig:
     """Search budget and reproducibility stamp for one oracle run.
 
-    ``max_iters`` caps the sweeps of each restart.  ``step_tol`` is the
-    shortest line-search step (an angle along the geodesic) that counts as a
-    move; a shorter one is not taken.  ``value_tol`` is the gain at or below
-    which a restart may make a loose stop, and the tie tolerance for picking
-    the reported restart.
+    ``restarts`` is the number of ascents (raised to the number of seeded
+    candidates if they are more), ``max_iters`` caps the sweeps of each and
+    ``seed`` keys the Haar starts.  The stop tolerances are the module
+    constants STEP_TOL and VALUE_TOL.
     """
 
     restarts: int = SINGLE_RESTARTS
     max_iters: int = 500
-    step_tol: float = 1e-9
-    value_tol: float = 1e-10
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -101,8 +101,6 @@ class OracleConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_tol <= 0 or self.value_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,13 +108,13 @@ class OracleResult:
     """Best value found, the state(s) attaining it, and per-restart summaries.
 
     ``value`` is the extremal value over all restarts; ``state`` comes from
-    the earliest restart within ``value_tol`` of it (seeded candidates come
+    the earliest restart within VALUE_TOL of it (seeded candidates come
     first), which never ends on a loose stop unless it runs out of sweeps.
     ``restart_values`` holds each restart's final objective and
     ``restart_iterations`` its sweeps.  ``history`` holds the starting row
     plus one row per sweep; column r follows restart r and only improves.
-    The (seed, restarts) stamp plus the same inputs replays the result
-    bit-identically regardless of how restarts are scheduled.
+    The same config and inputs replay the result bit-identically regardless
+    of how restarts are scheduled.
     """
 
     value: float
@@ -126,7 +124,6 @@ class OracleResult:
     restart_iterations: np.ndarray
     history: np.ndarray
     best_restart: int
-    seed: int
     restarts: int
     n_seed_states: int
 
@@ -307,7 +304,7 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
             slope, bend = np.vecdot(dots[:, None, :], _DERIVS[best]).T
             bend = np.where(bend > 0.0, bend, np.inf)  # a Newton step only where concave
             t = _STEPS[best] + np.clip(slope / bend, -_SPACING, _SPACING)
-            t[np.abs(t) < cfg.step_tol] = 0.0  # too short to count as a move
+            t[np.abs(t) < STEP_TOL] = 0.0  # too short to count as a move
             c, s = np.cos(t), np.sin(t)
 
             xn = c[:, None] * x + s[:, None] * un
@@ -330,12 +327,12 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
             rows.append(values.copy())
             # certified; steepest ascent gains nothing; stalled; or a loose stop
             final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES)
-            stop = final if patient else final | (up & (gain <= cfg.value_tol) & (gg <= loose))
+            stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
         states[:, idx] = x
 
     climb(np.arange(r), False, history)
     # the restart that is reported carries the certificate: resume it after a loose stop
-    best, trail = _select_best(score(values), cfg.value_tol), []
+    best, trail = _select_best(score(values)), []
     first = iters[best] + 1
     if not settled[best] and first <= cfg.max_iters:
         climb(np.array([best]), True, trail)
@@ -351,14 +348,14 @@ def _norm2(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) or 1.0
 
 
-def _select_best(values: np.ndarray, value_tol: float) -> int:
-    """Earliest restart within tolerance of the best value."""
-    return int(np.nonzero(values >= np.max(values) - value_tol)[0][0])
+def _select_best(values: np.ndarray) -> int:
+    """Earliest restart within VALUE_TOL of the best value."""
+    return int(np.nonzero(values >= np.max(values) - VALUE_TOL)[0][0])
 
 
-def _result(score, states, iters, history, n_seeds, cfg, sign=1.0, dual_states=None):
+def _result(score, states, iters, history, n_seeds, sign=1.0, dual_states=None):
     """OracleResult from per-restart scores (larger is better), reported as sign * score."""
-    best = _select_best(score, cfg.value_tol)
+    best = _select_best(score)
     return OracleResult(
         value=sign * float(np.max(score)),
         state=states[best],
@@ -367,7 +364,6 @@ def _result(score, states, iters, history, n_seeds, cfg, sign=1.0, dual_states=N
         restart_iterations=iters,
         history=sign * history,
         best_restart=best,
-        seed=cfg.seed,
         restarts=score.shape[0],
         n_seed_states=n_seeds,
     )
@@ -392,7 +388,7 @@ def extremize_self_fidelity(
     starts, n_seeds = _start_states(m, cfg, seed_states)
     h = 0.5 * sgn * (s + s.conj().T)
     psi, g, iters, hist = _ascent(np.ascontiguousarray(h.T)[None], starts[None], _norm2(h), cfg)
-    return _result(g, psi[0], iters, hist, n_seeds, cfg, sign=sgn)
+    return _result(g, psi[0], iters, hist, n_seeds, sign=sgn)
 
 
 def maximize_output_2norm(
@@ -406,7 +402,7 @@ def maximize_output_2norm(
     starts, n_seeds = _start_states(m, cfg, seed_states)
     h_t = s.T @ s.conj()  # (S^dagger S)^T
     psi, g, iters, hist = _ascent(h_t[None], starts[None], _norm2(h_t), cfg, score=np.sqrt)
-    return _result(np.sqrt(g), psi[0], iters, np.sqrt(hist), n_seeds, cfg)
+    return _result(np.sqrt(g), psi[0], iters, np.sqrt(hist), n_seeds)
 
 
 def maximize_output_inf_norm(
@@ -430,7 +426,7 @@ def maximize_output_inf_norm(
     starts = np.stack([psi, phi]) / np.sqrt(2.0)
     x, g, iters, hist = _ascent(ops, starts, 2.0 * _norm2(s), cfg, swap=True)
     x /= np.linalg.norm(x, axis=2, keepdims=True)
-    return _result(g, x[0], iters, hist, n_seeds, cfg, dual_states=x[1])
+    return _result(g, x[0], iters, hist, n_seeds, dual_states=x[1])
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel) -> float:
@@ -461,13 +457,11 @@ class SpectrumGrid:
 
 @dataclass(frozen=True)
 class ScanReport:
-    d: int
     n_total: int
     n_cptp: int
     n_disagreements: int
     disagreements: tuple
     worst_boundary_choi_eig: float
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -533,13 +527,11 @@ def cptp_equivalence_scan(
     worst_boundary = float(np.max(np.abs(min_eigs[boundary]))) if boundary.any() else 0.0
     offending = tuple(tuple(row) for row in spectra[disagree][:20])
     return ScanReport(
-        d=d,
         n_total=n,
         n_cptp=int(np.count_nonzero(fa_pass)),
         n_disagreements=int(np.count_nonzero(disagree)),
         disagreements=offending,
         worst_boundary_choi_eig=worst_boundary,
-        tol=tol,
     )
 
 
@@ -559,7 +551,6 @@ class ProbeReport:
     judged.
     """
 
-    d: int
     n: int
     estimate: float
     baseline: float
@@ -582,7 +573,6 @@ def tensor_fidelity_probe(
     baseline = float(fig.f_max) ** n
     regime = "factorizing" if fig.fmax_multiplicative else "open"
     return ProbeReport(
-        d=ch.d,
         n=n,
         estimate=result.value,
         baseline=baseline,

@@ -93,6 +93,11 @@ def test_from_eigenvalues_rejects_noncptp(fam3):
     assert exc.value.bound == "upper"
     assert exc.value.violation == pytest.approx(0.2, abs=1e-12)
     assert "upper" in str(exc.value)
+    # both sums behind the upper slack overflow: the slack is nan, the violation inf
+    with pytest.raises(NotCPTPError) as exc:
+        channel_from_eigenvalues(2, [1e308, 1e308, 1e308])
+    assert exc.value.bound == "upper" and exc.value.violation == np.inf
+    assert "slack overflowed" in str(exc.value)
 
 
 def test_fujiwara_algoet_identity_boundary():

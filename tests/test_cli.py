@@ -140,6 +140,15 @@ def test_analyze_allow_noncptp_diagnostics(tmp_path, capsys):
     assert "metrics" not in rep
 
 
+def test_analyze_allow_noncptp_refuses_overflowing_diagnostics(tmp_path, capsys):
+    # the probabilities and slacks of this spectrum overflow: no partial report
+    spec = write_spec(tmp_path, "big.json", {"d": 2, "eigenvalues": [1e308, 1e308, 1e308]})
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["analyze", spec, "--allow-noncptp", "--out", str(report)], capsys)
+    assert code == 3 and out == "" and not report.exists()
+    assert err.startswith("error: NotCPTPError: ")
+
+
 def test_analyze_parse_error_exit2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -370,6 +379,8 @@ def test_non_finite_input_fails_without_report(tmp_path, capsys, command, payloa
          3, "InvalidTrajectoryError"),
         (["evolve", "--t-max", "1", "--steps", "3"], {"d": -1, "rates": []},
          2, "UnsupportedDimensionError"),
+        (["validate"], {"d": 2, "eigenvalues": [1e308, 1e308, 1e308]}, 3, "NotCPTPError"),
+        (["analyze", "--restarts", "0"], {"d": 2, "eigenvalues": [1, 1, 1]}, 2, "ValueError"),
     ],
 )
 def test_error_line_names_class(tmp_path, capsys, argv, payload, expected, name):
@@ -378,8 +389,9 @@ def test_error_line_names_class(tmp_path, capsys, argv, payload, expected, name)
     code, out, err = run_cli(argv, capsys)
     assert code == expected and out == ""
     assert err.startswith(f"error: {name}: ")
-    if name == "NotCPTPError":  # the bound and the violation
-        assert "upper Fujiwara-Algoet bound by 0.2" in err
+    if name == "NotCPTPError":  # the bound, and the violation or that its slack overflowed
+        detail = " by 0.2" if argv[0] == "analyze" else "; its slack overflowed"
+        assert f"upper Fujiwara-Algoet bound{detail}" in err
     if name == "InvalidTrajectoryError":  # the first grid time that overflowed
         assert "not finite at t=0.125" in err
 

@@ -190,22 +190,22 @@ def test_attainment_coincidence_flag_conditions(fam2):
 
 
 def test_regularized_identity(fam3):
-    for n in (1, 2, 3):
-        reg = regularized_max_fidelity(identity_channel(3, fam3), n)
-        assert reg.exact and reg.value == pytest.approx(1.0, abs=1e-15)
+    reg = regularized_max_fidelity(identity_channel(3, fam3))
+    assert reg.exact and reg.lower == pytest.approx(1.0, abs=1e-15)
+    assert reg.upper == reg.lower
 
 
 def test_regularized_factorizing_value(fam2):
     ch = channel_from_eigenvalues(2, [0.6, 0.6, 0.6], fam2)
-    reg = regularized_max_fidelity(ch, 2)
+    reg = regularized_max_fidelity(ch)
     assert reg.exact
-    assert reg.value == pytest.approx(0.8, abs=1e-15)
-    assert reg.lower == reg.upper == reg.value
+    assert reg.lower == pytest.approx(0.8, abs=1e-15)
+    assert reg.lower == reg.upper
 
 
 def test_regularized_open_regime_bracket_and_refinement(fam2):
     ch = channel_from_eigenvalues(2, [-1 / 3, -1 / 3, -1 / 3], fam2)
-    closed = regularized_max_fidelity(ch, 2)
+    closed = regularized_max_fidelity(ch)
     assert not closed.exact
     assert closed.lower == pytest.approx(1 / 3, abs=1e-12)
     assert closed.upper == pytest.approx(2 / 3, abs=1e-12)
@@ -221,7 +221,7 @@ def test_regularized_lower_bound_monotone_in_n(fam2):
     # the running best over m <= n never falls and stays inside the d=2 bracket
     ch = channel_from_eigenvalues(2, [-0.3, -0.25, -0.2], fam2)
     cfg = OracleConfig(restarts=64, seed=9)
-    closed = regularized_max_fidelity(ch, 3)
+    closed = regularized_max_fidelity(ch)
     lower_prev = closed.lower
     for n in (2, 3):
         root = tensor_fidelity_probe(ch, n, cfg).estimate ** (1 / n)

@@ -21,6 +21,7 @@ from gpchannels import (
     tensor_fidelity_probe,
 )
 from gpchannels.cli import nearest_basis_index
+from gpchannels.oracle import VALUE_TOL
 from helpers import (
     depolarizing_channel,
     identity_channel,
@@ -47,9 +48,7 @@ def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(restarts=0)
     with pytest.raises(ValueError):
-        OracleConfig(step_tol=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(value_tol=-1e-9)
+        OracleConfig(max_iters=0)
 
 
 def test_random_pure_state_haar_first_moment():
@@ -194,7 +193,7 @@ def test_nu_inf_dual_step_uses_adjoint():
 
 def test_nu_inf_stopped_pair_is_exact_fixed_point(fam3, rng):
     # a restart that stops before max_iters passed an exact sweep: neither
-    # top eigenvector gains more than value_tol over the reported value
+    # top eigenvector gains more than VALUE_TOL over the reported value
     rot = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     pauli = superoperator_of(random_cptp_channel(3, rng, fam3))
     pinned = superoperator_of(channel_from_eigenvalues(3, [0.187, 0.153, -0.341, -0.419], fam3))
@@ -207,8 +206,8 @@ def test_nu_inf_stopped_pair_is_exact_fixed_point(fam3, rng):
     for s, seeds in cases:
         res = maximize_output_inf_norm(s, cfg, seeds)
         assert res.restart_iterations[res.best_restart] < cfg.max_iters
-        assert _top_output_eigenvalue(s, res.state) <= res.value + cfg.value_tol
-        assert _top_output_eigenvalue(s.conj().T, res.dual_state) <= res.value + cfg.value_tol
+        assert _top_output_eigenvalue(s, res.state) <= res.value + VALUE_TOL
+        assert _top_output_eigenvalue(s.conj().T, res.dual_state) <= res.value + VALUE_TOL
 
 
 def test_nu_inf_value_on_pinned_counterexample(fam3):
@@ -257,7 +256,7 @@ def test_returned_values_match_direct_evaluation(rng):
                     direct = np.real(res.state.conj() @ out @ res.state)
                 own = res.restart_values[res.best_restart]
                 assert own == pytest.approx(direct, abs=1e-12), (d, name)
-                assert 0.0 <= sign * (res.value - own) <= OracleConfig().value_tol
+                assert 0.0 <= sign * (res.value - own) <= VALUE_TOL
                 if seeds is not None:
                     assert res.value == pytest.approx(direct, abs=1e-12), (d, name)
 
@@ -284,7 +283,7 @@ def test_power_ascent_on_non_self_adjoint_superoperator():
 
 def test_seeded_fixed_points_stop_after_one_sweep(fam3):
     # every basis vector is an exact fixed point of the ascent: its first
-    # step moves less than step_tol, which ends the restart at once
+    # step moves less than STEP_TOL, which ends the restart at once
     ch = channel_from_eigenvalues(3, [0.4, 0.2, 0.1, 0.2], fam3)
     seeds = mub_seed_states(fam3)
     for name, res, _ in _searches(superoperator_of(ch), small_cfg(fam3), seeds):

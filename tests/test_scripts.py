@@ -39,6 +39,15 @@ def test_tensor_excess_probe(tmp_path):
         assert rec["estimate"] >= rec["baseline"] - 1e-9  # product seeds are searched
 
 
+def test_tensor_excess_probe_accepts_d3_n3(tmp_path):
+    # the superoperator of side 3^6 = 729 is within the library's tensor guard
+    out = tmp_path / "probe.json"
+    argv = ["--d", "3", "--n", "3", "--samples", "0", "--out", str(out)]
+    assert _load("tensor_excess_probe").main(argv) == 0
+    summary = json.loads(out.read_text())
+    assert summary["samples"] == 0 and summary["records"] == []
+
+
 def test_readme_quick_tour_runs():
     # every name the tour imports must resolve, and its own assert must hold
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
@@ -55,10 +64,11 @@ def test_output_digest_is_deterministic(capsys):
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
     lines = runs[0].splitlines()
-    # per d: mub; validate, analyze, analyze --oracle and tensor of two specs;
-    # 2 evolve kinds x (--csv: 2, stdout: 2); then one selftest
+    # per d: mub --out (stdout, file) and validate of the file; validate,
+    # analyze, analyze --oracle and tensor of two specs; analyze
+    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then one selftest
     assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
-    assert len(lines) == len(digest.TINY_DIMS) * (1 + 8 + 8) + 1
+    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 1 + 8) + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0

@@ -50,6 +50,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--out", default=None, help="JSON path (default stdout)")
     args = ap.parse_args(argv)
+    if args.samples < 0:
+        ap.error(f"--samples must be nonnegative, got {args.samples}")
 
     rng = np.random.default_rng(args.seed)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)

@@ -22,6 +22,7 @@ wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -346,9 +347,14 @@ def cmd_tensor(args) -> int:
 def cmd_evolve(args) -> int:
     payload = _load_json(args.spec)
     spec = evolution_from_dict(payload)
+    # every flag is checked before the grid is allocated
     if not np.isfinite(args.t_max):
         raise InvalidTrajectoryError(f"--t-max must be finite, got {args.t_max!r}")
-    if args.steps > MAX_STEPS:  # before the grid is allocated
+    if args.t_max < 0:
+        raise InvalidTrajectoryError(f"--t-max must be nonnegative, got {args.t_max!r}")
+    if args.steps < 1:
+        raise InvalidTrajectoryError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_STEPS:
         raise TooLargeError(f"--steps {args.steps} exceeds {MAX_STEPS}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     tl = timeline_report(spec, grid)  # raises InvalidTrajectoryError with first time
@@ -530,7 +536,15 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Building it costs more than most commands, and ``parse_args`` keeps no
+    state between calls.  The ``cmd_*`` handlers are bound when it is built,
+    so it is built by the first ``main`` call rather than at import: code
+    that replaces a handler before that call is still dispatched to.
+    """
     parser = argparse.ArgumentParser(
         prog="gpchannels",
         description="Generalized Pauli channel analysis and verification",

@@ -226,6 +226,33 @@ def test_evolve_steps_guard_exit4_before_allocating(tmp_path, capsys, monkeypatc
     assert "--steps" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--t-max", "1", "--steps", "0"], "--steps"),
+        (["--t-max", "1", "--steps", "-1"], "--steps"),
+        (["--t-max", "-1", "--steps", "5"], "--t-max"),
+    ],
+)
+def test_evolve_refuses_empty_grid_and_negative_t_max(tmp_path, capsys, flags, flag):
+    spec = write_spec(tmp_path, "evo.json", {"d": 2, "rates": [1, 1, 1]})
+    csv_path, out_path = tmp_path / "tl.csv", tmp_path / "summary.json"
+    code, out, err = run_cli(
+        ["evolve", spec, *flags, "--csv", str(csv_path), "--out", str(out_path)], capsys
+    )
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: InvalidTrajectoryError: {flag} must be")
+    assert not csv_path.exists() and not out_path.exists()
+
+
+def test_evolve_accepts_zero_t_max(tmp_path, capsys):
+    spec = write_spec(tmp_path, "evo.json", {"d": 2, "rates": [1, 1, 1]})
+    code, out, _ = run_cli(["evolve", spec, "--t-max", "0", "--steps", "3"], capsys)
+    assert code == 0
+    assert len(out.strip().split("\n")) == 4
+
+
 def test_evolve_csv_and_summary(tmp_path, capsys):
     spec = write_spec(tmp_path, "evo.json", {"d": 2, "rates": [1, 1, 1]})
     csv_path = tmp_path / "tl.csv"
@@ -523,6 +550,46 @@ def test_selftest_fault_injection_fails(capsys):
     assert code == 1
     assert "[FAIL] mub-validity-d2" in out
     assert "unbiasedness" in out
+
+
+def test_shared_parser_does_not_accumulate_appended_values():
+    from gpchannels.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["selftest", "--d", "2"])
+    second = build_parser().parse_args(["selftest", "--d", "2"])
+    assert first.d == [2] and second.d == [2]
+    assert first.d is not second.d
+
+
+def test_oracle_flags_do_not_carry_over_between_calls(tmp_path, capsys):
+    spec = write_spec(tmp_path, "ch.json", {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2]})
+    plain, a, b = tmp_path / "plain.json", tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(["analyze", spec, "--out", str(plain)], capsys)[0] == 0
+    argv = ["analyze", spec, "--oracle", "--restarts", "16", "--out", str(a)]
+    assert run_cli(argv, capsys)[0] == 0
+    assert "oracle" in json.loads(a.read_text())
+    assert run_cli(["analyze", spec, "--out", str(b)], capsys)[0] == 0
+    assert "oracle" not in json.loads(b.read_text())
+    assert b.read_bytes() == plain.read_bytes()
+
+
+def test_usage_error_leaves_next_call_unchanged(tmp_path, capsys):
+    spec = write_spec(tmp_path, "evo.json", {"d": 3, "rates": [0.3, 0.0, 1.2, 0.7]})
+
+    def evolve(tag):
+        csv_path, out_path = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        argv = ["evolve", spec, "--t-max", "2", "--steps", "50",
+                "--csv", str(csv_path), "--out", str(out_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        return csv_path.read_bytes(), out_path.read_bytes()
+
+    before = evolve("before")
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", spec])  # --t-max and --steps are required
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+    assert evolve("after") == before
 
 
 def test_module_entrypoint_subprocess(tmp_path):

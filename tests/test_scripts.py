@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -46,6 +48,15 @@ def test_tensor_excess_probe_accepts_d3_n3(tmp_path):
     assert _load("tensor_excess_probe").main(argv) == 0
     summary = json.loads(out.read_text())
     assert summary["samples"] == 0 and summary["records"] == []
+
+
+def test_tensor_excess_probe_refuses_negative_samples(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    with pytest.raises(SystemExit) as exc:
+        _load("tensor_excess_probe").main(["--samples", "-2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_quick_tour_runs():

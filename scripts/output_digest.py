@@ -3,7 +3,9 @@
 
 The battery runs in-process, at d in {2, 3, 5, 7}: `mub --out FILE` and
 `validate` of that family file; `validate`, `analyze` and `analyze --oracle`
-(with a small restart budget) of two channel specs; `analyze
+(with a small restart budget) of two channel specs and of a third whose
+`mub_file` is that family file, so the loaded family's own unitaries and
+spectral tables are used; `analyze
 --allow-noncptp` of a finite spectrum that is not CPTP; `tensor --n 2` at d
 in {2, 3}; and `evolve` for an exponential and a sampled trajectory, once
 with `--csv FILE` and once to stdout.  Last comes `selftest --d 2`, whose
@@ -109,6 +111,12 @@ def battery(seed, dims, steps):
             record(["analyze", name, "--oracle", "--restarts", SEARCH_RESTARTS])
             if d in TENSOR_DIMS:
                 record(["tensor", name, "--n", "2", "--restarts", SEARCH_RESTARTS])
+        name = f"loaded-d{d}.json"
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump({**channels[f"probs-d{d}.json"], "mub_file": family}, fh)
+        record(["validate", name])
+        record(["analyze", name])
+        record(["analyze", name, "--oracle", "--restarts", SEARCH_RESTARTS])
         name = f"noncptp-d{d}.json"
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(noncptp, fh)

@@ -30,8 +30,9 @@ vec(A X B) = (B^T kron A) vec(X).
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +51,8 @@ PROB_TOL = 1e-12
 FA_TOL = 1e-12
 #: largest superoperator side allowed for tensor powers
 TENSOR_GUARD = 4096
+#: hard cap on (d+1)*d^4, the entries of each per-family spectral table
+MAX_SPECTRAL_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -81,19 +84,21 @@ class FujiwaraAlgoetResult:
     violated: str | None  # "lower", "upper", or None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GeneralizedPauliChannel:
-    """Immutable channel: dimension, probability weights, and basis family."""
+    """Frozen channel: its probability weights and maximal basis family; ``d`` is the family's."""
 
-    d: int
-    probs: np.ndarray  # shape (d+2,)
+    probs: np.ndarray  # shape (d+2,), read-only
     fam: MubFamily
-    _superop: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).copy()
         p.setflags(write=False)
-        self.probs = p
+        object.__setattr__(self, "probs", p)
+
+    @property
+    def d(self) -> int:
+        return self.fam.d
 
 
 def fa_slacks(lambdas) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +147,19 @@ def probabilities_of(sp: Spectrum) -> np.ndarray:
     return p
 
 
+def resolve_family(d: int, fam: MubFamily | None = None) -> MubFamily:
+    """``fam``, or the built-in family for d, checked to be maximal of dimension d."""
+    if fam is None:
+        fam = build_mub_family(d)
+    if fam.d != d:
+        raise DimensionMismatchError(f"family dimension {fam.d} != channel dimension {d}")
+    if not fam.is_maximal:
+        raise DimensionMismatchError(
+            f"channels need a maximal family of {d + 1} bases, got {fam.n_bases}"
+        )
+    return fam
+
+
 def channel_from_probabilities(
     d: int, probs, fam: MubFamily | None = None
 ) -> GeneralizedPauliChannel:
@@ -152,14 +170,7 @@ def channel_from_probabilities(
     valid (CPTP) channel.
     """
     p = np.asarray(probs, dtype=float)
-    if fam is None:
-        fam = build_mub_family(d)
-    if fam.d != d:
-        raise DimensionMismatchError(f"family dimension {fam.d} != channel dimension {d}")
-    if not fam.is_maximal:
-        raise DimensionMismatchError(
-            f"channels need a maximal family of {d + 1} bases, got {fam.n_bases}"
-        )
+    fam = resolve_family(d, fam)
     if p.shape != (d + 2,):
         raise BadProbabilitiesError(f"need {d + 2} weights for d={d}, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -169,7 +180,7 @@ def channel_from_probabilities(
     drift = abs(float(np.sum(p)) - 1.0)
     if drift > PROB_TOL:
         raise BadProbabilitiesError(f"weights sum off one by {drift:.3e}")
-    return GeneralizedPauliChannel(d=d, probs=p, fam=fam)
+    return GeneralizedPauliChannel(probs=p, fam=fam)
 
 
 def channel_from_eigenvalues(
@@ -224,30 +235,30 @@ def dephasing_superoperator(fam: MubFamily, alpha: int) -> np.ndarray:
 
 
 def superoperator_of(ch: GeneralizedPauliChannel) -> np.ndarray:
-    """Matrix S with vec(Lambda[X]) = S @ vec(X), assembled from the definition."""
-    if ch._superop is None:
-        d = ch.d
-        s = ((d * ch.probs[0] - 1.0) / (d - 1)) * np.eye(d * d, dtype=complex)
-        scale = d / (d - 1)
-        for a in range(d + 1):
-            s += scale * ch.probs[1 + a] * dephasing_superoperator(ch.fam, a)
-        s.setflags(write=False)
-        ch._superop = s
-    return ch._superop.copy()
+    """Matrix S with vec(Lambda[X]) = S @ vec(X), assembled afresh from the definition."""
+    d = ch.d
+    s = ((d * ch.probs[0] - 1.0) / (d - 1)) * np.eye(d * d, dtype=complex)
+    scale = d / (d - 1)
+    for a in range(d + 1):
+        s += scale * ch.probs[1 + a] * dephasing_superoperator(ch.fam, a)
+    return s
 
 
+@functools.lru_cache(maxsize=8)
 def _spectral_parts(fam: MubFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Cached per-basis building blocks of the spectral superoperator and Choi forms.
+    """Per-basis building blocks of the spectral superoperator and Choi forms.
 
     Returns ``(sup_parts, choi_parts)`` of shape (d+1, d^2, d^2) with
 
         S(lam)  = |vec I><vec I| / d + sum_a lam_a * sup_parts[a]
         J(lam)  = I / d^2          + sum_a lam_a * choi_parts[a]
+
+    Memoized per family object (families hash by identity); refused with
+    :class:`TooLargeError` before any allocation beyond MAX_SPECTRAL_ENTRIES.
     """
-    cached = getattr(fam, "_spectral_parts", None)
-    if cached is not None:
-        return cached
     d = fam.d
+    if (d + 1) * d**4 > MAX_SPECTRAL_ENTRIES:
+        raise TooLargeError(f"d={d} spectral tables exceed {MAX_SPECTRAL_ENTRIES} entries")
     us = fam.unitaries()
     sup = np.zeros((d + 1, d * d, d * d), dtype=complex)
     choi = np.zeros((d + 1, d * d, d * d), dtype=complex)
@@ -257,9 +268,8 @@ def _spectral_parts(fam: MubFamily) -> tuple[np.ndarray, np.ndarray]:
             v = u.reshape(-1, order="F")
             sup[a] += np.outer(v, v.conj()) / d
             choi[a] += np.kron(u.conj(), u) / d**2
-    sup.setflags(write=False)  # built-in families, and so these parts, are shared
+    sup.setflags(write=False)  # memoized, and so shared by every caller
     choi.setflags(write=False)
-    object.__setattr__(fam, "_spectral_parts", (sup, choi))
     return sup, choi
 
 

@@ -68,6 +68,8 @@ from .mub import (
 )
 from .oracle import (
     DEFAULT_SEED,
+    SINGLE_RESTARTS,
+    TENSOR_RESTARTS,
     OracleConfig,
     SpectrumGrid,
     cptp_equivalence_scan,
@@ -565,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="closed-form report, optionally oracle-verified")
     p.add_argument("spec")
     p.add_argument("--oracle", action="store_true", help="append oracle sections")
-    p.add_argument("--restarts", type=int, default=256)
+    p.add_argument("--restarts", type=int, default=SINGLE_RESTARTS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--allow-noncptp", action="store_true",
                    help="emit diagnostics instead of failing on non-CPTP spectra")
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", help="tensor-power fidelity probe")
     p.add_argument("spec")
     p.add_argument("--n", type=int, required=True, choices=[2, 3])
-    p.add_argument("--restarts", type=int, default=2048)
+    p.add_argument("--restarts", type=int, default=TENSOR_RESTARTS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tensor)

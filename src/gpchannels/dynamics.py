@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Spectrum, dephasing_superoperator, superop_from_spectrum
+from .channel import Spectrum, dephasing_superoperator, resolve_family, superop_from_spectrum
 from .errors import InvalidTrajectoryError, OutOfRangeError
 from .metrics import SpectralFigures, spectral_figures
-from .mub import MubFamily, build_mub_family
+from .mub import MubFamily
 
 #: eigenvalue negativity tolerated on validated trajectories
 TRAJ_TOL = 1e-12
@@ -43,15 +43,22 @@ T0_TOL = 1e-9
 CSV_BLOCK_ROWS = 256
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EvolutionSpec:
-    """Immutable description of one eigenvalue trajectory."""
+    """Frozen eigenvalue trajectory: a maximal family plus read-only rates or samples.
 
-    d: int
+    ``d`` is the family's.  Build specs with :func:`exponential_evolution`
+    or :func:`sampled_evolution`, which check them.
+    """
+
     fam: MubFamily
     rates: np.ndarray | None = None          # exponential kind
     sample_times: np.ndarray | None = None   # sampled kind
     sample_lambdas: np.ndarray | None = None
+
+    @property
+    def d(self) -> int:
+        return self.fam.d
 
     @property
     def kind(self) -> str:
@@ -60,7 +67,7 @@ class EvolutionSpec:
 
 def exponential_evolution(d: int, rates, fam: MubFamily | None = None) -> EvolutionSpec:
     """Constant-rate evolution; all rates must be nonnegative."""
-    fam = fam or build_mub_family(d)  # an unsupported d fails first, whatever the rates
+    fam = resolve_family(d, fam)  # an unsupported d fails first, whatever the rates
     gam = np.asarray(rates, dtype=float).copy()
     if gam.shape != (d + 1,):
         raise InvalidTrajectoryError(f"need {d + 1} rates for d={d}, got shape {gam.shape}")
@@ -71,12 +78,12 @@ def exponential_evolution(d: int, rates, fam: MubFamily | None = None) -> Evolut
     if np.min(gam) < 0:
         raise InvalidTrajectoryError(f"negative rate {np.min(gam):.3e}")
     gam.setflags(write=False)
-    return EvolutionSpec(d=d, fam=fam, rates=gam)
+    return EvolutionSpec(fam=fam, rates=gam)
 
 
 def sampled_evolution(d: int, times, lambdas, fam: MubFamily | None = None) -> EvolutionSpec:
     """User-supplied trajectory samples; interpolation is linear in between."""
-    fam = fam or build_mub_family(d)
+    fam = resolve_family(d, fam)
     t = np.asarray(times, dtype=float).copy()
     lam = np.asarray(lambdas, dtype=float).copy()
     if t.ndim != 1 or lam.shape != (t.size, d + 1):
@@ -93,7 +100,7 @@ def sampled_evolution(d: int, times, lambdas, fam: MubFamily | None = None) -> E
         raise InvalidTrajectoryError("lambda(0) must be the identity spectrum (all ones)")
     t.setflags(write=False)
     lam.setflags(write=False)
-    return EvolutionSpec(d=d, fam=fam, sample_times=t, sample_lambdas=lam)
+    return EvolutionSpec(fam=fam, sample_times=t, sample_lambdas=lam)
 
 
 def _trajectory_grid(spec: EvolutionSpec, times: np.ndarray) -> np.ndarray:

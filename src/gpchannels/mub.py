@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,19 +48,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MubFamily:
     """Pairwise unbiased orthonormal bases of C^d, maximally d+1 of them.
 
     ``bases[a, k]`` is the k-th unit vector of basis a.  Channels require a
     maximal family; partial families are permitted here so they can still
-    be validated.  The array is frozen after construction; families are
-    safe to share between workers.
+    be validated.  A family is frozen and holds only ``d`` and a read-only
+    copy of the bases; the unitaries are derived once on first request.
+    Families compare and hash by identity and are safe to share between
+    workers.
     """
 
     d: int
     bases: np.ndarray  # shape (n_bases, d, d), complex, n_bases <= d+1
-    _unitaries: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         bases = np.asarray(self.bases, dtype=complex)
@@ -75,7 +76,7 @@ class MubFamily:
             )
         bases = bases.copy()
         bases.setflags(write=False)
-        self.bases = bases
+        object.__setattr__(self, "bases", bases)
 
     @property
     def is_maximal(self) -> bool:
@@ -101,18 +102,20 @@ class MubFamily:
 
     def unitaries(self) -> np.ndarray:
         """Stacked basis unitaries, shape (n_bases, d-1, d, d); entry [a, k-1] is U(a, k)."""
-        if self._unitaries is None:
-            d = self.d
-            pows = np.exp(2j * np.pi * np.arange(d) / d)
-            us = np.empty((self.n_bases, d - 1, d, d), dtype=complex)
-            for a in range(self.n_bases):
-                b = self.bases[a]  # rows are vectors
-                for k in range(1, d):
-                    w = pows[(k * np.arange(d)) % d]
-                    us[a, k - 1] = np.einsum("l,li,lj->ij", w, b, b.conj())
-            us.setflags(write=False)
-            self._unitaries = us
-        return self._unitaries
+        return self._unitary_stack
+
+    @functools.cached_property
+    def _unitary_stack(self) -> np.ndarray:
+        d = self.d
+        pows = np.exp(2j * np.pi * np.arange(d) / d)
+        us = np.empty((self.n_bases, d - 1, d, d), dtype=complex)
+        for a in range(self.n_bases):
+            b = self.bases[a]  # rows are vectors
+            for k in range(1, d):
+                w = pows[(k * np.arange(d)) % d]
+                us[a, k - 1] = np.einsum("l,li,lj->ij", w, b, b.conj())
+        us.setflags(write=False)
+        return us
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from gpchannels import (
     Spectrum,
     TooLargeError,
     apply_channel,
+    build_mub_family,
     channel_from_dict,
     channel_from_eigenvalues,
     channel_from_probabilities,
@@ -24,7 +26,7 @@ from gpchannels import (
     superoperator_of,
     tensor_power,
 )
-from gpchannels.channel import choi_from_spectrum, superop_from_spectrum
+from gpchannels.channel import MAX_SPECTRAL_ENTRIES, choi_from_spectrum, superop_from_spectrum
 from gpchannels.mub import mub_family_to_dict
 from helpers import (
     choi_of,
@@ -202,6 +204,43 @@ def test_superoperator_identity_and_depolarizing(fam2):
     s = superoperator_of(depolarizing_channel(2, fam2))
     sz = np.diag([1.0, -1.0]).astype(complex)
     assert np.max(np.abs(s @ vec(sz))) <= 1e-14
+
+
+def test_channel_is_frozen_and_holds_only_probs_and_family(fam2, rng):
+    ch = random_cptp_channel(2, rng, fam2)
+    assert [f.name for f in dataclasses.fields(ch)] == ["probs", "fam"]
+    assert ch.d == fam2.d
+    for name, value in (("probs", np.full(4, 0.25)), ("fam", build_mub_family(3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ch, name, value)
+    with pytest.raises(TypeError):
+        type(ch)(ch.probs, fam2, _superop=np.zeros((4, 4), dtype=complex))
+
+
+def test_superoperator_is_fresh_on_every_call(fam3, rng):
+    ch = random_cptp_channel(3, rng, fam3)
+    first, second = superoperator_of(ch), superoperator_of(ch)
+    assert first is not second and not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+    first[0, 0] = 7.0  # a caller may write its own copy
+    assert np.array_equal(superoperator_of(ch), second)
+    assert set(vars(ch)) == {"probs", "fam"}  # nothing is cached on the channel
+
+
+@pytest.mark.parametrize("d, refused", [(23, False), (29, True), (31, True)])
+def test_spectral_table_guard_trips_before_allocating(d, refused, monkeypatch):
+    # at d=31 the two tables would take about 946 MB: refused before any allocation
+    fam = build_mub_family(d)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("a spectral table was allocated")
+
+    monkeypatch.setattr(MubFamily, "unitaries", no_alloc)
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    assert ((d + 1) * d**4 > MAX_SPECTRAL_ENTRIES) == refused
+    for build in (choi_from_spectrum, superop_from_spectrum):
+        with pytest.raises(TooLargeError if refused else AssertionError):
+            build(fam, np.ones(d + 1))
 
 
 def test_superoperator_matches_apply_on_20_random_inputs(fam5, rng):

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gpchannels import (
+    DimensionMismatchError,
     InvalidTrajectoryError,
     OutOfRangeError,
     UnsupportedDimensionError,
+    build_mub_family,
     eigenvalue_trajectory,
     exponential_evolution,
     sampled_evolution,
@@ -57,6 +60,25 @@ def test_unsupported_dimension_fails_before_sample_checks(d):
         exponential_evolution(d, [])
     with pytest.raises(UnsupportedDimensionError):
         sampled_evolution(d, [0.0], [[1.0]])
+
+
+def test_family_dimension_must_match(fam2):
+    # a d=3 spec over a d=2 family used to fail only later, inside numpy broadcasting
+    with pytest.raises(DimensionMismatchError):
+        exponential_evolution(3, [0.1, 0.2, 0.3, 0.4], fam2)
+    with pytest.raises(DimensionMismatchError):
+        sampled_evolution(3, [0.0], [[1.0] * 4], fam2)
+
+
+def test_spec_is_frozen_and_reads_d_from_its_family(fam3):
+    spec = exponential_evolution(3, [0.1, 0.2, 0.3, 0.4], fam3)
+    assert [f.name for f in dataclasses.fields(spec)] == [
+        "fam", "rates", "sample_times", "sample_lambdas"]
+    assert spec.d == 3 and spec.fam is fam3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.rates = np.zeros(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.fam = build_mub_family(2)
 
 
 def test_exponential_semigroup_property(fam3, rng):

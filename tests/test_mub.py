@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -58,6 +59,15 @@ def test_builtin_family_built_once_and_frozen():
     for arr in (fam.bases, fam.unitaries(), sup, choi):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+def test_family_is_frozen_and_holds_only_d_and_bases(fam3):
+    assert [f.name for f in dataclasses.fields(fam3)] == ["d", "bases"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam3.bases = fam3.bases[:3]
+    assert fam3.n_bases == 4 and build_mub_family(3) is fam3
+    with pytest.raises(TypeError):
+        MubFamily(d=3, bases=fam3.bases, _unitaries=fam3.unitaries())
 
 
 def test_validate_builtin_d5(fam5):

@@ -8,10 +8,12 @@ The battery runs in-process, at d in {2, 3, 5, 7}: `mub --out FILE` and
 spectral tables are used; `analyze
 --allow-noncptp` of a finite spectrum that is not CPTP; `tensor --n 2` at d
 in {2, 3}; and `evolve` for an exponential and a sampled trajectory, once
-with `--csv FILE` and once to stdout.  Last comes `selftest --d 2`, whose
-stdout carries no timing.  Spec files are written to a temporary
-directory and named by relative path, so the manifests and therefore every
-output byte depend only on the seed and the code.  Each
+with `--csv FILE` and once to stdout.  Then each input of the fixed list
+REFUSALS gives one line digesting its exit code and stderr error line, so
+a change to a refusal path shows up as output changes do.  Last comes
+`selftest --d 2`, whose stdout carries no timing.  Spec files are written
+to a temporary directory and named by relative path, so the manifests and
+therefore every output byte depend only on the seed and the code.  Each
 output (stdout, a written file, or the summary evolve prints to stderr)
 gives one line `<sha256>  <command> [<output>]`; diff two runs to check
 that a change keeps the CLI's bytes.
@@ -39,6 +41,16 @@ TINY_DIMS, TINY_STEPS = (2, 3), 40
 TENSOR_DIMS = (2, 3)
 SEARCH_RESTARTS = "16"  # the basis seed states are searched even where they outnumber it
 TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr with
+#: (argv, spec written to the file argv[1]) of inputs the CLI refuses: a `d` that is not a JSON
+#: integer, a dimension with no built-in family and no family file, and a
+#: spectrum that is not CPTP
+REFUSALS = [
+    (["validate", "float-d.json"], {"d": 3.9, "probabilities": [0.2] * 5}),
+    (["analyze", "string-d.json"], {"d": "3", "eigenvalues": [0.5] * 4}),
+    (["evolve", "bool-d.json", "--t-max", "1", "--steps", "3"], {"d": True, "rates": [1.0] * 3}),
+    (["analyze", "no-family-d4.json"], {"d": 4, "probabilities": [1 / 6] * 6}),
+    (["analyze", "noncptp-refused.json"], {"d": 3, "eigenvalues": [1.25, 0.1, 0.1, 0.1]}),
+]
 
 
 def _specs(d, rng):
@@ -128,6 +140,12 @@ def battery(seed, dims, steps):
             csv_name = name.replace(".json", ".csv")
             record(argv + ["--csv", csv_name], files=[csv_name])
             record(argv, stderr=True)  # CSV on stdout, summary on stderr
+    for argv, spec in REFUSALS:
+        with open(argv[1], "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        code, _, err = _run(argv)  # a refusal writes one error line to stderr
+        text = f"exit {code}\n{err}"
+        lines.append(f"{_digest(text)}  {' '.join(argv)} [exit, stderr]")
     record(["selftest", "--d", "2", "--seed", str(seed)])
     return lines
 

@@ -43,7 +43,7 @@ from .errors import (
     NotCPTPError,
     TooLargeError,
 )
-from .mub import MubFamily, build_mub_family, families_equal, load_mub_file
+from .mub import MubFamily, build_mub_family, families_equal, load_mub_file, spec_dimension
 
 #: tolerated probability round-off at CPTP boundaries
 PROB_TOL = 1e-12
@@ -337,16 +337,13 @@ LOAD_DRIFT = 1e-9
 def channel_from_dict(payload: dict, base_dir: str | None = None) -> GeneralizedPauliChannel:
     """Build a channel from a parsed spec dict.
 
-    The payload carries ``d`` plus either ``probabilities`` (length d+2) or
-    ``eigenvalues`` (length d+1), and optionally ``mub_file`` pointing at a
-    basis-family JSON (default: built-in prime construction).  Probability
-    vectors are renormalized when their sum drifts by at most 1e-9 and are
-    rejected beyond that.
+    The payload carries ``d`` (see :func:`~gpchannels.mub.spec_dimension`),
+    ``probabilities`` (d+2) or ``eigenvalues`` (d+1), and optionally
+    ``mub_file``, a basis-family JSON (default: built-in construction).
+    Weights drifting off one by at most 1e-9 are renormalized.  This is
+    where a spec's complete positivity is decided: every channel is CPTP.
     """
-    try:
-        d = int(payload["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadProbabilitiesError(f"channel spec needs an integer 'd': {exc}") from exc
+    d = spec_dimension(payload)
     mub_path = payload.get("mub_file")
     if mub_path is not None:
         if base_dir is not None and not os.path.isabs(mub_path):

@@ -36,7 +36,7 @@ from .channel import (
     GeneralizedPauliChannel,
     Spectrum,
     channel_from_dict,
-    fujiwara_algoet_check,
+    fa_slacks,
     lambdas_from_probabilities,
     probabilities_of,
     spectrum_of,
@@ -60,10 +60,12 @@ from .errors import (
 )
 from .metrics import fidelity_report, max_output_inf_norm, regularized_max_fidelity
 from .mub import (
+    LOAD_TOL,
     MubFamily,
     build_mub_family,
     mub_family_from_dict,
     mub_family_to_dict,
+    spec_dimension,
     validate_mub_family,
 )
 from .oracle import (
@@ -139,14 +141,19 @@ def _load_json(path: str) -> dict:
     return payload
 
 
-def _channel_section(sp: Spectrum, probs) -> dict:
-    check = fujiwara_algoet_check(sp)
+def _channel_section(sp: Spectrum, probs, cptp: bool) -> dict:
+    """Weights, spectrum and Fujiwara-Algoet slacks of a channel spec.
+
+    ``cptp`` is the loader's verdict, not decided again: true for a channel
+    that ``channel_from_dict`` built, false for a spectrum it refused.
+    """
+    lower, upper = (float(x) for x in fa_slacks(sp.lambdas))
     return {
         "d": sp.d,
         "probabilities": list(probs),
         "eigenvalues": list(sp.lambdas),
-        "cptp": check.passed,
-        "slacks": {"lower": check.lower_slack, "upper": check.upper_slack},
+        "cptp": cptp,
+        "slacks": {"lower": lower, "upper": upper},
     }
 
 
@@ -244,30 +251,20 @@ def cmd_mub(args) -> int:
 
 def cmd_validate(args) -> int:
     payload = _load_json(args.spec)
+    report = {"manifest": _manifest("validate", [args.spec], None, {})}
     if "bases" in payload:
         fam = mub_family_from_dict(payload)  # raises MubValidationError on failure
-        rep = validate_mub_family(fam)
-        _emit(
-            {
-                "manifest": _manifest("validate", [args.spec], None, {}),
-                "family": {
-                    "d": fam.d,
-                    "orthonormality_residual": rep.max_orthonormality_residual,
-                    "unbiasedness_residual": rep.max_unbiasedness_residual,
-                    "passed": rep.passed,
-                },
-            },
-            args.out,
-        )
-        return EXIT_OK
-    ch = channel_from_dict(payload, base_dir=_dir_of(args.spec))
-    _emit(
-        {
-            "manifest": _manifest("validate", [args.spec], None, {}),
-            "channel": _channel_section(spectrum_of(ch), ch.probs),
-        },
-        args.out,
-    )
+        rep = validate_mub_family(fam, tol=LOAD_TOL)  # the tolerance that admitted it
+        report["family"] = {
+            "d": fam.d,
+            "orthonormality_residual": rep.max_orthonormality_residual,
+            "unbiasedness_residual": rep.max_unbiasedness_residual,
+            "passed": rep.passed,
+        }
+    else:
+        ch = channel_from_dict(payload, base_dir=_dir_of(args.spec))
+        report["channel"] = _channel_section(spectrum_of(ch), ch.probs, cptp=True)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -289,16 +286,16 @@ def cmd_analyze(args) -> int:
     except NotCPTPError as exc:
         if not args.allow_noncptp:
             raise
-        sp = Spectrum(int(payload["d"]), np.asarray(payload["eigenvalues"], dtype=float))
+        sp = Spectrum(spec_dimension(payload), np.asarray(payload["eigenvalues"], dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):  # huge eigenvalues: refused below
-            section = {**_channel_section(sp, probabilities_of(sp)), "violated_bound": exc.bound}
+            section = _channel_section(sp, probabilities_of(sp), cptp=False)
         if not np.all(np.isfinite([*section["probabilities"], *section["slacks"].values()])):
             raise  # the diagnostics overflowed: refuse the spectrum, as without the flag
-        _emit({"manifest": manifest, "channel": section}, args.out)
+        _emit({"manifest": manifest, "channel": {**section, "violated_bound": exc.bound}}, args.out)
         return EXIT_OK
     report = {
         "manifest": manifest,
-        "channel": _channel_section(spectrum_of(ch), ch.probs),
+        "channel": _channel_section(spectrum_of(ch), ch.probs, cptp=True),
         "metrics": _metrics_section(ch),
     }
     if args.oracle:
@@ -326,7 +323,7 @@ def cmd_tensor(args) -> int:
                 args.seed,
                 {"n": args.n, "restarts": args.restarts},
             ),
-            "channel": _channel_section(spectrum_of(ch), ch.probs),
+            "channel": _channel_section(spectrum_of(ch), ch.probs, cptp=True),
             "probe": {
                 "n": probe.n,
                 "estimate": probe.estimate,
@@ -403,17 +400,12 @@ def _random_cptp_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
     return lambdas_from_probabilities(rng.dirichlet(np.ones(d + 2)))
 
 
-def _selftest_checks(dims: list[int], seed: int, inject_mub_fault: bool):
+def _selftest_checks(dims: list[int], seed: int):
     rng = np.random.default_rng(seed)
     oracle_dims = [d for d in dims if d <= 5]
 
     def check_mub(d):
         fam = build_mub_family(d)
-        if inject_mub_fault and d == dims[0]:
-            bases = fam.bases.copy()
-            bases[1, 0] = bases[1, 0] + 0.05 * np.eye(d)[0]
-            bases[1, 0] /= np.linalg.norm(bases[1, 0])
-            fam = MubFamily(d=d, bases=bases)
         rep = validate_mub_family(fam, tol=1e-12)
         us = fam.unitaries().reshape(-1, d, d)
         gram = np.einsum("aij,bij->ab", us.conj(), us)
@@ -446,7 +438,6 @@ def _selftest_checks(dims: list[int], seed: int, inject_mub_fault: bool):
         )
 
     def check_eigenrelation(d):
-        fam = build_mub_family(d)
         worst = 0.0
         for _ in range(10):
             lam = _random_cptp_spectrum(d, rng)
@@ -524,7 +515,7 @@ def _selftest_checks(dims: list[int], seed: int, inject_mub_fault: bool):
 def cmd_selftest(args) -> int:
     dims = sorted(set(args.d)) if args.d else [2, 3]
     failures = 0
-    for name, fn in _selftest_checks(dims, args.seed, args.inject_mub_fault):
+    for name, fn in _selftest_checks(dims, args.seed):
         ok, detail = fn()
         tag = "PASS" if ok else "FAIL"
         print(f"[{tag}] {name}: {detail}")
@@ -594,8 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, action="append", default=None,
                    help="dimension to include (repeatable; default 2 and 3)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--inject-mub-fault", action="store_true",
-                   help="testing hook: corrupt one basis vector before validation")
     p.set_defaults(fn=cmd_selftest)
     return parser
 

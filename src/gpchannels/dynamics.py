@@ -32,7 +32,7 @@ import numpy as np
 from .channel import Spectrum, dephasing_superoperator, resolve_family, superop_from_spectrum
 from .errors import InvalidTrajectoryError, OutOfRangeError
 from .metrics import SpectralFigures, spectral_figures
-from .mub import MubFamily
+from .mub import MubFamily, spec_dimension
 
 #: eigenvalue negativity tolerated on validated trajectories
 TRAJ_TOL = 1e-12
@@ -236,11 +236,9 @@ def generator_consistency_residual(spec: EvolutionSpec, times) -> float:
 
 def evolution_from_dict(payload: dict) -> EvolutionSpec:
     """Build a spec from ``{"d":, "rates": [...]}`` or
-    ``{"d":, "trajectory": [{"t":, "lambdas": [...]}, ...]}``."""
-    try:
-        d = int(payload["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidTrajectoryError(f"evolution spec needs an integer 'd': {exc}") from exc
+    ``{"d":, "trajectory": [{"t":, "lambdas": [...]}, ...]}``; ``d`` is read
+    by :func:`~gpchannels.mub.spec_dimension`."""
+    d = spec_dimension(payload)
     if "rates" in payload:
         return exponential_evolution(d, np.asarray(payload["rates"], dtype=float))
     if "trajectory" in payload:

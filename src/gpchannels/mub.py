@@ -208,6 +208,14 @@ def families_equal(a: MubFamily, b: MubFamily) -> bool:
     return a is b or (a.d == b.d and np.array_equal(a.bases, b.bases))
 
 
+def spec_dimension(payload: dict) -> int:
+    """A spec's ``d``; anything but a JSON integer raises UnsupportedDimensionError."""
+    d = payload.get("d") if isinstance(payload, dict) else None
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
+        raise UnsupportedDimensionError(f"spec needs an integer 'd', got {d!r}")
+    return int(d)
+
+
 def mub_family_to_dict(fam: MubFamily) -> dict:
     """JSON-ready form: vectors as [re, im] pairs."""
     return {
@@ -220,8 +228,9 @@ def mub_family_to_dict(fam: MubFamily) -> dict:
 
 
 def mub_family_from_dict(payload: dict) -> MubFamily:
+    """Family from its JSON form (``d`` read by :func:`spec_dimension`), admitted at LOAD_TOL."""
+    d = spec_dimension(payload)
     try:
-        d = int(payload["d"])
         raw = payload["bases"]
         bases = np.array(
             [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],

@@ -157,6 +157,18 @@ def product_seed_states(fam: MubFamily, n: int) -> np.ndarray:
     return out
 
 
+def _check_oracle_dim(m: int) -> None:
+    if m > MAX_ORACLE_DIM:
+        raise TooLargeError(f"state dimension {m} exceeds oracle guard {MAX_ORACLE_DIM}")
+
+
+def _check_start_count(count: int, dim: int) -> None:
+    if count * dim * dim > MAX_START_ENTRIES:
+        raise TooLargeError(
+            f"{count} restarts of dimension {dim} exceed {MAX_START_ENTRIES} projector entries"
+        )
+
+
 def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     """The superoperator on row-major vectorizations vec(X)[i*m + j] = X[i, j], and m (capped)."""
     superop = np.asarray(superop, dtype=complex)
@@ -165,8 +177,7 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     m = int(round(np.sqrt(superop.shape[0])))
     if m * m != superop.shape[0]:
         raise ValueError(f"superoperator side {superop.shape[0]} is not a perfect square")
-    if m > MAX_ORACLE_DIM:
-        raise TooLargeError(f"state dimension {m} exceeds oracle cap {MAX_ORACLE_DIM}")
+    _check_oracle_dim(m)
     return superop.reshape(m, m, m, m).transpose(1, 0, 3, 2).reshape(m * m, m * m), m
 
 
@@ -188,11 +199,7 @@ def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray,
     else:
         seeds = np.asarray(seed_states, dtype=complex).reshape(-1, dim)
         seeds = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
-    count = max(cfg.restarts, seeds.shape[0])
-    if count * dim * dim > MAX_START_ENTRIES:  # before any Haar start is drawn
-        raise TooLargeError(
-            f"{count} restarts of dimension {dim} exceed {MAX_START_ENTRIES} projector entries"
-        )
+    _check_start_count(max(cfg.restarts, seeds.shape[0]), dim)  # before any Haar start is drawn
     n_haar = max(cfg.restarts - seeds.shape[0], 0)
     haar = _haar_block(dim, cfg.seed, seeds.shape[0], n_haar)
     return np.concatenate([seeds, haar], axis=0), seeds.shape[0]
@@ -566,6 +573,9 @@ def tensor_fidelity_probe(
 ) -> ProbeReport:
     """Search f_max of the n-fold tensor power and compare to f_max^n."""
     cfg = cfg or OracleConfig(restarts=TENSOR_RESTARTS)
+    m = ch.d**n  # both caps trip before the power and its product seeds are built
+    _check_oracle_dim(m)
+    _check_start_count(max(cfg.restarts, len(ch.fam.all_vectors()) ** n), m)
     superop_n = tensor_power(ch, n)
     seeds = product_seed_states(ch.fam, n)
     result = extremize_self_fidelity(superop_n, "max", cfg, seed_states=seeds)

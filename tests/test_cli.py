@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gpchannels.channel import FA_TOL, fa_slacks, lambdas_from_probabilities
 from gpchannels.cli import main
 from gpchannels.dynamics import evolution_from_dict, timeline_report
 from helpers import timeline_csv_reference
@@ -65,6 +66,87 @@ def test_validate_mub_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["family"]["passed"] is True
+
+
+def test_validate_passes_family_admitted_by_loader(tmp_path, capsys):
+    # residual 6e-11: inside the loading tolerance 1e-10, outside the build one
+    code, _, _ = run_cli(["mub", "--d", "3", "--out", str(tmp_path / "fam.json")], capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "fam.json").read_text())
+    payload["bases"][0][0] = [[x * (1 + 3e-11) for x in z] for z in payload["bases"][0][0]]
+    (tmp_path / "loose.json").write_text(json.dumps(payload))
+    code, out, _ = run_cli(["validate", str(tmp_path / "loose.json")], capsys)
+    assert code == 0
+    family = json.loads(out)["family"]
+    assert family["orthonormality_residual"] == pytest.approx(6e-11, rel=1e-3)
+    assert family["passed"] is True
+    spec = write_spec(tmp_path, "ch.json", {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2],
+                                            "mub_file": "loose.json"})
+    assert run_cli(["analyze", spec], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("bad_d", [3.9, "3", True])
+@pytest.mark.parametrize("command", ["validate", "analyze", "evolve", "family"])
+def test_non_integer_dimension_exits_2_without_report(tmp_path, capsys, command, bad_d):
+    argv, payload = [command], {"d": bad_d, "probabilities": [0.2] * 5}
+    if command == "evolve":
+        argv, payload = ["evolve", "--t-max", "1", "--steps", "3"], {"d": bad_d, "rates": [1.0] * 4}
+    elif command == "family":
+        assert run_cli(["mub", "--d", "3", "--out", str(tmp_path / "fam.json")], capsys)[0] == 0
+        argv, payload = ["validate"], json.loads((tmp_path / "fam.json").read_text())
+        payload["d"] = bad_d
+    spec = write_spec(tmp_path, "spec.json", payload)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:] + ["--out", str(report)], capsys)
+    assert code == 2 and out == "" and not report.exists()
+    assert err.startswith("error: UnsupportedDimensionError: ") and err.count("\n") == 1
+
+
+@st.composite
+def _boundary_specs(draw):
+    """Specs at the loader's tolerance edge: one weight in (-1e-12, 0], or a
+    spectrum whose Fujiwara-Algoet slack lies within 1e-14 of -FA_TOL."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=d + 2, max_size=d + 2)))
+    p = w / w.sum()
+    if draw(st.booleans()):
+        j, k = draw(st.permutations(range(d + 2)))[:2]
+        eps = draw(st.floats(-1e-12, 0.0, exclude_min=True))
+        p[k] += p[j] - eps  # weight j moves to k, leaving eps behind
+        p[j] = eps
+        return {"d": d, "probabilities": p.tolist()}
+    lam = lambdas_from_probabilities(p)
+    lower, upper = fa_slacks(lam)
+    edge = -FA_TOL + draw(st.floats(-1e-14, 1e-14))
+    if draw(st.booleans()):  # lowering the smallest eigenvalue moves the upper slack
+        lam[np.argmin(lam)] -= (upper - edge) / (d - 1)
+    else:  # a shift of every eigenvalue moves the lower slack
+        lam -= (lower - edge) / (d + 1)
+    return {"d": d, "eigenvalues": lam.tolist()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_boundary_specs(), command=st.sampled_from(["validate", "analyze"]))
+@example(spec={"d": 2, "probabilities": [0.5, 0.5000000000009, -9e-13, 0.0]}, command="analyze")
+@example(spec={"d": 2, "eigenvalues": [-0.06738841607080992, -0.7696682675992645,
+                                       0.29772014847254535]}, command="validate")
+@example(spec={"d": 3, "eigenvalues": [0.17908751983530258, 0.41008154580624745,
+                                       -0.2578781202120344, -0.33435452728574205]},
+         command="analyze")
+@example(spec={"d": 2, "eigenvalues": [-0.2519779140000118, -0.9160494947713476,
+                                       0.1680274087703595]}, command="validate")
+def test_accepted_channels_report_cptp(spec, command):
+    # the report states the loader's verdict; it does not re-decide it on the
+    # round-tripped spectrum
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(spec_path)])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["channel"]["cptp"] is True
 
 
 def test_validate_rejects_corrupt_mub_file(tmp_path, capsys):
@@ -545,8 +627,15 @@ def test_selftest_passes_quick(capsys):
     assert "0 failure(s)" in out
 
 
-def test_selftest_fault_injection_fails(capsys):
-    code, out, _ = run_cli(["selftest", "--d", "2", "--inject-mub-fault"], capsys)
+def test_selftest_fault_injection_fails(monkeypatch, capsys):
+    from gpchannels import cli
+    from gpchannels.mub import MubFamily, build_mub_family
+
+    bases = build_mub_family(2).bases.copy()
+    bases[1, 0] += 0.05 * np.eye(2)[0]
+    bases[1, 0] /= np.linalg.norm(bases[1, 0])
+    monkeypatch.setattr(cli, "build_mub_family", lambda d: MubFamily(d=2, bases=bases))
+    code, out, _ = run_cli(["selftest", "--d", "2"], capsys)
     assert code == 1
     assert "[FAIL] mub-validity-d2" in out
     assert "unbiasedness" in out

@@ -431,6 +431,22 @@ def test_restart_guard_trips_before_drawing(fam2, monkeypatch):
         extremize_self_fidelity(s, "max", OracleConfig(restarts=1), seeds)
 
 
+def test_tensor_probe_refuses_before_building(fam2, monkeypatch):
+    # (2,6) seeds 46656 products of side 64, and (2,7) has state dimension 128:
+    # both are refused before the tensor power or any product seed is built
+    from gpchannels import oracle
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the guard")
+
+    monkeypatch.setattr(oracle, "tensor_power", no_build)
+    monkeypatch.setattr(oracle, "product_seed_states", no_build)
+    ch = identity_channel(2, fam2)
+    for n in (6, 7):
+        with pytest.raises(TooLargeError):
+            tensor_fidelity_probe(ch, n, OracleConfig(restarts=256))
+
+
 def test_tensor_probe_identity(fam2):
     probe = tensor_fidelity_probe(identity_channel(2, fam2), 2, OracleConfig(restarts=40, seed=6))
     assert probe.estimate == pytest.approx(1.0, abs=1e-9)

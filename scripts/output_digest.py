@@ -15,8 +15,10 @@ a change to a refusal path shows up as output changes do.  Last comes
 to a temporary directory and named by relative path, so the manifests and
 therefore every output byte depend only on the seed and the code.  Each
 output (stdout, a written file, or the summary evolve prints to stderr)
-gives one line `<sha256>  <command> [<output>]`; diff two runs to check
-that a change keeps the CLI's bytes.
+gives one line `<sha256>  <command> [<output>]`, except selftest's stdout:
+each of its lines gives one, tagged with its check's name or `summary`, so
+a moved figure names its check.  Diff two runs to check that a change keeps
+the CLI's bytes.
 
 Usage:
     PYTHONPATH=src python scripts/output_digest.py --seed 1 > digests.txt
@@ -99,11 +101,15 @@ def battery(seed, dims, steps):
     rng = np.random.default_rng(seed)
     lines = []
 
-    def record(argv, files=(), stderr=False):
+    def succeed(argv):
         code, out, err = _run(argv)
-        command = " ".join(argv)
         if code != 0:
-            raise RuntimeError(f"`{command}` exited {code}: {err.strip()}")
+            raise RuntimeError(f"`{' '.join(argv)}` exited {code}: {err.strip()}")
+        return out, err
+
+    def record(argv, files=(), stderr=False):
+        out, err = succeed(argv)
+        command = " ".join(argv)
         outputs = [("stdout", out)] + ([("stderr", err)] if stderr else [])
         for name in files:
             with open(name, encoding="utf-8") as fh:
@@ -146,7 +152,10 @@ def battery(seed, dims, steps):
         code, _, err = _run(argv)  # a refusal writes one error line to stderr
         text = f"exit {code}\n{err}"
         lines.append(f"{_digest(text)}  {' '.join(argv)} [exit, stderr]")
-    record(["selftest", "--d", "2", "--seed", str(seed)])
+    argv = ["selftest", "--d", "2", "--seed", str(seed)]
+    for line in succeed(argv)[0].splitlines():  # "[PASS] <check>: <detail>", then a summary
+        check = line.split("] ", 1)[1].split(":", 1)[0] if line.startswith("[") else "summary"
+        lines.append(f"{_digest(line)}  {' '.join(argv)} [{check}]")
     return lines
 
 

@@ -49,9 +49,9 @@ from .mub import MubFamily, build_mub_family, families_equal, load_mub_file, spe
 PROB_TOL = 1e-12
 #: Fujiwara-Algoet slack tolerance for validity checks
 FA_TOL = 1e-12
-#: largest superoperator side allowed for tensor powers
-TENSOR_GUARD = 4096
-#: hard cap on (d+1)*d^4, the entries of each per-family spectral table
+#: hard cap on the state dimension of a tensor power or an oracle search
+MAX_ORACLE_DIM = 64
+#: hard cap on (d+1)*d^4, the entries of the per-family Choi table
 MAX_SPECTRAL_ENTRIES = 2**24
 
 
@@ -245,51 +245,33 @@ def superoperator_of(ch: GeneralizedPauliChannel) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _spectral_parts(fam: MubFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Per-basis building blocks of the spectral superoperator and Choi forms.
+def _choi_parts(fam: MubFamily) -> np.ndarray:
+    """Per-basis building blocks of the Choi form, shape (d+1, d^2, d^2), with
 
-    Returns ``(sup_parts, choi_parts)`` of shape (d+1, d^2, d^2) with
-
-        S(lam)  = |vec I><vec I| / d + sum_a lam_a * sup_parts[a]
-        J(lam)  = I / d^2          + sum_a lam_a * choi_parts[a]
+        J(lam) = I / d^2 + sum_a lam_a * parts[a]
 
     Memoized per family object (families hash by identity); refused with
     :class:`TooLargeError` before any allocation beyond MAX_SPECTRAL_ENTRIES.
     """
     d = fam.d
     if (d + 1) * d**4 > MAX_SPECTRAL_ENTRIES:
-        raise TooLargeError(f"d={d} spectral tables exceed {MAX_SPECTRAL_ENTRIES} entries")
+        raise TooLargeError(f"d={d} Choi table exceeds {MAX_SPECTRAL_ENTRIES} entries")
     us = fam.unitaries()
-    sup = np.zeros((d + 1, d * d, d * d), dtype=complex)
     choi = np.zeros((d + 1, d * d, d * d), dtype=complex)
     for a in range(d + 1):
         for k in range(d - 1):
             u = us[a, k]
-            v = u.reshape(-1, order="F")
-            sup[a] += np.outer(v, v.conj()) / d
             choi[a] += np.kron(u.conj(), u) / d**2
-    sup.setflags(write=False)  # memoized, and so shared by every caller
-    choi.setflags(write=False)
-    return sup, choi
-
-
-def superop_from_spectrum(fam: MubFamily, lambdas) -> np.ndarray:
-    """Superoperator of the (not necessarily CPTP) map with the given eigenvalues."""
-    d = fam.d
-    lam = np.asarray(lambdas, dtype=float)
-    sup, _ = _spectral_parts(fam)
-    vid = np.eye(d, dtype=complex).reshape(-1, order="F")
-    s = np.outer(vid, vid.conj()) / d
-    s += np.tensordot(lam, sup, axes=1)
-    return s
+    choi.setflags(write=False)  # memoized, and so shared by every caller
+    return choi
 
 
 def choi_from_spectrum(fam: MubFamily, lambdas) -> np.ndarray:
     """Choi matrices (trace one) of the maps with eigenvalues stacked along the last axis."""
     d = fam.d
-    _, choi = _spectral_parts(fam)
+    parts = _choi_parts(fam)
     lam = np.asarray(lambdas, dtype=float)
-    return np.einsum("...a,aij->...ij", lam, choi) + np.eye(d * d, dtype=complex) / d**2
+    return np.einsum("...a,aij->...ij", lam, parts) + np.eye(d * d, dtype=complex) / d**2
 
 
 def compose(a: GeneralizedPauliChannel, b: GeneralizedPauliChannel) -> GeneralizedPauliChannel:
@@ -300,17 +282,23 @@ def compose(a: GeneralizedPauliChannel, b: GeneralizedPauliChannel) -> Generaliz
     return channel_from_probabilities(a.d, probabilities_of(Spectrum(a.d, lam)), a.fam)
 
 
+def check_oracle_dim(m: int) -> None:
+    """Raise :class:`TooLargeError` if state dimension m exceeds MAX_ORACLE_DIM."""
+    if m > MAX_ORACLE_DIM:
+        raise TooLargeError(f"state dimension {m} exceeds oracle guard {MAX_ORACLE_DIM}")
+
+
 def tensor_power(ch: GeneralizedPauliChannel, n: int) -> np.ndarray:
     """Superoperator of the n-fold tensor power, side d^(2n).
 
-    Guarded at side 4096; raises :class:`TooLargeError` beyond.
+    Refused with :class:`TooLargeError`, before any arithmetic, when the
+    state dimension d^n exceeds MAX_ORACLE_DIM (so the side stays <= 4096).
     """
     d = ch.d
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
+    check_oracle_dim(d**n)
     side = d ** (2 * n)
-    if side > TENSOR_GUARD:
-        raise TooLargeError(f"superoperator side {side} exceeds guard {TENSOR_GUARD}")
     s = superoperator_of(ch)
     if n == 1:
         return s

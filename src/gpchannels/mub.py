@@ -55,7 +55,8 @@ class MubFamily:
     ``bases[a, k]`` is the k-th unit vector of basis a.  Channels require a
     maximal family; partial families are permitted here so they can still
     be validated.  A family is frozen and holds only ``d`` and a read-only
-    copy of the bases; the unitaries are derived once on first request.
+    copy of the bases; the unitaries and the validation residuals are
+    derived once on first request.
     Families compare and hash by identity and are safe to share between
     workers.
     """
@@ -117,6 +118,21 @@ class MubFamily:
         us.setflags(write=False)
         return us
 
+    @functools.cached_property
+    def _residuals(self) -> tuple[float, float]:
+        """Worst orthonormality and unbiasedness residuals; see :func:`validate_mub_family`."""
+        d = self.d
+        ortho = unbias = 0.0
+        eye = np.eye(d)
+        for a in range(self.n_bases):
+            g = self.bases[a] @ self.bases[a].conj().T  # Gram matrix of basis a
+            ortho = max(ortho, float(np.max(np.abs(g - eye))))
+        for a in range(self.n_bases):
+            for b in range(a + 1, self.n_bases):
+                overlaps = np.abs(self.bases[a] @ self.bases[b].conj().T) ** 2
+                unbias = max(unbias, float(np.max(np.abs(overlaps - 1.0 / d))))
+        return ortho, unbias
+
 
 @dataclass(frozen=True)
 class MubValidationReport:
@@ -139,19 +155,9 @@ def validate_mub_family(fam: MubFamily, tol: float = BUILD_TOL) -> MubValidation
 
     Reports the two worst-case residuals; the report passes iff both are
     within ``tol``.  A single-basis family passes unbiasedness vacuously.
+    The residuals are computed once per family; judging it again is free.
     """
-    d = fam.d
-    ortho = 0.0
-    unbias = 0.0
-    eye = np.eye(d)
-    for a in range(fam.n_bases):
-        g = fam.bases[a] @ fam.bases[a].conj().T  # Gram matrix of basis a
-        ortho = max(ortho, float(np.max(np.abs(g - eye))))
-    for a in range(fam.n_bases):
-        for b in range(a + 1, fam.n_bases):
-            overlaps = np.abs(fam.bases[a] @ fam.bases[b].conj().T) ** 2
-            unbias = max(unbias, float(np.max(np.abs(overlaps - 1.0 / d))))
-    return MubValidationReport(ortho, unbias, tol)
+    return MubValidationReport(*fam._residuals, tol)
 
 
 def build_mub_family(d: int) -> MubFamily:

@@ -52,8 +52,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (
+    MAX_ORACLE_DIM,  # noqa: F401  the searches' cap, also read as oracle.MAX_ORACLE_DIM
     GeneralizedPauliChannel,
     apply_channel,
+    check_oracle_dim,
     choi_from_spectrum,
     spectrum_of,
     tensor_power,
@@ -65,8 +67,6 @@ from .mub import MubFamily, build_mub_family
 #: default restart counts (single-copy searches, tensor-power probes)
 SINGLE_RESTARTS = 256
 TENSOR_RESTARTS = 2048
-#: hard cap on the state dimension an oracle will search over
-MAX_ORACLE_DIM = 64
 #: hard cap on restarts times squared state dimension, the size of the ascent's projector arrays
 MAX_START_ENTRIES = 2**24
 #: hard cap on spectra per equivalence scan
@@ -157,11 +157,6 @@ def product_seed_states(fam: MubFamily, n: int) -> np.ndarray:
     return out
 
 
-def _check_oracle_dim(m: int) -> None:
-    if m > MAX_ORACLE_DIM:
-        raise TooLargeError(f"state dimension {m} exceeds oracle guard {MAX_ORACLE_DIM}")
-
-
 def _check_start_count(count: int, dim: int) -> None:
     if count * dim * dim > MAX_START_ENTRIES:
         raise TooLargeError(
@@ -177,7 +172,7 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     m = int(round(np.sqrt(superop.shape[0])))
     if m * m != superop.shape[0]:
         raise ValueError(f"superoperator side {superop.shape[0]} is not a perfect square")
-    _check_oracle_dim(m)
+    check_oracle_dim(m)
     return superop.reshape(m, m, m, m).transpose(1, 0, 3, 2).reshape(m * m, m * m), m
 
 
@@ -574,7 +569,7 @@ def tensor_fidelity_probe(
     """Search f_max of the n-fold tensor power and compare to f_max^n."""
     cfg = cfg or OracleConfig(restarts=TENSOR_RESTARTS)
     m = ch.d**n  # both caps trip before the power and its product seeds are built
-    _check_oracle_dim(m)
+    check_oracle_dim(m)
     _check_start_count(max(cfg.restarts, len(ch.fam.all_vectors()) ** n), m)
     superop_n = tensor_power(ch, n)
     seeds = product_seed_states(ch.fam, n)

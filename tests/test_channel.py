@@ -26,7 +26,7 @@ from gpchannels import (
     superoperator_of,
     tensor_power,
 )
-from gpchannels.channel import MAX_SPECTRAL_ENTRIES, choi_from_spectrum, superop_from_spectrum
+from gpchannels.channel import MAX_SPECTRAL_ENTRIES, choi_from_spectrum
 from gpchannels.mub import mub_family_to_dict
 from helpers import (
     choi_of,
@@ -229,7 +229,7 @@ def test_superoperator_is_fresh_on_every_call(fam3, rng):
 
 @pytest.mark.parametrize("d, refused", [(23, False), (29, True), (31, True)])
 def test_spectral_table_guard_trips_before_allocating(d, refused, monkeypatch):
-    # at d=31 the two tables would take about 946 MB: refused before any allocation
+    # at d=31 the Choi table would take about 473 MB: refused before any allocation
     fam = build_mub_family(d)
 
     def no_alloc(*args, **kwargs):
@@ -238,9 +238,8 @@ def test_spectral_table_guard_trips_before_allocating(d, refused, monkeypatch):
     monkeypatch.setattr(MubFamily, "unitaries", no_alloc)
     monkeypatch.setattr(np, "zeros", no_alloc)
     assert ((d + 1) * d**4 > MAX_SPECTRAL_ENTRIES) == refused
-    for build in (choi_from_spectrum, superop_from_spectrum):
-        with pytest.raises(TooLargeError if refused else AssertionError):
-            build(fam, np.ones(d + 1))
+    with pytest.raises(TooLargeError if refused else AssertionError):
+        choi_from_spectrum(fam, np.ones(d + 1))
 
 
 def test_superoperator_matches_apply_on_20_random_inputs(fam5, rng):
@@ -249,13 +248,6 @@ def test_superoperator_matches_apply_on_20_random_inputs(fam5, rng):
     for _ in range(20):
         x = random_hermitian(5, rng)
         assert np.max(np.abs(unvec(s @ vec(x), 5) - apply_channel(ch, x))) <= 1e-10
-
-
-def test_superop_from_spectrum_matches_definition_route(fam3, rng):
-    ch = random_cptp_channel(3, rng, fam3)
-    s1 = superoperator_of(ch)
-    s2 = superop_from_spectrum(fam3, spectrum_of(ch).lambdas)
-    assert np.max(np.abs(s1 - s2)) <= 1e-12
 
 
 def test_choi_identity_is_maximally_entangled_projector(fam3):
@@ -348,10 +340,16 @@ def test_tensor_power_preserves_trace_and_identity(fam2, rng):
     assert abs(np.trace(out) - np.trace(x)) <= 1e-10
 
 
-def test_tensor_power_guard(fam5):
-    ch = identity_channel(5, fam5)
-    with pytest.raises(TooLargeError):
-        tensor_power(ch, 3)  # 5^6 = 15625 > 4096
+def test_tensor_power_guard(fam5, monkeypatch):
+    from gpchannels import channel, oracle
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the superoperator was assembled")
+
+    assert oracle.MAX_ORACLE_DIM is channel.MAX_ORACLE_DIM  # one cap for probes and powers
+    monkeypatch.setattr(channel, "superoperator_of", no_build)
+    with pytest.raises(TooLargeError, match="state dimension 125 exceeds oracle guard 64"):
+        tensor_power(identity_channel(5, fam5), 3)
 
 
 def test_cptp_spectra_have_contractive_eigenvalues(rng):

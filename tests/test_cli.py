@@ -694,3 +694,38 @@ def test_module_entrypoint_subprocess(tmp_path):
     rep = json.loads(proc.stdout)
     assert rep["metrics"]["f_max"] == 1.0
     assert "finished in" in proc.stderr
+
+
+def test_selftest_runs_without_scipy():
+    code = (
+        "import sys\n"
+        "from gpchannels.cli import main\n"
+        "assert main(['selftest', '--d', '2']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'selftest imported scipy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] dynamics-generator-d2" in proc.stdout
+
+
+def test_validate_family_file_runs_one_residual_pass(tmp_path, capsys, monkeypatch):
+    # each residual pass compares the Gram matrices with one d x d identity:
+    # the pass that admits the file also fills the report
+    from gpchannels import mub
+
+    eyes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def eye(self, *args, **kwargs):
+            eyes.append(args)
+            return np.eye(*args, **kwargs)
+
+    family = write_spec(tmp_path, "mub3.json", mub.mub_family_to_dict(mub.build_mub_family(3)))
+    monkeypatch.setattr(mub, "np", CountingNumpy())
+    code, out, _ = run_cli(["validate", family], capsys)
+    assert code == 0 and json.loads(out)["family"]["passed"]
+    assert eyes == [(3,)]

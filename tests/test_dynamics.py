@@ -8,6 +8,7 @@ from gpchannels import (
     DimensionMismatchError,
     InvalidTrajectoryError,
     OutOfRangeError,
+    Spectrum,
     UnsupportedDimensionError,
     build_mub_family,
     eigenvalue_trajectory,
@@ -211,6 +212,20 @@ def test_generator_matrix_exponential_cross_check(d, rng):
     spec = exponential_evolution(d, rng.uniform(0, 2, size=d + 1), fam)
     residual = generator_consistency_residual(spec, np.linspace(0.0, 3.0, 10))
     assert residual <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_generator_cross_check_flags_perturbed_formula(d, rng, monkeypatch):
+    from gpchannels import dynamics
+
+    exact = dynamics.eigenvalue_trajectory
+
+    def perturbed(spec, t):  # the last basis's eigenvalue off by a relative 1e-6
+        return Spectrum(spec.d, exact(spec, t).lambdas * np.r_[np.ones(d), 1 + 1e-6])
+
+    spec = exponential_evolution(d, rng.uniform(0, 2, size=d + 1))
+    monkeypatch.setattr(dynamics, "eigenvalue_trajectory", perturbed)
+    assert generator_consistency_residual(spec, np.linspace(0.0, 3.0, 10)) > 1e-8
 
 
 def test_csv_shape_and_columns(fam2):

@@ -45,18 +45,18 @@ def test_non_prime_or_out_of_range_dimensions_rejected(d):
 
 
 def test_builtin_family_built_once_and_frozen():
-    # one shared family per d, so neither its arrays nor the spectral parts
+    # one shared family per d, so neither its arrays nor the Choi parts
     # memoized on it may be written through
-    from gpchannels.channel import _spectral_parts
+    from gpchannels.channel import _choi_parts
 
     fam = build_mub_family(3)
     assert build_mub_family(3) is fam
     assert build_mub_family(np.int64(3)) is fam
     with pytest.raises(UnsupportedDimensionError):
         build_mub_family(3.0)  # the type check is not bypassed by the cache
-    sup, choi = _spectral_parts(fam)
-    assert _spectral_parts(build_mub_family(3))[0] is sup
-    for arr in (fam.bases, fam.unitaries(), sup, choi):
+    choi = _choi_parts(fam)
+    assert _choi_parts(build_mub_family(3)) is choi
+    for arr in (fam.bases, fam.unitaries(), choi):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
 

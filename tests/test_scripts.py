@@ -79,14 +79,15 @@ def test_output_digest_is_deterministic(capsys):
     # analyze, analyze --oracle and tensor of two specs; validate, analyze and
     # analyze --oracle of a spec on the family file; analyze
     # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then five
-    # refused inputs and one selftest
+    # refused inputs and selftest's seven check lines and summary line
     assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
-    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 5 + 1
+    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 5 + 7 + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0
         assert command.split()[0] in {"mub", "validate", "analyze", "tensor", "evolve", "selftest"}
-    assert lines[-1].endswith("  selftest --d 2 --seed 5 [stdout]")
+    assert lines[-1].endswith("  selftest --d 2 --seed 5 [summary]")
+    assert lines[-2].endswith("  selftest --d 2 --seed 5 [dynamics-generator-d2]")
     by_command = dict(reversed(line.split("  ", 1)) for line in lines)
     # the same evolve command writes the same CSV to a file and to stdout
     for command, sha in by_command.items():

@@ -4,21 +4,21 @@
 The battery runs in-process, at d in {2, 3, 5, 7}: `mub --out FILE` and
 `validate` of that family file; `validate`, `analyze` and `analyze --oracle`
 (with a small restart budget) of two channel specs and of a third whose
-`mub_file` is that family file, so the loaded family's own unitaries and
-spectral tables are used; `analyze
---allow-noncptp` of a finite spectrum that is not CPTP; `tensor --n 2` at d
-in {2, 3}; and `evolve` for an exponential and a sampled trajectory, once
-with `--csv FILE` and once to stdout.  Then each input of the fixed list
-REFUSALS gives one line digesting its exit code and stderr error line, so
-a change to a refusal path shows up as output changes do.  Last comes
-`selftest --d 2`, whose stdout carries no timing.  Spec files are written
-to a temporary directory and named by relative path, so the manifests and
-therefore every output byte depend only on the seed and the code.  Each
-output (stdout, a written file, or the summary evolve prints to stderr)
-gives one line `<sha256>  <command> [<output>]`, except selftest's stdout:
-each of its lines gives one, tagged with its check's name or `summary`, so
-a moved figure names its check.  Diff two runs to check that a change keeps
-the CLI's bytes.
+`mub_file` is that family file, so the loaded family's own vectors and
+unitaries are used; `analyze --allow-noncptp` of a finite spectrum that is
+not CPTP; `tensor --n 2` at d in {2, 3}; and `evolve` for an exponential
+and a sampled trajectory, once with `--csv FILE` and once to stdout.
+Then each input of the fixed list REFUSALS gives one line digesting its
+exit code and stderr error line, so a change to a refusal path shows up as
+output changes do.  Last comes `selftest --d 2`, whose stdout carries no
+timing.  Spec files are written to a temporary directory and named by
+relative path, so the manifests and therefore every output byte depend
+only on the seed and the code.  Each output (stdout, a written file, or
+the summary evolve prints to stderr) gives one line
+`<sha256>  <command> [<output>]`, except selftest's stdout: each of its
+lines gives one, tagged with its check's name or `summary`, so a moved
+figure names its check.  Diff two runs to check that a change keeps the
+CLI's bytes.
 
 Usage:
     PYTHONPATH=src python scripts/output_digest.py --seed 1 > digests.txt
@@ -37,21 +37,28 @@ import numpy as np
 
 from gpchannels.channel import lambdas_from_probabilities
 from gpchannels.cli import main as cli_main
+from gpchannels.mub import build_mub_family, mub_family_to_dict
 
 FULL_DIMS, FULL_STEPS = (2, 3, 5, 7), 2000
 TINY_DIMS, TINY_STEPS = (2, 3), 40
 TENSOR_DIMS = (2, 3)
 SEARCH_RESTARTS = "16"  # the basis seed states are searched even where they outnumber it
 TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr with
+NAN_FAMILY = mub_family_to_dict(build_mub_family(3))
+NAN_FAMILY["bases"][1][0][2] = NAN_FAMILY["bases"][2][1][0] = [float("nan"), 0.0]
 #: (argv, spec written to the file argv[1]) of inputs the CLI refuses: a `d` that is not a JSON
-#: integer, a dimension with no built-in family and no family file, and a
-#: spectrum that is not CPTP
+#: integer, a dimension with no built-in family and no family file, a
+#: spectrum that is not CPTP, and a family file with NaN entries, read
+#: directly and through a channel spec
 REFUSALS = [
     (["validate", "float-d.json"], {"d": 3.9, "probabilities": [0.2] * 5}),
     (["analyze", "string-d.json"], {"d": "3", "eigenvalues": [0.5] * 4}),
     (["evolve", "bool-d.json", "--t-max", "1", "--steps", "3"], {"d": True, "rates": [1.0] * 3}),
     (["analyze", "no-family-d4.json"], {"d": 4, "probabilities": [1 / 6] * 6}),
     (["analyze", "noncptp-refused.json"], {"d": 3, "eigenvalues": [1.25, 0.1, 0.1, 0.1]}),
+    (["validate", "nan-family-d3.json"], NAN_FAMILY),
+    (["analyze", "on-nan-family.json"],
+     {"d": 3, "probabilities": [0.2] * 5, "mub_file": "nan-family-d3.json"}),
 ]
 
 

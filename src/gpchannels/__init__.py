@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .channel import (
     GeneralizedPauliChannel,
     Spectrum,
-    apply_channel,
     channel_from_dict,
     channel_from_eigenvalues,
     channel_from_probabilities,

@@ -25,12 +25,12 @@ which hold exactly when the inverse map lands in the probability simplex.
 Probabilities are stored as ground truth; spectra are derived.  Channels
 are immutable and all operations are pure.  Superoperators use the
 column-stacking convention vec(A)[i + rows*j] = A[i, j], so that
-vec(A X B) = (B^T kron A) vec(X).
+vec(A X B) = (B^T kron A) vec(X).  Every superoperator, generator and
+Choi matrix is built by :func:`dephasing_mixture`.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -51,8 +51,6 @@ PROB_TOL = 1e-12
 FA_TOL = 1e-12
 #: hard cap on the state dimension of a tensor power or an oracle search
 MAX_ORACLE_DIM = 64
-#: hard cap on (d+1)*d^4, the entries of the per-family Choi table
-MAX_SPECTRAL_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -203,75 +201,49 @@ def channel_from_eigenvalues(
     return channel_from_probabilities(d, probabilities_of(sp), fam)
 
 
-def _dephase(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Phi_a[X] = sum_k <psi_k|X|psi_k> |psi_k><psi_k|; rows of `basis` are the psi_k
-    w = np.einsum("ki,...ij,kj->...k", basis.conj(), x, basis)
-    return np.einsum("...k,ki,kj->...ij", w, basis, basis.conj())
+def dephasing_mixture(fam: MubFamily, identity_weight, basis_weights) -> np.ndarray:
+    """Column-stacking superoperator of c_0 * id + sum_a c_a * Phi_a.
 
-
-def apply_channel(ch: GeneralizedPauliChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a matrix, or a stack (..., d, d) of them, of matching size."""
-    rho = np.asarray(rho, dtype=complex)
-    d = ch.d
-    if rho.shape[-2:] != (d, d):
-        raise DimensionMismatchError(f"expected {d}x{d} matrices, got shape {rho.shape}")
-    out = ((d * ch.probs[0] - 1.0) / (d - 1)) * rho
-    scale = d / (d - 1)
-    for a in range(d + 1):
-        pa = ch.probs[1 + a]
-        if pa != 0.0:
-            out = out + scale * pa * _dephase(ch.fam.bases[a], rho)
-    return out
-
-
-def dephasing_superoperator(fam: MubFamily, alpha: int) -> np.ndarray:
-    """Column-stacking superoperator of the basis-alpha dephasing map."""
+    ``identity_weight`` c_0 has shape (...) and ``basis_weights`` c shape
+    (..., d+1); the result has shape (..., d^2, d^2).  It is
+    c_0 I + W diag(c_a, each repeated d times) W^dagger, where the columns
+    of W are vec(|v><v|) = conj(v) kron v for the d(d+1) family vectors v.
+    """
     d = fam.d
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        p = fam.projector(alpha, k)
-        s += np.kron(p.conj(), p)  # P^T = conj(P) for Hermitian P
-    return s
+    v = fam.all_vectors()
+    w = (v.conj()[:, :, None] * v[:, None, :]).reshape(-1, d * d).T
+    c = np.repeat(np.asarray(basis_weights, dtype=float), d, axis=-1)
+    c0 = np.asarray(identity_weight, dtype=float)[..., None, None]
+    return c0 * np.eye(d * d) + (w * c[..., None, :]) @ w.conj().T
+
+
+def eigen_columns(fam: MubFamily) -> np.ndarray:
+    """Matrix (d^2, d^2) whose columns are vec(I) and every vec(U(a, k)), in unitaries() order.
+
+    Every channel of the family scales them by 1 and lambda_a.
+    """
+    d = fam.d
+    us = np.concatenate([np.eye(d)[None], fam.unitaries().reshape(-1, d, d)])
+    # column-stacking vec of each matrix is its transpose's row-major flattening
+    return us.transpose(0, 2, 1).reshape(d * d, d * d).T
 
 
 def superoperator_of(ch: GeneralizedPauliChannel) -> np.ndarray:
     """Matrix S with vec(Lambda[X]) = S @ vec(X), assembled afresh from the definition."""
-    d = ch.d
-    s = ((d * ch.probs[0] - 1.0) / (d - 1)) * np.eye(d * d, dtype=complex)
-    scale = d / (d - 1)
-    for a in range(d + 1):
-        s += scale * ch.probs[1 + a] * dephasing_superoperator(ch.fam, a)
-    return s
-
-
-@functools.lru_cache(maxsize=8)
-def _choi_parts(fam: MubFamily) -> np.ndarray:
-    """Per-basis building blocks of the Choi form, shape (d+1, d^2, d^2), with
-
-        J(lam) = I / d^2 + sum_a lam_a * parts[a]
-
-    Memoized per family object (families hash by identity); refused with
-    :class:`TooLargeError` before any allocation beyond MAX_SPECTRAL_ENTRIES.
-    """
-    d = fam.d
-    if (d + 1) * d**4 > MAX_SPECTRAL_ENTRIES:
-        raise TooLargeError(f"d={d} Choi table exceeds {MAX_SPECTRAL_ENTRIES} entries")
-    us = fam.unitaries()
-    choi = np.zeros((d + 1, d * d, d * d), dtype=complex)
-    for a in range(d + 1):
-        for k in range(d - 1):
-            u = us[a, k]
-            choi[a] += np.kron(u.conj(), u) / d**2
-    choi.setflags(write=False)  # memoized, and so shared by every caller
-    return choi
+    d, p = ch.d, ch.probs
+    return dephasing_mixture(ch.fam, (d * p[0] - 1.0) / (d - 1), d * p[1:] / (d - 1))
 
 
 def choi_from_spectrum(fam: MubFamily, lambdas) -> np.ndarray:
-    """Choi matrices (trace one) of the maps with eigenvalues stacked along the last axis."""
-    d = fam.d
-    parts = _choi_parts(fam)
+    """Choi matrices (trace one) of the maps with eigenvalues stacked along the last axis.
+
+    The map is (1 - sum(lambda)) T + sum_a lambda_a Phi_a, T[X] = Tr(X) I/d.
+    For a projector P, conj(P) kron P = vec(P) vec(P)^dagger, so Phi_a has
+    Choi matrix S(Phi_a)/d (Watrous, The Theory of Quantum Information,
+    2018, ch. 2), and T has I/d^2.
+    """
     lam = np.asarray(lambdas, dtype=float)
-    return np.einsum("...a,aij->...ij", lam, parts) + np.eye(d * d, dtype=complex) / d**2
+    return dephasing_mixture(fam, (1.0 - lam.sum(axis=-1)) / fam.d, lam) / fam.d
 
 
 def compose(a: GeneralizedPauliChannel, b: GeneralizedPauliChannel) -> GeneralizedPauliChannel:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Spectrum, dephasing_superoperator, resolve_family
+from .channel import Spectrum, dephasing_mixture, eigen_columns, resolve_family
 from .errors import InvalidTrajectoryError, OutOfRangeError
 from .metrics import SpectralFigures, spectral_figures
 from .mub import MubFamily, spec_dimension
@@ -204,28 +204,21 @@ def generator_superoperator(spec: EvolutionSpec) -> np.ndarray:
     """Assembled superoperator of L = sum_a gamma_a (Phi_a - id)."""
     if spec.kind != "exponential":
         raise InvalidTrajectoryError("only constant-rate evolutions carry a generator")
-    d = spec.d
-    gen = np.zeros((d * d, d * d), dtype=complex)
-    eye = np.eye(d * d, dtype=complex)
-    for a in range(d + 1):
-        if spec.rates[a] != 0.0:
-            gen += spec.rates[a] * (dephasing_superoperator(spec.fam, a) - eye)
-    return gen
+    return dephasing_mixture(spec.fam, -np.sum(spec.rates), spec.rates)
 
 
 def generator_consistency_residual(spec: EvolutionSpec, times) -> float:
     """max over times of |e^(tL) X - X diag(1, lambda(t))| (max-entry norm).
 
-    X holds vec(I) and every vec(U(a, k)), which span the d x d matrices, so
-    a zero residual means e^(tL) is the channel with eigenvalues lambda(t).
-    L is Hermitian, so one ``eigh`` L = V diag(mu) V^dagger gives every
+    X is :func:`~gpchannels.channel.eigen_columns`: vec(I) and every
+    vec(U(a, k)), which span the d x d matrices, so a zero residual means
+    e^(tL) is the channel with eigenvalues lambda(t).  L is Hermitian, so
+    one ``eigh`` L = V diag(mu) V^dagger gives every
     e^(tL) = V diag(e^(t mu)) V^dagger.
     """
     d = spec.d
     mu, v = np.linalg.eigh(generator_superoperator(spec))
-    us = spec.fam.unitaries().reshape(-1, d, d)
-    # column-stacking vec of each matrix is its transpose's row-major flattening
-    x = np.concatenate([np.eye(d)[None], us]).transpose(0, 2, 1).reshape(d * d, d * d).T
+    x = eigen_columns(spec.fam)
     coeffs = v.conj().T @ x
     worst = 0.0
     for t in np.asarray(times, dtype=float):

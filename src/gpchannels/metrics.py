@@ -128,7 +128,7 @@ def fidelity_report(ch: GeneralizedPauliChannel) -> SpectralFigures:
 
 def fidelity_extremes(ch: GeneralizedPauliChannel) -> SpectralFigures:
     """The same record, read for f_min, f_max and the bases attaining them."""
-    return spectral_figures(spectrum_of(ch).lambdas)
+    return fidelity_report(ch)
 
 
 def max_output_2norm(ch: GeneralizedPauliChannel) -> float:

@@ -56,7 +56,9 @@ class MubFamily:
     maximal family; partial families are permitted here so they can still
     be validated.  A family is frozen and holds only ``d`` and a read-only
     copy of the bases; the unitaries and the validation residuals are
-    derived once on first request.
+    derived once on first request.  An entry that is not finite, or whose
+    modulus exceeds 1 + LOAD_TOL (no unit vector has one), is refused before
+    any residual is computed.
     Families compare and hash by identity and are safe to share between
     workers.
     """
@@ -75,6 +77,12 @@ class MubFamily:
                 f"expected bases of shape (n<= {self.d + 1}, {self.d}, {self.d}), "
                 f"got {bases.shape}"
             )
+        with np.errstate(over="ignore"):  # a modulus past the float range is inf, refused too
+            bad = np.argwhere(~(np.abs(bases) <= 1.0 + LOAD_TOL))  # negated: nan is refused
+        if bad.size:
+            a, k, i = bad[0]
+            raise MubValidationError(f"basis entry [{a}][{k}][{i}] = {bases[a, k, i]} is "
+                                     "not finite with modulus <= 1")
         bases = bases.copy()
         bases.setflags(write=False)
         object.__setattr__(self, "bases", bases)
@@ -122,16 +130,16 @@ class MubFamily:
     def _residuals(self) -> tuple[float, float]:
         """Worst orthonormality and unbiasedness residuals; see :func:`validate_mub_family`."""
         d = self.d
-        ortho = unbias = 0.0
+        ortho, unbias = [], [0.0]
         eye = np.eye(d)
         for a in range(self.n_bases):
             g = self.bases[a] @ self.bases[a].conj().T  # Gram matrix of basis a
-            ortho = max(ortho, float(np.max(np.abs(g - eye))))
+            ortho.append(np.max(np.abs(g - eye)))
         for a in range(self.n_bases):
             for b in range(a + 1, self.n_bases):
                 overlaps = np.abs(self.bases[a] @ self.bases[b].conj().T) ** 2
-                unbias = max(unbias, float(np.max(np.abs(overlaps - 1.0 / d))))
-        return ortho, unbias
+                unbias.append(np.max(np.abs(overlaps - 1.0 / d)))
+        return float(np.max(ortho)), float(np.max(unbias))  # np.max: a nan is never dropped
 
 
 @dataclass(frozen=True)

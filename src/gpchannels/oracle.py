@@ -54,14 +54,15 @@ import numpy as np
 from .channel import (
     MAX_ORACLE_DIM,  # noqa: F401  the searches' cap, also read as oracle.MAX_ORACLE_DIM
     GeneralizedPauliChannel,
-    apply_channel,
     check_oracle_dim,
     choi_from_spectrum,
+    eigen_columns,
     spectrum_of,
+    superoperator_of,
     tensor_power,
 )
 from .errors import TooLargeError
-from .metrics import spectral_figures
+from .metrics import fidelity_report, spectral_figures
 from .mub import MubFamily, build_mub_family
 
 #: default restart counts (single-copy searches, tensor-power probes)
@@ -432,16 +433,17 @@ def maximize_output_inf_norm(
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel) -> float:
-    """max over (a, k) of ||Lambda[U(a, k)] - lambda_a U(a, k)||_F.
+    """max over (a, k) of ||Lambda[U(a, k)] - lambda_a U(a, k)||_F, and of ||Lambda[I] - I||_F.
 
-    All (d+1)(d-1) basis unitaries go through one stacked channel
-    application; the residual is zero up to roundoff for a consistent
-    channel and family.
+    Lambda is the superoperator the searches receive, ``superoperator_of(ch)``,
+    applied to every column of :func:`~gpchannels.channel.eigen_columns`;
+    the residual is zero up to roundoff for a consistent channel and family.
     """
-    lam = spectrum_of(ch).lambdas
-    us = ch.fam.unitaries()
-    diff = apply_channel(ch, us) - lam[:, None, None, None] * us
-    return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
+    d = ch.d
+    x = eigen_columns(ch.fam)
+    scale = np.concatenate([[1.0], np.repeat(spectrum_of(ch).lambdas, d - 1)])
+    diff = superoperator_of(ch) @ x - x * scale
+    return float(np.max(np.linalg.norm(diff, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +576,7 @@ def tensor_fidelity_probe(
     superop_n = tensor_power(ch, n)
     seeds = product_seed_states(ch.fam, n)
     result = extremize_self_fidelity(superop_n, "max", cfg, seed_states=seeds)
-    fig = spectral_figures(spectrum_of(ch).lambdas)
+    fig = fidelity_report(ch)
     baseline = float(fig.f_max) ** n
     regime = "factorizing" if fig.fmax_multiplicative else "open"
     return ProbeReport(

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from gpchannels import (
+    DimensionMismatchError,
     MubFamily,
-    apply_channel,
     channel_from_eigenvalues,
     channel_from_probabilities,
     spectrum_of,
@@ -28,6 +28,31 @@ def identity_channel(d, fam=None):
 def depolarizing_channel(d, fam=None):
     """The channel with all-zero spectrum (every input goes to I/d)."""
     return channel_from_eigenvalues(d, np.zeros(d + 1), fam)
+
+
+def _dephase(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Phi_a[X] = sum_k <psi_k|X|psi_k> |psi_k><psi_k|; rows of `basis` are the psi_k
+    w = np.einsum("ki,...ij,kj->...k", basis.conj(), x, basis)
+    return np.einsum("...k,ki,kj->...ij", w, basis, basis.conj())
+
+
+def apply_channel(ch, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel to a matrix, or a stack (..., d, d) of them, of matching size.
+
+    The reference route: it dephases each matrix basis by basis and never
+    builds a superoperator.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = ch.d
+    if rho.shape[-2:] != (d, d):
+        raise DimensionMismatchError(f"expected {d}x{d} matrices, got shape {rho.shape}")
+    out = ((d * ch.probs[0] - 1.0) / (d - 1)) * rho
+    scale = d / (d - 1)
+    for a in range(d + 1):
+        pa = ch.probs[1 + a]
+        if pa != 0.0:
+            out = out + scale * pa * _dephase(ch.fam.bases[a], rho)
+    return out
 
 
 def choi_of(ch):

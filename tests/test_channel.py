@@ -14,7 +14,6 @@ from gpchannels import (
     NotCPTPError,
     Spectrum,
     TooLargeError,
-    apply_channel,
     build_mub_family,
     channel_from_dict,
     channel_from_eigenvalues,
@@ -26,15 +25,17 @@ from gpchannels import (
     superoperator_of,
     tensor_power,
 )
-from gpchannels.channel import MAX_SPECTRAL_ENTRIES, choi_from_spectrum
-from gpchannels.mub import mub_family_to_dict
+from gpchannels.channel import choi_from_spectrum
+from gpchannels.mub import mub_family_from_dict, mub_family_to_dict
 from helpers import (
+    apply_channel,
     choi_of,
     depolarizing_channel,
     identity_channel,
     random_cptp_channel,
     random_density,
     random_hermitian,
+    rotated_family,
     two_qubit_mub_bases,
     unvec,
     validate_density_matrix,
@@ -46,7 +47,7 @@ def test_identity_channel_from_probabilities(fam2):
     ch = channel_from_probabilities(2, [1, 0, 0, 0], fam2)
     assert np.allclose(spectrum_of(ch).lambdas, [1, 1, 1])
     rho = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
-    assert np.max(np.abs(apply_channel(ch, rho) - rho)) <= 1e-14
+    assert np.max(np.abs(unvec(superoperator_of(ch) @ vec(rho)) - rho)) <= 1e-14
 
 
 def test_depolarizing_d3_spectrum_zero(fam3):
@@ -135,30 +136,23 @@ def test_round_trip_bulk_1000(rng):
 
 def test_unitality_and_trace_preservation(fam3, rng):
     ch = random_cptp_channel(3, rng, fam3)
-    out = apply_channel(ch, np.eye(3, dtype=complex))
+    s = superoperator_of(ch)
+    out = unvec(s @ vec(np.eye(3, dtype=complex)))
     assert np.max(np.abs(out - np.eye(3))) <= 1e-12
     x = random_hermitian(3, rng)
-    assert abs(np.trace(apply_channel(ch, x)) - np.trace(x)) <= 1e-12
+    assert abs(np.trace(unvec(s @ vec(x))) - np.trace(x)) <= 1e-12
 
 
 def test_apply_channel_output_is_density(fam5, rng):
     ch = random_cptp_channel(5, rng, fam5)
     rho = random_density(5, rng)
-    validate_density_matrix(apply_channel(ch, rho))
+    validate_density_matrix(unvec(superoperator_of(ch) @ vec(rho)))
 
 
 def test_fixed_point_of_unit_eigenvalue_axis(fam2):
     ch = channel_from_eigenvalues(2, [1.0, 0.0, 0.0], fam2)
     p = fam2.projector(0, 0)
-    assert np.max(np.abs(apply_channel(ch, p) - p)) <= 1e-12
-
-
-def test_apply_channel_dimension_mismatch(fam2):
-    ch = identity_channel(2, fam2)
-    with pytest.raises(DimensionMismatchError):
-        apply_channel(ch, np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        apply_channel(ch, np.ones(2))
+    assert np.max(np.abs(unvec(superoperator_of(ch) @ vec(p)) - p)) <= 1e-12
 
 
 def test_apply_channel_stack_matches_per_matrix_calls(fam5, rng):
@@ -227,27 +221,31 @@ def test_superoperator_is_fresh_on_every_call(fam3, rng):
     assert set(vars(ch)) == {"probs", "fam"}  # nothing is cached on the channel
 
 
-@pytest.mark.parametrize("d, refused", [(23, False), (29, True), (31, True)])
-def test_spectral_table_guard_trips_before_allocating(d, refused, monkeypatch):
-    # at d=31 the Choi table would take about 473 MB: refused before any allocation
-    fam = build_mub_family(d)
-
-    def no_alloc(*args, **kwargs):
-        raise AssertionError("a spectral table was allocated")
-
-    monkeypatch.setattr(MubFamily, "unitaries", no_alloc)
-    monkeypatch.setattr(np, "zeros", no_alloc)
-    assert ((d + 1) * d**4 > MAX_SPECTRAL_ENTRIES) == refused
-    with pytest.raises(TooLargeError if refused else AssertionError):
-        choi_from_spectrum(fam, np.ones(d + 1))
+@pytest.mark.parametrize("d", [29, 31])
+def test_choi_of_identity_spectrum_at_large_d(d):
+    # no per-family table bounds the Choi form: it is built at every built-in d
+    j = choi_from_spectrum(build_mub_family(d), np.ones(d + 1))
+    omega = vec(np.eye(d)) / np.sqrt(d)
+    assert np.max(np.abs(j - np.outer(omega, omega))) <= 1e-12
 
 
-def test_superoperator_matches_apply_on_20_random_inputs(fam5, rng):
-    ch = random_cptp_channel(5, rng, fam5)
+def _family(name, rng):
+    if name == "loaded-d4":  # a prime-power family, through its file form
+        return mub_family_from_dict(mub_family_to_dict(MubFamily(d=4, bases=two_qubit_mub_bases())))
+    if name == "rotated-d5":
+        return rotated_family(build_mub_family(5), rng)
+    return build_mub_family(int(name[1:]))
+
+
+@pytest.mark.parametrize("family", ["d2", "d3", "d5", "d7", "loaded-d4", "rotated-d5"])
+def test_superoperator_matches_apply_on_20_random_inputs(family, rng):
+    fam = _family(family, rng)
+    d = fam.d
+    ch = random_cptp_channel(d, rng, fam)
     s = superoperator_of(ch)
     for _ in range(20):
-        x = random_hermitian(5, rng)
-        assert np.max(np.abs(unvec(s @ vec(x), 5) - apply_channel(ch, x))) <= 1e-10
+        x = random_hermitian(d, rng)
+        assert np.max(np.abs(unvec(s @ vec(x), d) - apply_channel(ch, x))) <= 1e-10
 
 
 def test_choi_identity_is_maximally_entangled_projector(fam3):

@@ -473,6 +473,26 @@ def test_non_finite_input_fails_without_report(tmp_path, capsys, command, payloa
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("entry", [[NAN, 0.0], [INF, 0.0], [0.0, -INF], [1e308, 0.0]])
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["analyze"], ["analyze", "--oracle", "--restarts", "8"]]
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any residual is computed
+def test_family_file_with_non_finite_entries_exits_2(tmp_path, capsys, entry, argv):
+    from gpchannels.mub import build_mub_family, mub_family_to_dict
+
+    family = mub_family_to_dict(build_mub_family(3))
+    family["bases"][1][0][2] = family["bases"][2][1][0] = entry
+    path = write_spec(tmp_path, "fam.json", family)
+    if argv[0] == "analyze":  # a channel spec on the family file
+        path = write_spec(tmp_path, "ch.json", {"d": 3, "probabilities": [0.2] * 5,
+                                                "mub_file": "fam.json"})
+    code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: MubValidationError: basis entry [1][0][2]")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, payload, expected, name",
     [

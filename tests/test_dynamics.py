@@ -21,9 +21,10 @@ from gpchannels.channel import fujiwara_algoet_check
 from gpchannels.dynamics import (
     evolution_from_dict,
     generator_consistency_residual,
+    generator_superoperator,
     timeline_csv_text,
 )
-from helpers import timeline_csv_reference
+from helpers import _dephase, random_hermitian, timeline_csv_reference, unvec, vec
 
 
 def test_zero_rates_freeze_identity(fam2):
@@ -212,6 +213,18 @@ def test_generator_matrix_exponential_cross_check(d, rng):
     spec = exponential_evolution(d, rng.uniform(0, 2, size=d + 1), fam)
     residual = generator_consistency_residual(spec, np.linspace(0.0, 3.0, 10))
     assert residual <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_generator_superoperator_matches_reference_dephasing(d, rng):
+    # L[X] = sum_a gamma_a (Phi_a[X] - X), each Phi_a through the reference route
+    fam = build_mub_family(d)
+    rates = rng.uniform(0, 2, size=d + 1)
+    gen = generator_superoperator(exponential_evolution(d, rates, fam))
+    for _ in range(10):
+        x = random_hermitian(d, rng)
+        ref = sum(g * (_dephase(fam.bases[a], x) - x) for a, g in enumerate(rates))
+        assert np.max(np.abs(unvec(gen @ vec(x), d) - ref)) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3])

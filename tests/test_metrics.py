@@ -26,6 +26,7 @@ from gpchannels import (
 )
 from gpchannels.metrics import CLASSIFY_SLACK, SpectralFigures
 from helpers import (
+    apply_channel,
     channel_fidelity,
     depolarizing_channel,
     fidelity_extremes_probability_form,
@@ -83,8 +84,6 @@ def test_pointwise_fidelity_trivial_channels(fam5, rng):
 
 
 def test_pointwise_fidelity_matches_direct_matrix_route(fam3, rng):
-    from gpchannels import apply_channel
-
     ch = random_cptp_channel(3, rng, fam3)
     for _ in range(25):
         psi = random_pure(3, rng)

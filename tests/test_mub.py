@@ -45,20 +45,23 @@ def test_non_prime_or_out_of_range_dimensions_rejected(d):
 
 
 def test_builtin_family_built_once_and_frozen():
-    # one shared family per d, so neither its arrays nor the Choi parts
-    # memoized on it may be written through
-    from gpchannels.channel import _choi_parts
-
+    # one shared family per d, so none of its arrays may be written through
     fam = build_mub_family(3)
     assert build_mub_family(3) is fam
     assert build_mub_family(np.int64(3)) is fam
     with pytest.raises(UnsupportedDimensionError):
         build_mub_family(3.0)  # the type check is not bypassed by the cache
-    choi = _choi_parts(fam)
-    assert _choi_parts(build_mub_family(3)) is choi
-    for arr in (fam.bases, fam.unitaries(), choi):
+    for arr in (fam.bases, fam.unitaries()):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308, 1.0 + 1e-9, 1.5e308 + 1.5e308j])
+def test_family_refuses_entries_no_unit_vector_has(fam3, entry):
+    bases = fam3.bases.copy()
+    bases[1, 0, 2] = entry
+    with pytest.raises(MubValidationError, match=r"basis entry \[1\]\[0\]\[2\]"):
+        MubFamily(d=3, bases=bases)
 
 
 def test_family_is_frozen_and_holds_only_d_and_bases(fam3):

@@ -23,6 +23,7 @@ from gpchannels import (
 from gpchannels.cli import nearest_basis_index
 from gpchannels.oracle import VALUE_TOL
 from helpers import (
+    apply_channel,
     depolarizing_channel,
     identity_channel,
     random_cptp_channel,
@@ -242,7 +243,7 @@ def test_power_ascent_histories_monotone(fam3, rng):
 def test_returned_values_match_direct_evaluation(rng):
     # the winning restart's value is the objective at the returned state;
     # with the basis seeds that state attains the reported value itself
-    from gpchannels import apply_channel, build_mub_family
+    from gpchannels import build_mub_family
 
     for d in (2, 3, 5):
         fam = build_mub_family(d)
@@ -372,6 +373,22 @@ def test_eigenrelation_residual_and_fault_injection(fam5, rng, monkeypatch):
     # corrupted eigenvalue on one axis: residual is 0.01 * ||U||_F = 0.01 * sqrt(d)
     monkeypatch.setattr(oracle, "spectrum_of", lambda _: Spectrum(5, lam))
     assert eigenrelation_residual(ch) == pytest.approx(0.01 * np.sqrt(5), rel=1e-9)
+
+
+def test_eigenrelation_residual_reads_the_searched_superoperator(fam3, rng, monkeypatch):
+    # the check runs on the matrix the searches receive, so a fault in it shows
+    from gpchannels import oracle
+
+    ch = random_cptp_channel(3, rng, fam3)
+    build = oracle.superoperator_of
+
+    def perturbed(c):
+        s = build(c)
+        s[4, 2] += 1e-6
+        return s
+
+    monkeypatch.setattr(oracle, "superoperator_of", perturbed)
+    assert eigenrelation_residual(ch) >= 1e-7
 
 
 def test_cptp_scan_d2_no_disagreements():
@@ -515,7 +532,7 @@ def test_inf_norm_formula_beaten_outside_exact_regime(fam3, seed):
     # pinned counterexample: two strongly negative eigenvalues let inputs
     # superposed across those bases exceed the single-basis closed form;
     # the search value is confirmed by direct evaluation of the best pair
-    from gpchannels import apply_channel, max_output_inf_norm
+    from gpchannels import max_output_inf_norm
 
     ch = channel_from_eigenvalues(3, [0.187, 0.153, -0.341, -0.419], fam3)
     assert not spectral_figures(spectrum_of(ch).lambdas).inf_exact
@@ -536,7 +553,7 @@ def test_inf_norm_formula_beaten_outside_exact_regime(fam3, seed):
 def test_inf_norm_formula_always_attained_on_basis_projectors(rng):
     # the closed form is exactly the best over basis-projector pairs, so a
     # constructed pair must reach it regardless of regime
-    from gpchannels import apply_channel, build_mub_family, max_output_inf_norm, spectrum_of
+    from gpchannels import build_mub_family, max_output_inf_norm, spectrum_of
 
     for d in (2, 3, 5):
         fam = build_mub_family(d)

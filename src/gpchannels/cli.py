@@ -605,9 +605,10 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_INVALID)
     except TooLargeError as exc:
         return _fail(exc, EXIT_GUARD)
-    except (OSError, KeyError, GpcError, ValueError) as exc:
+    except (OSError, KeyError, GpcError, ValueError, OverflowError) as exc:
         # JSON syntax and every remaining package error (bad weights,
-        # dimensions, basis families) subclass ValueError or GpcError
+        # dimensions, basis families) subclass ValueError or GpcError; a JSON
+        # integer past the float range raises OverflowError where it is read
         return _fail(exc, EXIT_PARSE)
     print(
         f"[gpchannels] {args.command} finished in {time.monotonic() - start:.3f}s",

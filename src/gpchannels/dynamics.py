@@ -220,9 +220,9 @@ def generator_consistency_residual(spec: EvolutionSpec, times) -> float:
     mu, v = np.linalg.eigh(generator_superoperator(spec))
     x = eigen_columns(spec.fam)
     coeffs = v.conj().T @ x
+    times = np.asarray(times, dtype=float)
     worst = 0.0
-    for t in np.asarray(times, dtype=float):
-        lam = eigenvalue_trajectory(spec, t).lambdas
+    for t, lam in zip(times, _trajectory_grid(spec, times)):
         scale = np.concatenate([[1.0], np.repeat(lam, d - 1)])
         evolved = v @ (np.exp(t * mu)[:, None] * coeffs)
         worst = max(worst, float(np.max(np.abs(evolved - x * scale))))

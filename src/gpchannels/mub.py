@@ -50,7 +50,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MubFamily:
-    """Pairwise unbiased orthonormal bases of C^d, maximally d+1 of them.
+    """Pairwise unbiased orthonormal bases of C^d (d >= 2), maximally d+1 of them.
 
     ``bases[a, k]`` is the k-th unit vector of basis a.  Channels require a
     maximal family; partial families are permitted here so they can still
@@ -67,6 +67,8 @@ class MubFamily:
     bases: np.ndarray  # shape (n_bases, d, d), complex, n_bases <= d+1
 
     def __post_init__(self):
+        if self.d < 2:  # C^1 holds no channel: every formula divides by d - 1
+            raise MubValidationError(f"a family needs d >= 2, got d={self.d}")
         bases = np.asarray(self.bases, dtype=complex)
         if (
             bases.ndim != 3
@@ -177,7 +179,9 @@ def build_mub_family(d: int) -> MubFamily:
     :func:`load_mub_file` instead.  Each d is built and validated once and
     the same frozen family is returned on every later call.
     """
-    if not isinstance(d, (int, np.integer)) or not _is_prime(int(d)) or not (2 <= d <= MAX_BUILTIN_DIM):
+    # the range first: trial division of a huge prime d would run for ages
+    if (not isinstance(d, (int, np.integer)) or not (2 <= d <= MAX_BUILTIN_DIM)
+            or not _is_prime(int(d))):
         raise UnsupportedDimensionError(
             f"no built-in construction for d={d}; need a prime in [2, {MAX_BUILTIN_DIM}] "
             "(load a family from file for other dimensions)"

@@ -112,10 +112,8 @@ class OracleResult:
     the earliest restart within VALUE_TOL of it (seeded candidates come
     first), which never ends on a loose stop unless it runs out of sweeps.
     ``restart_values`` holds each restart's final objective and
-    ``restart_iterations`` its sweeps.  ``history`` holds the starting row
-    plus one row per sweep; column r follows restart r and only improves.
-    The same config and inputs replay the result bit-identically regardless
-    of how restarts are scheduled.
+    ``restart_iterations`` its sweeps.  The same config and inputs replay
+    the result bit-identically regardless of how restarts are scheduled.
     """
 
     value: float
@@ -123,13 +121,12 @@ class OracleResult:
     dual_state: np.ndarray | None
     restart_values: np.ndarray
     restart_iterations: np.ndarray
-    history: np.ndarray
     best_restart: int
     restarts: int
     n_seed_states: int
 
     def __post_init__(self):
-        for name in ("state", "dual_state", "restart_values", "restart_iterations", "history"):
+        for name in ("state", "dual_state", "restart_values", "restart_iterations"):
             if getattr(self, name) is not None:
                 arr = np.asarray(getattr(self, name))
                 arr.setflags(write=False)
@@ -225,42 +222,38 @@ _SPACING = np.pi / LINE_SEARCH_POINTS
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
 
-def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig, swap=False,
+def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig,
             score=np.asarray):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
     ``starts`` (k, R, m) holds R unit vectors of C^(k m) in k blocks.
     Lambda_H is block diagonal: ``ops[j]`` is the transposed row-major
-    superoperator of block j, applied to the projector of block j (of the
-    other block when ``swap``).  ``scale`` is ||H||_2; ``score`` maps values
-    to what ``_select_best`` ranks.  Returns states, values, sweeps, history.
+    superoperator of block j, applied to the projector of block k-1-j (the
+    same block when k = 1).  ``scale`` is ||H||_2; ``score`` maps values to
+    what ``_select_best`` ranks.  Returns states, values, sweeps and the
+    index of the restart to report.
     """
     k, r, m = starts.shape
-    blocks = slice(None, None, -1) if swap else slice(None)
     tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
     states, values = np.array(starts, dtype=complex), np.full(r, -np.inf)
     iters, settled = np.zeros(r, dtype=np.int64), np.zeros(r, dtype=bool)  # settled: no loose stop
-    history = []
 
     def apply(w, out):
         # out <- Lambda_H[w w^dagger] for w of shape (n, k, b, m); returns the projectors
-        ws = w[:, blocks]
+        ws = w[:, ::-1]
         proj = (ws[..., :, None] * ws.conj()[..., None, :]).reshape(*w.shape[:3], m * m)
         np.matmul(proj, ops, out=out)
-        return proj[:, blocks]
+        return proj[:, ::-1]
 
-    def climb(idx, patient, rows):
-        # run restarts idx from their states, appending each sweep's values to rows;
-        # a patient climb makes no loose stop
+    def climb(idx, patient):
+        # run restarts idx from their states; a patient climb makes no loose stop
         x = states[:, idx]
         g = np.empty((3, k, idx.size, m * m), dtype=complex)  # Lambda_H[P], then line-search images
         apply(x[None], g[:1])
         gx = np.matvec(g[0].reshape(k, -1, m, m), x)
         f = np.maximum(np.vecdot(x, gx).real.sum(0), values[idx])  # a resumed value never drops
         values[idx] = f
-        if not patient:
-            rows.append(values.copy())  # the starting row
         grad = gx - f[:, None] * x  # the Riemannian gradient, up to a factor 2
         gg = np.vecdot(grad, grad).real.sum(0)
         memory = np.zeros((2,) + x.shape, dtype=complex)  # previous direction and gradient
@@ -327,24 +320,18 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
             gg = np.vecdot(grad, grad).real.sum(0)
             low, age = np.minimum(low, gg), np.where(up, np.where(steepest, 1, age + 1), cycle)
             values[idx] = f
-            rows.append(values.copy())
             # certified; steepest ascent gains nothing; stalled; or a loose stop
             final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES)
             stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
         states[:, idx] = x
 
-    climb(np.arange(r), False, history)
-    # the restart that is reported carries the certificate: resume it after a loose stop
-    best, trail = _select_best(score(values)), []
-    first = iters[best] + 1
-    if not settled[best] and first <= cfg.max_iters:
-        climb(np.array([best]), True, trail)
-    history = np.asarray(history)  # one row per sweep of the longest restart
-    history = np.concatenate([history, np.repeat(history[-1:], iters.max() + 1 - len(history), 0)])
-    if trail:
-        history[first:, best] = values[best]
-        history[first:first + len(trail), best] = np.asarray(trail)[:, best]
-    return states, values, iters, history
+    climb(np.arange(r), False)
+    # the restart that is reported carries the certificate: resume it after a loose stop;
+    # that only raises its value, so it stays the earliest within VALUE_TOL of the best
+    best = _select_best(score(values))
+    if not settled[best] and iters[best] < cfg.max_iters:
+        climb(np.array([best]), True)
+    return states, values, iters, best
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -356,16 +343,14 @@ def _select_best(values: np.ndarray) -> int:
     return int(np.nonzero(values >= np.max(values) - VALUE_TOL)[0][0])
 
 
-def _result(score, states, iters, history, n_seeds, sign=1.0, dual_states=None):
+def _result(score, states, iters, best, n_seeds, sign=1.0, dual_states=None):
     """OracleResult from per-restart scores (larger is better), reported as sign * score."""
-    best = _select_best(score)
     return OracleResult(
         value=sign * float(np.max(score)),
         state=states[best],
         dual_state=None if dual_states is None else dual_states[best],
         restart_values=sign * score,
         restart_iterations=iters,
-        history=sign * history,
         best_restart=best,
         restarts=score.shape[0],
         n_seed_states=n_seeds,
@@ -390,8 +375,8 @@ def extremize_self_fidelity(
     sgn = 1.0 if sense == "max" else -1.0
     starts, n_seeds = _start_states(m, cfg, seed_states)
     h = 0.5 * sgn * (s + s.conj().T)
-    psi, g, iters, hist = _ascent(np.ascontiguousarray(h.T)[None], starts[None], _norm2(h), cfg)
-    return _result(g, psi[0], iters, hist, n_seeds, sign=sgn)
+    psi, g, iters, best = _ascent(np.ascontiguousarray(h.T)[None], starts[None], _norm2(h), cfg)
+    return _result(g, psi[0], iters, best, n_seeds, sign=sgn)
 
 
 def maximize_output_2norm(
@@ -404,8 +389,8 @@ def maximize_output_2norm(
     s, m = _checked_superop(superop)
     starts, n_seeds = _start_states(m, cfg, seed_states)
     h_t = s.T @ s.conj()  # (S^dagger S)^T
-    psi, g, iters, hist = _ascent(h_t[None], starts[None], _norm2(h_t), cfg, score=np.sqrt)
-    return _result(np.sqrt(g), psi[0], iters, np.sqrt(hist), n_seeds)
+    psi, g, iters, best = _ascent(h_t[None], starts[None], _norm2(h_t), cfg, score=np.sqrt)
+    return _result(np.sqrt(g), psi[0], iters, best, n_seeds)
 
 
 def maximize_output_inf_norm(
@@ -427,9 +412,9 @@ def maximize_output_inf_norm(
     phi = np.linalg.eigh(out)[1][:, :, -1]
     ops = np.stack([2.0 * s.conj(), 2.0 * s.T])  # Lambda^dagger, then Lambda
     starts = np.stack([psi, phi]) / np.sqrt(2.0)
-    x, g, iters, hist = _ascent(ops, starts, 2.0 * _norm2(s), cfg, swap=True)
+    x, g, iters, best = _ascent(ops, starts, 2.0 * _norm2(s), cfg)
     x /= np.linalg.norm(x, axis=2, keepdims=True)
-    return _result(g, x[0], iters, hist, n_seeds, dual_states=x[1])
+    return _result(g, x[0], iters, best, n_seeds, dual_states=x[1])
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel) -> float:

@@ -493,6 +493,68 @@ def test_family_file_with_non_finite_entries_exits_2(tmp_path, capsys, entry, ar
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+HUGE = 10**400  # a JSON integer past the float range
+_EVOLVE_FLAGS = ["--t-max", "1", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["validate"], {"d": 2, "probabilities": [HUGE, 0, 0, 0]}),
+        (["analyze", "--oracle", "--restarts", "8"], {"d": 2, "probabilities": [0, HUGE, 0, 0]}),
+        (["tensor", "--n", "2"], {"d": 2, "probabilities": [0, 0, 0, -HUGE]}),
+        (["validate"], {"d": 3, "eigenvalues": [0.4, HUGE, 0.1, 0.2]}),
+        (["analyze", "--allow-noncptp"], {"d": 2, "eigenvalues": [HUGE, 0.1, 0.1]}),
+        (["evolve", *_EVOLVE_FLAGS], {"d": 2, "rates": [1, HUGE, 1]}),
+        (["evolve", *_EVOLVE_FLAGS], {"d": 2, "trajectory": [_TRAJ_START, {"t": HUGE, "lambdas": [1, 1, 1]}]}),
+        (["validate"], "family"),
+        (["analyze"], "family"),
+    ],
+    ids=["probabilities", "probabilities-oracle", "probabilities-tensor", "eigenvalues",
+         "eigenvalues-noncptp", "rates", "trajectory-t", "bases", "bases-channel"],
+)
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, payload):
+    if payload == "family":
+        from gpchannels.mub import build_mub_family, mub_family_to_dict
+
+        payload = mub_family_to_dict(build_mub_family(3))
+        payload["bases"][2][1][0] = [0, HUGE]
+        if argv[0] == "analyze":  # a channel spec on the family file
+            write_spec(tmp_path, "fam.json", payload)
+            payload = {"d": 3, "probabilities": [0.2] * 5, "mub_file": "fam.json"}
+    spec = write_spec(tmp_path, "spec.json", payload)
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+BIG_PRIME = 2**61 - 1
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["mub", "--d", str(BIG_PRIME)], None),
+    (["validate"], {"d": BIG_PRIME, "probabilities": [1, 0, 0]}),
+    (["evolve", *_EVOLVE_FLAGS], {"d": BIG_PRIME, "rates": [1, 1, 1]}),
+])
+def test_huge_prime_dimension_refused_before_trial_division(tmp_path, capsys, monkeypatch,
+                                                            argv, payload):
+    from gpchannels import mub
+
+    is_prime = mub._is_prime
+
+    def small_only(n):
+        assert n <= mub.MAX_BUILTIN_DIM, f"trial division of {n}"
+        return is_prime(n)
+
+    monkeypatch.setattr(mub, "_is_prime", small_only)
+    if payload is not None:
+        argv = argv[:1] + [write_spec(tmp_path, "spec.json", payload)] + argv[1:]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: UnsupportedDimensionError: no built-in construction for d={BIG_PRIME}")
+
+
 @pytest.mark.parametrize(
     "argv, payload, expected, name",
     [
@@ -636,6 +698,71 @@ def test_channel_commands_fuzz_exit_codes_and_reports(case):
     if code == 0:
         report = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert all(math.isfinite(x) for x in _numbers(report))
+
+
+_FAMILY_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, HUGE, -HUGE])
+
+
+@st.composite
+def _family_payloads(draw):
+    """(d, payload): a built-in family file for d, broken in one way or left valid."""
+    from gpchannels.mub import LOAD_TOL, build_mub_family, mub_family_to_dict
+
+    d = draw(st.sampled_from([2, 3, 5]))
+    payload = mub_family_to_dict(build_mub_family(d))
+    bases = payload["bases"]
+    a, k, i = draw(st.integers(0, d)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    kind = draw(st.sampled_from(["number", "entry", "vector", "bases", "d", "scale", "edge",
+                                 "partial", "valid"]))
+    if kind == "number":
+        bases[a][k][i][draw(st.integers(0, 1))] = draw(_FAMILY_NUMBERS)
+    elif kind == "entry":  # not a [re, im] pair
+        bases[a][k][i] = draw(st.sampled_from([[], [0.5], [0.5, 0.0, 0.0], 0.5, "ab", None]))
+    elif kind == "vector":  # one vector or basis too short or too long: ragged lists
+        row = bases[a] if draw(st.booleans()) else bases[a][k]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(row[-1])
+    elif kind == "bases":
+        payload["bases"] = draw(st.sampled_from([[], [[]], [[[]]], {}, 1.0, "bases", None]))
+    elif kind == "d":  # a declared d that does not match the vectors
+        payload["d"] = draw(st.sampled_from([1, 0, -1, 4, 7, BIG_PRIME, HUGE, 3.0, "3", None]))
+    elif kind in ("scale", "edge"):  # a vector off unit length, or at the loading tolerance
+        c = (draw(st.sampled_from([0.0, 1e-300, 0.5, 1.01, -1.0])) if kind == "scale"
+             else 1.0 + draw(st.floats(0.45, 0.55)) * LOAD_TOL)  # residual about 2(c - 1)
+        bases[a][k] = [[c * re, c * im] for re, im in bases[a][k]]
+    elif kind == "partial":
+        del bases[draw(st.integers(1, d)):]
+    return d, payload
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_family_payloads(),
+       head=st.sampled_from([["validate"], ["analyze"], ["analyze", "--oracle", "--restarts", "8"]]))
+def test_family_file_fuzz_exit_codes_and_reports(case, head):
+    d, family = case
+    # json.dumps writes NaN/Infinity constants and big integers, which the loader reads
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fam.json"
+        path.write_text(json.dumps(family))
+        if head[0] == "analyze":  # a channel spec on the family file
+            path = Path(tmp) / "ch.json"
+            path.write_text(json.dumps({"d": family.get("d"), "mub_file": "fam.json",
+                                        "probabilities": [0.4] + [0.6 / (d + 1)] * (d + 1)}))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(head[:1] + [str(path)] + head[1:])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 0:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert all(math.isfinite(x) for x in _numbers(report))
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_selftest_passes_quick(capsys):

@@ -8,7 +8,6 @@ from gpchannels import (
     DimensionMismatchError,
     InvalidTrajectoryError,
     OutOfRangeError,
-    Spectrum,
     UnsupportedDimensionError,
     build_mub_family,
     eigenvalue_trajectory,
@@ -231,13 +230,13 @@ def test_generator_superoperator_matches_reference_dephasing(d, rng):
 def test_generator_cross_check_flags_perturbed_formula(d, rng, monkeypatch):
     from gpchannels import dynamics
 
-    exact = dynamics.eigenvalue_trajectory
+    exact = dynamics._trajectory_grid
 
-    def perturbed(spec, t):  # the last basis's eigenvalue off by a relative 1e-6
-        return Spectrum(spec.d, exact(spec, t).lambdas * np.r_[np.ones(d), 1 + 1e-6])
+    def perturbed(spec, times):  # the last basis's eigenvalue off by a relative 1e-6
+        return exact(spec, times) * np.r_[np.ones(d), 1 + 1e-6]
 
     spec = exponential_evolution(d, rng.uniform(0, 2, size=d + 1))
-    monkeypatch.setattr(dynamics, "eigenvalue_trajectory", perturbed)
+    monkeypatch.setattr(dynamics, "_trajectory_grid", perturbed)
     assert generator_consistency_residual(spec, np.linspace(0.0, 3.0, 10)) > 1e-8
 
 

@@ -1,7 +1,10 @@
-"""Smoke tests for the experiment scripts and the README quick tour, run in-process."""
+"""Smoke tests for the experiment scripts and the README quick tour, run in-process,
+and a check that the benchmark's imports from the package resolve."""
 
+import ast
 import csv
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -94,3 +98,45 @@ def test_output_digest_is_deterministic(capsys):
         if command.endswith(".csv]"):
             argv = command.split(" --csv ")[0]
             assert by_command[f"{argv} [stdout]"] == sha
+
+
+def _from_import(module, name):
+    """What ``from module import name`` binds, or None where that import fails."""
+    try:
+        mod = importlib.import_module(module)
+        return getattr(mod, name) if hasattr(mod, name) else importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return None
+
+
+def test_perfbench_gpchannels_names_resolve():
+    # the benchmark imports these at module level, so a name that moves or
+    # goes breaks every benchmark run; perfbench is only parsed, never imported
+    checked, missing = 0, []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}  # local name -> the gpchannels module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "gpchannels":
+                        checked += 1
+                        importlib.import_module(alias.name)  # raises if it is gone
+                        # `import a.b` binds a; `import a.b as c` binds a.b
+                        modules[alias.asname or "gpchannels"] = importlib.import_module(
+                            alias.name if alias.asname else "gpchannels")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gpchannels":
+                for alias in node.names:
+                    checked += 1
+                    obj = _from_import(node.module, alias.name)
+                    if obj is None:
+                        missing.append(f"{path.name}: from {node.module} import {alias.name}")
+                    elif inspect.ismodule(obj):
+                        modules[alias.asname or alias.name] = obj
+        for node in ast.walk(tree):  # attributes read off those modules, such as cli.main
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                checked += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert checked > 20 and not missing, missing

@@ -22,7 +22,6 @@ from .channel import (
 )
 from .dynamics import (
     EvolutionSpec,
-    eigenvalue_trajectory,
     exponential_evolution,
     sampled_evolution,
     timeline_report,
@@ -46,7 +45,6 @@ from .metrics import (
     fidelity_report,
     max_output_2norm,
     max_output_inf_norm,
-    regularized_max_fidelity,
     spectral_figures,
 )
 from .mub import (

@@ -190,13 +190,13 @@ def channel_from_eigenvalues(
     if not check.passed:
         slack = check.lower_slack if check.violated == "lower" else check.upper_slack
         if np.isfinite(slack):
-            by, violation = f" by {-slack:.6g}", -slack
+            by = f" by {-slack:.6g}"
         else:  # huge eigenvalues: the sums behind the slack overflowed
-            by, violation = "; its slack overflowed the float range", np.inf
+            by = "; its slack overflowed the float range"
         raise NotCPTPError(
             f"spectrum violates the {check.violated} Fujiwara-Algoet bound{by}",
             bound=check.violated,
-            violation=violation,
+            spectrum=sp,
         )
     return channel_from_probabilities(d, probabilities_of(sp), fam)
 

@@ -58,14 +58,13 @@ from .errors import (
     OutOfRangeError,
     TooLargeError,
 )
-from .metrics import fidelity_report, max_output_inf_norm, regularized_max_fidelity
+from .metrics import fidelity_report, max_output_inf_norm
 from .mub import (
     LOAD_TOL,
     MubFamily,
     build_mub_family,
     mub_family_from_dict,
     mub_family_to_dict,
-    spec_dimension,
     validate_mub_family,
 )
 from .oracle import (
@@ -107,19 +106,13 @@ def _report_text(report: dict) -> str:
                       default=_json_default) + "\n"
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return "sha256:" + h.hexdigest()
-
-
-def _manifest(command: str, inputs: list[str], seed: int | None, config: dict) -> dict:
+def _manifest(command: str, inputs: dict[str, str], seed: int | None, config: dict) -> dict:
+    """``inputs`` maps each input path to the digest of the bytes that were parsed."""
     return {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "inputs": {path: _digest(path) for path in inputs},
+        "inputs": inputs,
         "config": config,
     }
 
@@ -133,12 +126,18 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+def _load_json(path: str) -> tuple[dict, dict[str, str]]:
+    """The spec's JSON object and ``{path: digest}`` of the bytes it was parsed from.
+
+    The file is read once.  Its bytes are decoded as UTF-8, not sniffed, so a
+    byte-order mark stays a parse error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    payload = json.loads(raw.decode("utf-8"))
     if not isinstance(payload, dict):
         raise BadProbabilitiesError("spec file must contain a JSON object")
-    return payload
+    return payload, {path: "sha256:" + hashlib.sha256(raw).hexdigest()}
 
 
 def _channel_section(sp: Spectrum, probs, cptp: bool) -> dict:
@@ -159,7 +158,6 @@ def _channel_section(sp: Spectrum, probs, cptp: bool) -> dict:
 
 def _metrics_section(ch: GeneralizedPauliChannel) -> dict:
     rep = fidelity_report(ch)
-    reg = regularized_max_fidelity(ch)
     return {
         "f_min": rep.f_min,
         "f_max": rep.f_max,
@@ -179,9 +177,9 @@ def _metrics_section(ch: GeneralizedPauliChannel) -> dict:
             "nu2_fmin_coincide": rep.nu2_fmin_coincide,
         },
         "regularized": {
-            "exact": reg.exact,
-            "lower": reg.lower,
-            "upper": reg.upper,
+            "exact": rep.fmax_multiplicative,
+            "lower": rep.f_max,
+            "upper": rep.regularized_upper,
         },
     }
 
@@ -250,8 +248,8 @@ def cmd_mub(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    payload = _load_json(args.spec)
-    report = {"manifest": _manifest("validate", [args.spec], None, {})}
+    payload, inputs = _load_json(args.spec)
+    report = {"manifest": _manifest("validate", inputs, None, {})}
     if "bases" in payload:
         fam = mub_family_from_dict(payload)  # raises MubValidationError on failure
         rep = validate_mub_family(fam, tol=LOAD_TOL)  # the tolerance that admitted it
@@ -273,11 +271,11 @@ def _dir_of(path: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    payload = _load_json(args.spec)
+    payload, inputs = _load_json(args.spec)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
     manifest = _manifest(
         "analyze",
-        [args.spec],
+        inputs,
         args.seed,
         {"oracle": bool(args.oracle), "restarts": args.restarts},
     )
@@ -286,7 +284,7 @@ def cmd_analyze(args) -> int:
     except NotCPTPError as exc:
         if not args.allow_noncptp:
             raise
-        sp = Spectrum(spec_dimension(payload), np.asarray(payload["eigenvalues"], dtype=float))
+        sp = exc.spectrum
         with np.errstate(over="ignore", invalid="ignore"):  # huge eigenvalues: refused below
             section = _channel_section(sp, probabilities_of(sp), cptp=False)
         if not np.all(np.isfinite([*section["probabilities"], *section["slacks"].values()])):
@@ -305,7 +303,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    payload = _load_json(args.spec)
+    payload, inputs = _load_json(args.spec)
     ch = channel_from_dict(payload, base_dir=_dir_of(args.spec))
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
     probe = tensor_fidelity_probe(ch, args.n, cfg)
@@ -319,7 +317,7 @@ def cmd_tensor(args) -> int:
         {
             "manifest": _manifest(
                 "tensor",
-                [args.spec],
+                inputs,
                 args.seed,
                 {"n": args.n, "restarts": args.restarts},
             ),
@@ -344,7 +342,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    payload = _load_json(args.spec)
+    payload, inputs = _load_json(args.spec)
     spec = evolution_from_dict(payload)
     # every flag is checked before the grid is allocated
     if not np.isfinite(args.t_max):
@@ -365,7 +363,7 @@ def cmd_evolve(args) -> int:
         sys.stdout.write(csv_text)
     summary = {
         "manifest": _manifest(
-            "evolve", [args.spec], None, {"t_max": args.t_max, "steps": args.steps}
+            "evolve", inputs, None, {"t_max": args.t_max, "steps": args.steps}
         ),
         "evolution": {
             "d": spec.d,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Spectrum, dephasing_mixture, eigen_columns, resolve_family
+from .channel import dephasing_mixture, eigen_columns, resolve_family
 from .errors import InvalidTrajectoryError, OutOfRangeError
 from .metrics import SpectralFigures, spectral_figures
 from .mub import MubFamily, spec_dimension
@@ -122,12 +122,6 @@ def _trajectory_grid(spec: EvolutionSpec, times: np.ndarray) -> np.ndarray:
     for a in range(spec.d + 1):
         out[:, a] = np.interp(times, spec.sample_times, spec.sample_lambdas[:, a])
     return out
-
-
-def eigenvalue_trajectory(spec: EvolutionSpec, t: float) -> Spectrum:
-    """Spectrum of the evolving channel at one time."""
-    lam = _trajectory_grid(spec, np.array([float(t)]))[0]
-    return Spectrum(d=spec.d, lambdas=lam)
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,11 @@ class InvalidTrajectoryError(GpcError, ValueError):
 class NotCPTPError(GpcError, ValueError):
     """Eigenvalues fail the complete-positivity inequalities.
 
-    Carries which bound failed (``"lower"`` or ``"upper"``) and by how much.
+    Carries which bound failed (``"lower"`` or ``"upper"``) and the refused
+    spectrum; the message states by how much.
     """
 
-    def __init__(self, message: str, bound: str | None = None, violation: float | None = None):
+    def __init__(self, message: str, bound: str | None = None, spectrum=None):
         super().__init__(message)
         self.bound = bound
-        self.violation = violation
+        self.spectrum = spectrum

@@ -17,10 +17,14 @@ self-adjoint in the Hilbert-Schmidt inner product).
 
 Multiplicativity classification: f_max of a tensor power factorizes into
 the single-copy power whenever max(lambda) >= |min(lambda)|, in which case
-the n-th regularized maximal fidelity equals f_max for every n and also
-equals nu_inf.  Outside that regime only the bracket
-[f_max, nu_inf] is reported; whether tensor inputs can beat product
-inputs there is probed numerically, never asserted.  The four flags are
+the regularized maximal fidelity equals f_max at every order and also
+equals nu_inf.  Outside that regime only the bracket [f_max, nu_inf] is
+reported.  Its lower end is attained by a product of basis vectors, and
+the n-th root of any tensor-power search value
+(:func:`gpchannels.oracle.tensor_fidelity_probe`) can raise it.  Its upper
+end, the closed-form nu_inf, bounds every tensor-power fidelity only where
+it is the true maximal output inf-norm and that norm is multiplicative, as
+at d = 2; at d >= 3 the search can exceed it.  The four flags are
 
     fmax_multiplicative   max(lambda) >= |min(lambda)|
                           (the dominant eigenvalue is the nonnegative one),
@@ -36,7 +40,9 @@ and nu_inf; the attaining bases argmin_alpha, argmax_alpha and nu2_alpha
 (argmax of lambda^2); the four flags; nu2_fmax_coincide (|max(lambda)| >=
 |min(lambda)|) and nu2_fmin_coincide (max(lambda)^2 <= min(lambda)^2);
 inf_exact (d = 2 or f_max factorizes: nu_inf is then the verified
-maximum); and the Fujiwara-Algoet slacks fa_lower_slack and
+maximum); regularized_upper, the upper end of the regularized bracket (f_max
+where fmax_multiplicative marks the value exact, else nu_inf; the lower end
+is f_max); and the Fujiwara-Algoet slacks fa_lower_slack and
 fa_upper_slack of :func:`gpchannels.channel.fa_slacks`.
 
 That record is the only one: the per-channel functions below return it for
@@ -78,6 +84,7 @@ class SpectralFigures:
     nu2_fmax_coincide: np.ndarray
     nu2_fmin_coincide: np.ndarray
     inf_exact: np.ndarray
+    regularized_upper: np.ndarray
     fa_lower_slack: np.ndarray
     fa_upper_slack: np.ndarray
 
@@ -101,11 +108,13 @@ def spectral_figures(lambdas) -> SpectralFigures:
     fmax_mult = lmax >= np.abs(lmin) - CLASSIFY_SLACK
     nuinf_eq = lmax >= -lmin / (d - 1) - CLASSIFY_SLACK
     lower, upper = fa_slacks(lam)
+    f_max = (1.0 + (d - 1) * lmax) / d
+    nu_inf = np.maximum(1.0 + (d - 1) * lmax, 1.0 - lmin) / d
     return SpectralFigures(
         f_min=(1.0 + (d - 1) * lmin) / d,
-        f_max=(1.0 + (d - 1) * lmax) / d,
+        f_max=f_max,
         nu2=np.sqrt((1.0 + (d - 1) * np.max(squares, axis=-1)) / d),
-        nu_inf=np.maximum(1.0 + (d - 1) * lmax, 1.0 - lmin) / d,
+        nu_inf=nu_inf,
         argmin_alpha=np.argmin(lam, axis=-1),
         argmax_alpha=np.argmax(lam, axis=-1),
         nu2_alpha=np.argmax(squares, axis=-1),
@@ -116,6 +125,7 @@ def spectral_figures(lambdas) -> SpectralFigures:
         nu2_fmax_coincide=np.abs(lmax) >= np.abs(lmin) - CLASSIFY_SLACK,
         nu2_fmin_coincide=lmax**2 <= lmin**2 + CLASSIFY_SLACK,
         inf_exact=(d == 2) | fmax_mult,
+        regularized_upper=np.where(fmax_mult, f_max, nu_inf)[()],  # [()]: 0-d to scalar
         fa_lower_slack=lower,
         fa_upper_slack=upper,
     )
@@ -157,36 +167,3 @@ def composition_two_norm_residual(ch: GeneralizedPauliChannel) -> float:
     squared = compose(ch, ch)
     return abs(float(fidelity_report(squared).f_max) - max_output_2norm(ch) ** 2)
 
-
-@dataclass(frozen=True)
-class RegularizedMaxFidelity:
-    """Closed-form bracket [lower, upper] on the regularized maximal fidelity.
-
-    When ``exact`` is set, ``lower`` = ``upper`` = f_max is the value itself.
-    Otherwise the ends are the closed forms f_max and nu_inf; see
-    :func:`regularized_max_fidelity` for what each end proves.
-    """
-
-    exact: bool
-    lower: float
-    upper: float
-
-
-def regularized_max_fidelity(ch: GeneralizedPauliChannel) -> RegularizedMaxFidelity:
-    """Regularized maximal fidelity from the closed forms, at every order: exact value or bracket.
-
-    In the factorizing regime (max(lambda) >= |min(lambda)|) the value is
-    f_max exactly for every n, and coincides with nu_inf.  Otherwise the
-    result is the bracket [f_max, nu_inf].  Its lower end is attained by a
-    product of basis vectors; the m-th root of any tensor-power search value
-    (:func:`gpchannels.oracle.tensor_fidelity_probe`) also bounds the
-    regularization from below and can raise it.  Its upper end is the
-    closed-form nu_inf, which bounds every tensor-power fidelity only where
-    it is the true maximal output inf-norm and that norm is multiplicative,
-    as for d = 2; at d >= 3 outside that regime the search can exceed it.
-    """
-    fig = fidelity_report(ch)
-    f_max = float(fig.f_max)
-    if fig.fmax_multiplicative:
-        return RegularizedMaxFidelity(exact=True, lower=f_max, upper=f_max)
-    return RegularizedMaxFidelity(exact=False, lower=f_max, upper=float(fig.nu_inf))

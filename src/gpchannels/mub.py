@@ -97,16 +97,6 @@ class MubFamily:
     def n_bases(self) -> int:
         return self.bases.shape[0]
 
-    def projector(self, alpha: int, k: int) -> np.ndarray:
-        """Rank-1 projector onto vector k of basis alpha."""
-        v = self.vector(alpha, k)
-        return np.outer(v, v.conj())
-
-    def vector(self, alpha: int, k: int) -> np.ndarray:
-        if not (0 <= alpha < self.n_bases and 0 <= k < self.d):
-            raise IndexError(f"basis index ({alpha}, {k}) out of range for d={self.d}")
-        return self.bases[alpha, k]
-
     def all_vectors(self) -> np.ndarray:
         """All basis vectors flattened to shape (n_bases*d, d)."""
         return self.bases.reshape(-1, self.d)
@@ -254,7 +244,7 @@ def mub_family_from_dict(payload: dict) -> MubFamily:
             [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],
             dtype=complex,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: a huge integer
         raise MubValidationError(f"malformed basis-family payload: {exc}") from exc
     fam = MubFamily(d=d, bases=bases)
     report = validate_mub_family(fam, tol=LOAD_TOL)

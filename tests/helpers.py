@@ -9,10 +9,12 @@ import numpy as np
 from gpchannels import (
     DimensionMismatchError,
     MubFamily,
+    Spectrum,
     channel_from_eigenvalues,
     channel_from_probabilities,
     spectrum_of,
 )
+from gpchannels.dynamics import _trajectory_grid
 
 
 def random_cptp_channel(d, rng, fam=None, alpha=1.0):
@@ -28,6 +30,17 @@ def identity_channel(d, fam=None):
 def depolarizing_channel(d, fam=None):
     """The channel with all-zero spectrum (every input goes to I/d)."""
     return channel_from_eigenvalues(d, np.zeros(d + 1), fam)
+
+
+def projector(fam, alpha, k):
+    """Rank-1 projector onto vector k of basis alpha."""
+    v = fam.bases[alpha, k]
+    return np.outer(v, v.conj())
+
+
+def eigenvalue_trajectory(spec, t):
+    """Spectrum of the evolving channel at one time, read off the library's grid."""
+    return Spectrum(d=spec.d, lambdas=_trajectory_grid(spec, np.array([float(t)]))[0])
 
 
 def _dephase(basis: np.ndarray, x: np.ndarray) -> np.ndarray:

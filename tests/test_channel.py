@@ -32,6 +32,7 @@ from helpers import (
     choi_of,
     depolarizing_channel,
     identity_channel,
+    projector,
     random_cptp_channel,
     random_density,
     random_hermitian,
@@ -94,13 +95,15 @@ def test_from_eigenvalues_rejects_noncptp(fam3):
     with pytest.raises(NotCPTPError) as exc:
         channel_from_eigenvalues(3, [0.5, 0.2, -0.1, 0.3], fam3)
     assert exc.value.bound == "upper"
-    assert exc.value.violation == pytest.approx(0.2, abs=1e-12)
-    assert "upper" in str(exc.value)
-    # both sums behind the upper slack overflow: the slack is nan, the violation inf
+    assert str(exc.value) == "spectrum violates the upper Fujiwara-Algoet bound by 0.2"
+    assert np.array_equal(exc.value.spectrum.lambdas, [0.5, 0.2, -0.1, 0.3])
+    # both sums behind the upper slack overflow: the slack is nan, and the
+    # message says so instead of stating an amount
     with pytest.raises(NotCPTPError) as exc:
         channel_from_eigenvalues(2, [1e308, 1e308, 1e308])
-    assert exc.value.bound == "upper" and exc.value.violation == np.inf
-    assert "slack overflowed" in str(exc.value)
+    assert exc.value.bound == "upper"
+    assert "slack overflowed" in str(exc.value) and " by " not in str(exc.value)
+    assert np.array_equal(exc.value.spectrum.lambdas, [1e308, 1e308, 1e308])
 
 
 def test_fujiwara_algoet_identity_boundary():
@@ -151,7 +154,7 @@ def test_apply_channel_output_is_density(fam5, rng):
 
 def test_fixed_point_of_unit_eigenvalue_axis(fam2):
     ch = channel_from_eigenvalues(2, [1.0, 0.0, 0.0], fam2)
-    p = fam2.projector(0, 0)
+    p = projector(fam2, 0, 0)
     assert np.max(np.abs(unvec(superoperator_of(ch) @ vec(p)) - p)) <= 1e-12
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -514,7 +515,10 @@ _EVOLVE_FLAGS = ["--t-max", "1", "--steps", "3"]
          "eigenvalues-noncptp", "rates", "trajectory-t", "bases", "bases-channel"],
 )
 def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, payload):
+    expected = "OverflowError: "
     if payload == "family":
+        # the family loader names a huge entry as a malformed payload
+        expected = "MubValidationError: malformed basis-family payload: "
         from gpchannels.mub import build_mub_family, mub_family_to_dict
 
         payload = mub_family_to_dict(build_mub_family(3))
@@ -525,8 +529,32 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, payload):
     spec = write_spec(tmp_path, "spec.json", payload)
     code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    assert err.startswith("error: " + expected) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["validate"], {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]}),
+    (["analyze"], {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2]}),
+    (["tensor", "--n", "2", "--restarts", "128"], {"d": 2, "eigenvalues": [0.6, 0.6, 0.6]}),
+    (["evolve", *_EVOLVE_FLAGS], {"d": 2, "rates": [1, 1, 1]}),
+])
+def test_each_command_opens_its_spec_once(tmp_path, capsys, monkeypatch, argv, payload):
+    # the manifest digests the very bytes that were parsed, not a second read
+    spec = write_spec(tmp_path, "spec.json", payload)
+    digest = "sha256:" + hashlib.sha256(Path(spec).read_bytes()).hexdigest()
+    report = tmp_path / "report.json"
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, _, _ = run_cli(argv[:1] + [spec] + argv[1:] + ["--out", str(report)], capsys)
+    assert code == 0 and opened.count(spec) == 1
+    assert json.loads(report.read_text())["manifest"]["inputs"] == {spec: digest}
 
 
 BIG_PRIME = 2**61 - 1

@@ -10,7 +10,6 @@ from gpchannels import (
     OutOfRangeError,
     UnsupportedDimensionError,
     build_mub_family,
-    eigenvalue_trajectory,
     exponential_evolution,
     sampled_evolution,
     timeline_report,
@@ -23,7 +22,14 @@ from gpchannels.dynamics import (
     generator_superoperator,
     timeline_csv_text,
 )
-from helpers import _dephase, random_hermitian, timeline_csv_reference, unvec, vec
+from helpers import (
+    _dephase,
+    eigenvalue_trajectory,
+    random_hermitian,
+    timeline_csv_reference,
+    unvec,
+    vec,
+)
 
 
 def test_zero_rates_freeze_identity(fam2):

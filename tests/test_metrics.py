@@ -18,7 +18,6 @@ from gpchannels import (
     fujiwara_algoet_check,
     max_output_2norm,
     max_output_inf_norm,
-    regularized_max_fidelity,
     spectral_figures,
     spectrum_of,
     tensor_fidelity_probe,
@@ -74,7 +73,7 @@ def test_pointwise_fidelity_on_basis_vectors(fam3):
     for a in range(4):
         for k in range(3):
             expected = (1 + 2 * lam[a]) / 3
-            assert channel_fidelity(ch, fam3.vector(a, k)) == pytest.approx(expected, abs=1e-12)
+            assert channel_fidelity(ch, fam3.bases[a, k]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pointwise_fidelity_trivial_channels(fam5, rng):
@@ -189,28 +188,28 @@ def test_attainment_coincidence_flag_conditions(fam2):
 
 
 def test_regularized_identity(fam3):
-    reg = regularized_max_fidelity(identity_channel(3, fam3))
-    assert reg.exact and reg.lower == pytest.approx(1.0, abs=1e-15)
-    assert reg.upper == reg.lower
+    rep = fidelity_report(identity_channel(3, fam3))
+    assert rep.fmax_multiplicative and rep.f_max == pytest.approx(1.0, abs=1e-15)
+    assert rep.regularized_upper == rep.f_max
 
 
 def test_regularized_factorizing_value(fam2):
     ch = channel_from_eigenvalues(2, [0.6, 0.6, 0.6], fam2)
-    reg = regularized_max_fidelity(ch)
-    assert reg.exact
-    assert reg.lower == pytest.approx(0.8, abs=1e-15)
-    assert reg.lower == reg.upper
+    rep = fidelity_report(ch)
+    assert rep.fmax_multiplicative
+    assert rep.f_max == pytest.approx(0.8, abs=1e-15)
+    assert rep.f_max == rep.regularized_upper
 
 
 def test_regularized_open_regime_bracket_and_refinement(fam2):
     ch = channel_from_eigenvalues(2, [-1 / 3, -1 / 3, -1 / 3], fam2)
-    closed = regularized_max_fidelity(ch)
-    assert not closed.exact
-    assert closed.lower == pytest.approx(1 / 3, abs=1e-12)
-    assert closed.upper == pytest.approx(2 / 3, abs=1e-12)
+    rep = fidelity_report(ch)
+    assert not rep.fmax_multiplicative
+    assert rep.f_max == pytest.approx(1 / 3, abs=1e-12)
+    assert rep.regularized_upper == pytest.approx(2 / 3, abs=1e-12)
     probe = tensor_fidelity_probe(ch, 2, OracleConfig(restarts=128, seed=5))
-    refined = max(closed.lower, probe.estimate ** (1 / 2))
-    assert closed.lower - 1e-9 <= refined <= closed.upper + 1e-9
+    refined = max(rep.f_max, probe.estimate ** (1 / 2))
+    assert rep.f_max - 1e-9 <= refined <= rep.regularized_upper + 1e-9
     # the tensor search reaches 1/3 on entangled inputs, refining the bracket
     assert refined == pytest.approx(np.sqrt(1 / 3), abs=1e-6)
 
@@ -220,15 +219,48 @@ def test_regularized_lower_bound_monotone_in_n(fam2):
     # the running best over m <= n never falls and stays inside the d=2 bracket
     ch = channel_from_eigenvalues(2, [-0.3, -0.25, -0.2], fam2)
     cfg = OracleConfig(restarts=64, seed=9)
-    closed = regularized_max_fidelity(ch)
-    lower_prev = closed.lower
+    rep = fidelity_report(ch)
+    lower_prev = rep.f_max
     for n in (2, 3):
         root = tensor_fidelity_probe(ch, n, cfg).estimate ** (1 / n)
         lower = max(lower_prev, root)
-        assert root >= closed.lower - 1e-9  # product seeds reach f_max^n
+        assert root >= rep.f_max - 1e-9  # product seeds reach f_max^n
         assert lower >= lower_prev - 1e-9
-        assert lower <= closed.upper + 1e-9
+        assert lower <= rep.regularized_upper + 1e-9
         lower_prev = lower
+
+
+def _branch_upper(rep):
+    """The bracket's upper end as a per-channel branch: f_max where it is exact, else nu_inf."""
+    return float(rep.f_max) if rep.fmax_multiplicative else float(rep.nu_inf)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_regularized_upper_matches_branch(d):
+    rng = np.random.default_rng(7200 + d)
+    fam = build_mub_family(d)
+    probs = [rng.dirichlet(np.ones(d + 2)) for _ in range(6)]
+    # no identity weight and near-even dephasing: max(lambda) < |min(lambda)|
+    probs += [np.r_[0.0, rng.dirichlet(np.full(d + 1, 20.0))] for _ in range(6)]
+    channels = [channel_from_probabilities(d, p, fam) for p in probs]
+    regimes = set()
+    for ch in channels:
+        rep = fidelity_report(ch)
+        assert rep.regularized_upper.tobytes() == np.float64(_branch_upper(rep)).tobytes()
+        regimes.add(bool(rep.fmax_multiplicative))
+    assert regimes == {True, False}
+    fig = spectral_figures(np.vstack([spectrum_of(ch).lambdas for ch in channels]))
+    assert np.array_equal(fig.regularized_upper,
+                          [_branch_upper(fidelity_report(ch)) for ch in channels])
+
+
+def test_regularized_upper_at_the_classification_boundary(fam2):
+    # max(lambda) sits 5e-13 below |min(lambda)|, inside CLASSIFY_SLACK: the
+    # value is exact, so the upper end is f_max, not the larger nu_inf
+    rep = fidelity_report(channel_from_eigenvalues(2, [0.3 - 5e-13, -0.3, 0.0], fam2))
+    assert rep.fmax_multiplicative
+    assert rep.f_max == 0.64999999999975 and rep.nu_inf == 0.65
+    assert rep.regularized_upper == rep.f_max == _branch_upper(rep)
 
 
 @settings(max_examples=50, deadline=None)
@@ -291,6 +323,8 @@ def _scalar_figures(lam):
         "nu2_fmax_coincide": abs(lmax) >= abs(lmin) - CLASSIFY_SLACK,
         "nu2_fmin_coincide": lmax * lmax <= lmin * lmin + CLASSIFY_SLACK,
         "inf_exact": d == 2 or fmax_mult,
+        "regularized_upper": ((1.0 + (d - 1) * lmax) / d if fmax_mult
+                              else max(1.0 + (d - 1) * lmax, 1.0 - lmin) / d),
         "fa_lower_slack": total + 1.0 / (d - 1),
         "fa_upper_slack": 1.0 + d * lmin - total,
     }

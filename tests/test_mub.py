@@ -13,7 +13,7 @@ from gpchannels import (
     validate_mub_family,
 )
 from gpchannels.mub import mub_family_to_dict
-from helpers import choi_of, rotated_family, two_qubit_mub_bases
+from helpers import choi_of, projector, rotated_family, two_qubit_mub_bases
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -148,7 +148,7 @@ def test_projector_completeness(d):
             acc = np.eye(d, dtype=complex)
             for k in range(1, d):
                 acc += np.exp(-2j * np.pi * k * l / d) * fam.unitaries()[a, k - 1]
-            assert np.max(np.abs(acc / d - fam.projector(a, l))) <= 1e-12
+            assert np.max(np.abs(acc / d - projector(fam, a, l))) <= 1e-12
 
 
 def save_mub_file(fam, path):

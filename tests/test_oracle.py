@@ -26,6 +26,7 @@ from helpers import (
     apply_channel,
     depolarizing_channel,
     identity_channel,
+    projector,
     random_cptp_channel,
     unitary_coefficients,
 )
@@ -579,9 +580,9 @@ def test_inf_norm_formula_always_attained_on_basis_projectors(rng):
             closed = max_output_inf_norm(ch)
             amax, amin = int(np.argmax(lam)), int(np.argmin(lam))
             pos = np.real(
-                np.trace(fam.projector(amax, 0) @ apply_channel(ch, fam.projector(amax, 0)))
+                np.trace(projector(fam, amax, 0) @ apply_channel(ch, projector(fam, amax, 0)))
             )
             neg = np.real(
-                np.trace(fam.projector(amin, 1) @ apply_channel(ch, fam.projector(amin, 0)))
+                np.trace(projector(fam, amin, 1) @ apply_channel(ch, projector(fam, amin, 0)))
             )
             assert max(pos, neg) == pytest.approx(closed, abs=1e-12)

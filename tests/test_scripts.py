@@ -1,11 +1,13 @@
 """Smoke tests for the experiment scripts and the README quick tour, run in-process,
-and a check that the benchmark's imports from the package resolve."""
+a check that the benchmark's imports from the package resolve, and a check that
+every exported name has a reader outside the tests."""
 
 import ast
 import csv
 import importlib.util
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -140,3 +142,22 @@ def test_perfbench_gpchannels_names_resolve():
                 if not hasattr(modules[node.value.id], node.attr):
                     missing.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert checked > 20 and not missing, missing
+
+
+def test_every_export_has_a_non_test_reader():
+    # a name the package exports must be read by the library, a script, the
+    # benchmark or the README; one only the tests read belongs in tests/helpers.py
+    init = ROOT / "src" / "gpchannels" / "__init__.py"
+    exports = [alias.asname or alias.name
+               for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    sources = [p for p in sorted((ROOT / "src" / "gpchannels").glob("*.py")) if p != init]
+    sources += sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py")) + [ROOT / "README.md"]
+    lines = [line for path in sources for line in path.read_text(encoding="utf-8").splitlines()]
+    unread = []
+    for name in exports:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unread.append(name)
+    assert len(exports) > 40 and not unread, unread

@@ -48,8 +48,9 @@ NAN_FAMILY = mub_family_to_dict(build_mub_family(3))
 NAN_FAMILY["bases"][1][0][2] = NAN_FAMILY["bases"][2][1][0] = [float("nan"), 0.0]
 #: (argv, spec written to the file argv[1]) of inputs the CLI refuses: a `d` that is not a JSON
 #: integer, a dimension with no built-in family and no family file, a
-#: spectrum that is not CPTP, and a family file with NaN entries, read
-#: directly and through a channel spec
+#: spectrum that is not CPTP, a family file with NaN entries, read
+#: directly and through a channel spec, a spec that is not a JSON object,
+#: and a `mub_file` that is not a string
 REFUSALS = [
     (["validate", "float-d.json"], {"d": 3.9, "probabilities": [0.2] * 5}),
     (["analyze", "string-d.json"], {"d": "3", "eigenvalues": [0.5] * 4}),
@@ -59,6 +60,8 @@ REFUSALS = [
     (["validate", "nan-family-d3.json"], NAN_FAMILY),
     (["analyze", "on-nan-family.json"],
      {"d": 3, "probabilities": [0.2] * 5, "mub_file": "nan-family-d3.json"}),
+    (["validate", "array-spec.json"], [1, 2]),
+    (["analyze", "number-mub-file.json"], {"d": 3, "probabilities": [0.2] * 5, "mub_file": 5}),
 ]
 
 

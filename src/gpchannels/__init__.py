@@ -50,7 +50,6 @@ from .metrics import (
 from .mub import (
     MubFamily,
     build_mub_family,
-    load_mub_file,
     validate_mub_family,
 )
 from .oracle import (

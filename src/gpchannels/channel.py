@@ -31,7 +31,6 @@ Choi matrix is built by :func:`dephasing_mixture`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +39,11 @@ from .errors import (
     BadProbabilitiesError,
     DimensionMismatchError,
     FamilyMismatchError,
+    MubValidationError,
     NotCPTPError,
     TooLargeError,
 )
-from .mub import MubFamily, build_mub_family, families_equal, load_mub_file, spec_dimension
+from .mub import MubFamily, build_mub_family, families_equal, spec_dimension
 
 #: tolerated probability round-off at CPTP boundaries
 PROB_TOL = 1e-12
@@ -287,29 +287,27 @@ def tensor_power(ch: GeneralizedPauliChannel, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# channel spec files
+# channel specs
 # ---------------------------------------------------------------------------
 
-#: normalization drift accepted (and renormalized away) when loading files
+#: normalization drift accepted (and renormalized away) when loading specs
 LOAD_DRIFT = 1e-9
 
 
-def channel_from_dict(payload: dict, base_dir: str | None = None) -> GeneralizedPauliChannel:
-    """Build a channel from a parsed spec dict.
+def channel_from_dict(payload: dict, fam: MubFamily | None = None) -> GeneralizedPauliChannel:
+    """Build a channel from a parsed spec dict, over ``fam`` or the built-in family.
 
     The payload carries ``d`` (see :func:`~gpchannels.mub.spec_dimension`),
     ``probabilities`` (d+2) or ``eigenvalues`` (d+1), and optionally
-    ``mub_file``, a basis-family JSON (default: built-in construction).
-    Weights drifting off one by at most 1e-9 are renormalized.  This is
-    where a spec's complete positivity is decided: every channel is CPTP.
+    ``mub_file``, a basis-family file that the caller reads and passes as
+    ``fam`` (a payload naming one without ``fam`` is refused).  Weights
+    drifting off one by at most 1e-9 are renormalized.  This is where a
+    spec's complete positivity is decided: every channel is CPTP.
     """
     d = spec_dimension(payload)
-    mub_path = payload.get("mub_file")
-    if mub_path is not None:
-        if base_dir is not None and not os.path.isabs(mub_path):
-            mub_path = os.path.join(base_dir, mub_path)
-        fam = load_mub_file(mub_path)
-    else:
+    if fam is None:
+        if payload.get("mub_file") is not None:
+            raise MubValidationError("the spec names a 'mub_file', but no family was passed")
         fam = build_mub_family(d)
     if "probabilities" in payload:
         p = np.asarray(payload["probabilities"], dtype=float)

@@ -1,5 +1,8 @@
 """Command-line front end: spec loading, analysis runs, reproducible reports.
 
+It is the package's only module that touches files: it reads every input
+file and writes every output.
+
 Commands
 --------
 mub        emit a built-in basis family as JSON
@@ -51,9 +54,9 @@ from .dynamics import (
     validate_trajectory,
 )
 from .errors import (
-    BadProbabilitiesError,
     GpcError,
     InvalidTrajectoryError,
+    MubValidationError,
     NotCPTPError,
     OutOfRangeError,
     TooLargeError,
@@ -117,27 +120,42 @@ def _manifest(command: str, inputs: dict[str, str], seed: int | None, config: di
     }
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = _report_text(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> tuple[dict, dict[str, str]]:
-    """The spec's JSON object and ``{path: digest}`` of the bytes it was parsed from.
+def _emit(report: dict, out_path: str | None) -> None:
+    _write(_report_text(report), out_path)
 
-    The file is read once.  Its bytes are decoded as UTF-8, not sniffed, so a
-    byte-order mark stays a parse error.
+
+def _load_json(path: str, inputs: dict[str, str]) -> dict:
+    """The JSON object in file ``path``; ``inputs[path]`` becomes the digest of its bytes.
+
+    Every input file is read here, once.  Its bytes are decoded as UTF-8,
+    not sniffed, so a byte-order mark stays a parse error.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     payload = json.loads(raw.decode("utf-8"))
     if not isinstance(payload, dict):
-        raise BadProbabilitiesError("spec file must contain a JSON object")
-    return payload, {path: "sha256:" + hashlib.sha256(raw).hexdigest()}
+        raise ValueError(f"{path} must hold a JSON object, found {type(payload).__name__}")
+    inputs[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    return payload
+
+
+def _named_family(spec_path: str, payload: dict, inputs: dict[str, str]) -> MubFamily | None:
+    """The family in the file ``mub_file`` names, relative to the spec's directory, or None."""
+    name = payload.get("mub_file")
+    if name is None:
+        return None
+    if not isinstance(name, str):
+        raise MubValidationError(f"'mub_file' must be a path string, got {name!r}")
+    return mub_family_from_dict(_load_json(os.path.join(os.path.dirname(spec_path), name), inputs))
 
 
 def _channel_section(sp: Spectrum, probs, cptp: bool) -> dict:
@@ -248,30 +266,28 @@ def cmd_mub(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    payload, inputs = _load_json(args.spec)
-    report = {"manifest": _manifest("validate", inputs, None, {})}
+    inputs = {}
+    payload = _load_json(args.spec, inputs)
     if "bases" in payload:
         fam = mub_family_from_dict(payload)  # raises MubValidationError on failure
         rep = validate_mub_family(fam, tol=LOAD_TOL)  # the tolerance that admitted it
-        report["family"] = {
+        report = {"family": {
             "d": fam.d,
             "orthonormality_residual": rep.max_orthonormality_residual,
             "unbiasedness_residual": rep.max_unbiasedness_residual,
             "passed": rep.passed,
-        }
+        }}
     else:
-        ch = channel_from_dict(payload, base_dir=_dir_of(args.spec))
-        report["channel"] = _channel_section(spectrum_of(ch), ch.probs, cptp=True)
-    _emit(report, args.out)
+        ch = channel_from_dict(payload, _named_family(args.spec, payload, inputs))
+        report = {"channel": _channel_section(spectrum_of(ch), ch.probs, cptp=True)}
+    _emit({"manifest": _manifest("validate", inputs, None, {}), **report}, args.out)
     return EXIT_OK
 
 
-def _dir_of(path: str) -> str:
-    return os.path.dirname(os.path.abspath(path))
-
-
 def cmd_analyze(args) -> int:
-    payload, inputs = _load_json(args.spec)
+    inputs = {}
+    payload = _load_json(args.spec, inputs)
+    fam = _named_family(args.spec, payload, inputs)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
     manifest = _manifest(
         "analyze",
@@ -280,7 +296,7 @@ def cmd_analyze(args) -> int:
         {"oracle": bool(args.oracle), "restarts": args.restarts},
     )
     try:
-        ch = channel_from_dict(payload, base_dir=_dir_of(args.spec))
+        ch = channel_from_dict(payload, fam)
     except NotCPTPError as exc:
         if not args.allow_noncptp:
             raise
@@ -303,8 +319,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    payload, inputs = _load_json(args.spec)
-    ch = channel_from_dict(payload, base_dir=_dir_of(args.spec))
+    inputs = {}
+    payload = _load_json(args.spec, inputs)
+    ch = channel_from_dict(payload, _named_family(args.spec, payload, inputs))
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
     probe = tensor_fidelity_probe(ch, args.n, cfg)
     fig = fidelity_report(ch)
@@ -342,8 +359,8 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    payload, inputs = _load_json(args.spec)
-    spec = evolution_from_dict(payload)
+    inputs = {}
+    spec = evolution_from_dict(_load_json(args.spec, inputs))
     # every flag is checked before the grid is allocated
     if not np.isfinite(args.t_max):
         raise InvalidTrajectoryError(f"--t-max must be finite, got {args.t_max!r}")
@@ -355,12 +372,7 @@ def cmd_evolve(args) -> int:
         raise TooLargeError(f"--steps {args.steps} exceeds {MAX_STEPS}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     tl = timeline_report(spec, grid)  # raises InvalidTrajectoryError with first time
-    csv_text = timeline_csv_text(tl)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(timeline_csv_text(tl), args.csv)
     summary = {
         "manifest": _manifest(
             "evolve", inputs, None, {"t_max": args.t_max, "steps": args.steps}

@@ -22,7 +22,6 @@ U(a, k)^dagger = U(a, d-k).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,9 +164,9 @@ def build_mub_family(d: int) -> MubFamily:
 
     Basis 0 is the computational basis.  Raises
     :class:`UnsupportedDimensionError` for non-prime or out-of-range d;
-    families for prime-power dimensions can be supplied via
-    :func:`load_mub_file` instead.  Each d is built and validated once and
-    the same frozen family is returned on every later call.
+    families for prime-power dimensions can be supplied through
+    :func:`mub_family_from_dict` instead.  Each d is built and validated
+    once and the same frozen family is returned on every later call.
     """
     # the range first: trial division of a huge prime d would run for ages
     if (not isinstance(d, (int, np.integer)) or not (2 <= d <= MAX_BUILTIN_DIM)
@@ -200,11 +199,15 @@ def _builtin_family(d: int) -> MubFamily:
         for a in range(1, d + 1):
             for k in range(d):
                 bases[a, k] = pows[(a * l * l + k * l) % d] / np.sqrt(d)
-    fam = MubFamily(d=d, bases=bases)
-    report = validate_mub_family(fam, tol=BUILD_TOL)
+    return _admitted(MubFamily(d=d, bases=bases), BUILD_TOL, f"built-in construction for d={d}")
+
+
+def _admitted(fam: MubFamily, tol: float, what: str) -> MubFamily:
+    """``fam`` if it passes validation at ``tol``, else MubValidationError naming its residuals."""
+    report = validate_mub_family(fam, tol=tol)
     if not report.passed:
         raise MubValidationError(
-            f"built-in construction for d={d} failed validation: "
+            f"{what} failed validation at tol {tol:.1e}: "
             f"orthonormality {report.max_orthonormality_residual:.3e}, "
             f"unbiasedness {report.max_unbiasedness_residual:.3e}"
         )
@@ -246,19 +249,4 @@ def mub_family_from_dict(payload: dict) -> MubFamily:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: a huge integer
         raise MubValidationError(f"malformed basis-family payload: {exc}") from exc
-    fam = MubFamily(d=d, bases=bases)
-    report = validate_mub_family(fam, tol=LOAD_TOL)
-    if not report.passed:
-        raise MubValidationError(
-            f"loaded family failed validation at tol {LOAD_TOL:.1e}: "
-            f"orthonormality {report.max_orthonormality_residual:.3e}, "
-            f"unbiasedness {report.max_unbiasedness_residual:.3e}"
-        )
-    return fam
-
-
-def load_mub_file(path) -> MubFamily:
-    """Load a family from JSON and re-validate its invariants."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return mub_family_from_dict(payload)
+    return _admitted(MubFamily(d=d, bases=bases), LOAD_TOL, "loaded family")

@@ -11,6 +11,7 @@ from gpchannels import (
     DimensionMismatchError,
     FamilyMismatchError,
     MubFamily,
+    MubValidationError,
     NotCPTPError,
     Spectrum,
     TooLargeError,
@@ -391,7 +392,12 @@ def test_fa_slacks_are_scaled_inverse_probabilities(seed, d):
 
 
 def load_channel_file(path):
-    return channel_from_dict(json.loads(path.read_text()), base_dir=str(path.parent))
+    # the family file a spec names is read from the spec's directory, as the CLI reads it
+    payload = json.loads(path.read_text())
+    fam = None
+    if payload.get("mub_file") is not None:
+        fam = mub_family_from_dict(json.loads((path.parent / payload["mub_file"]).read_text()))
+    return channel_from_dict(payload, fam)
 
 
 def save_mub_file(fam, path):
@@ -438,6 +444,16 @@ def test_load_channel_with_mub_file(tmp_path, fam3):
     )
     ch = load_channel_file(path)
     assert np.max(np.abs(ch.fam.bases - fam3.bases)) <= 1e-15
+
+
+def test_channel_from_dict_refuses_mub_file_without_family(fam3):
+    # the library reads no files: a spec naming a family file needs that family passed in
+    payload = {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2], "mub_file": "fam.json"}
+    with pytest.raises(MubValidationError, match="mub_file"):
+        channel_from_dict(payload)
+    assert channel_from_dict(payload, fam3).fam is fam3
+    # null names no file: the built-in family
+    assert channel_from_dict({**payload, "mub_file": None}).fam is build_mub_family(3)
 
 
 def test_two_qubit_channel_via_mub_file(tmp_path):

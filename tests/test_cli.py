@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gpchannels.channel import FA_TOL, fa_slacks, lambdas_from_probabilities
 from gpchannels.cli import main
 from gpchannels.dynamics import evolution_from_dict, timeline_report
+from gpchannels.mub import build_mub_family, mub_family_to_dict
 from helpers import timeline_csv_reference
 
 
@@ -538,11 +539,19 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, payload):
     (["analyze"], {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2]}),
     (["tensor", "--n", "2", "--restarts", "128"], {"d": 2, "eigenvalues": [0.6, 0.6, 0.6]}),
     (["evolve", *_EVOLVE_FLAGS], {"d": 2, "rates": [1, 1, 1]}),
+    (["validate"], {"d": 3, "probabilities": [0.2] * 5, "mub_file": "fam.json"}),
+    (["analyze"], {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2], "mub_file": "fam.json"}),
+    (["tensor", "--n", "2", "--restarts", "128"],
+     {"d": 2, "eigenvalues": [0.6, 0.6, 0.6], "mub_file": "fam.json"}),
 ])
 def test_each_command_opens_its_spec_once(tmp_path, capsys, monkeypatch, argv, payload):
-    # the manifest digests the very bytes that were parsed, not a second read
-    spec = write_spec(tmp_path, "spec.json", payload)
-    digest = "sha256:" + hashlib.sha256(Path(spec).read_bytes()).hexdigest()
+    # the manifest digests the very bytes that were parsed, not a second read,
+    # of the spec and of the family file it names, read from the spec's directory
+    files = [write_spec(tmp_path, "spec.json", payload)]
+    if "mub_file" in payload:
+        family = mub_family_to_dict(build_mub_family(payload["d"]))
+        files.append(write_spec(tmp_path, "fam.json", family))
+    digests = {f: "sha256:" + hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files}
     report = tmp_path / "report.json"
     opened = []
     real_open = open
@@ -552,9 +561,44 @@ def test_each_command_opens_its_spec_once(tmp_path, capsys, monkeypatch, argv, p
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
-    code, _, _ = run_cli(argv[:1] + [spec] + argv[1:] + ["--out", str(report)], capsys)
-    assert code == 0 and opened.count(spec) == 1
-    assert json.loads(report.read_text())["manifest"]["inputs"] == {spec: digest}
+    code, _, _ = run_cli(argv[:1] + files[:1] + argv[1:] + ["--out", str(report)], capsys)
+    assert code == 0 and [opened.count(f) for f in files] == [1] * len(files)
+    assert json.loads(report.read_text())["manifest"]["inputs"] == digests
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "x", 3])
+@pytest.mark.parametrize("argv, via_spec", [
+    (["validate"], False), (["analyze"], False), (["evolve", *_EVOLVE_FLAGS], False),
+    (["validate"], True), (["analyze"], True),
+])
+def test_file_that_is_not_an_object_exits_2(tmp_path, capsys, argv, via_spec, payload):
+    # the error names the file and the type found in it, a family file too
+    bad = spec = write_spec(tmp_path, "bad.json", payload)
+    if via_spec:  # a channel spec whose mub_file is the bad file
+        spec = write_spec(tmp_path, "ch.json", {"d": 3, "probabilities": [0.2] * 5,
+                                                "mub_file": "bad.json"})
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    kind = type(payload).__name__
+    assert err == f"error: ValueError: {bad} must hold a JSON object, found {kind}\n"
+
+
+@pytest.mark.parametrize("name", [5, [], {}, True, ["x"]])
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["tensor", "--n", "2"]])
+def test_mub_file_that_is_not_a_string_exits_2(tmp_path, capsys, argv, name):
+    spec = write_spec(tmp_path, "spec.json", {"d": 3, "probabilities": [0.2] * 5,
+                                              "mub_file": name})
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: MubValidationError: 'mub_file' must be a path string")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_null_mub_file_means_the_builtin_family(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", {"d": 3, "probabilities": [0.2] * 5,
+                                              "mub_file": None})
+    code, out, _ = run_cli(["analyze", spec], capsys)
+    assert code == 0 and list(json.loads(out)["manifest"]["inputs"]) == [spec]
 
 
 BIG_PRIME = 2**61 - 1

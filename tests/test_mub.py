@@ -9,10 +9,9 @@ from gpchannels import (
     MubValidationError,
     UnsupportedDimensionError,
     build_mub_family,
-    load_mub_file,
     validate_mub_family,
 )
-from gpchannels.mub import mub_family_to_dict
+from gpchannels.mub import mub_family_from_dict, mub_family_to_dict
 from helpers import choi_of, projector, rotated_family, two_qubit_mub_bases
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -155,10 +154,14 @@ def save_mub_file(fam, path):
     path.write_text(json.dumps(mub_family_to_dict(fam)))
 
 
+def read_mub_file(path):
+    return mub_family_from_dict(json.loads(path.read_text()))
+
+
 def test_file_round_trip(tmp_path, fam3):
     path = tmp_path / "fam3.json"
     save_mub_file(fam3, path)
-    loaded = load_mub_file(path)
+    loaded = read_mub_file(path)
     assert loaded.d == 3
     assert np.max(np.abs(loaded.bases - fam3.bases)) <= 1e-15
 
@@ -170,7 +173,7 @@ def test_file_load_rejects_invalid_family(tmp_path, fam3):
     path = tmp_path / "bad.json"
     save_mub_file(MubFamily(d=3, bases=scaled), path)
     with pytest.raises(MubValidationError):
-        load_mub_file(path)
+        read_mub_file(path)
 
 
 def test_two_qubit_family_from_file_is_valid(tmp_path):
@@ -179,7 +182,7 @@ def test_two_qubit_family_from_file_is_valid(tmp_path):
     assert rep.passed
     path = tmp_path / "fam4.json"
     save_mub_file(fam, path)
-    loaded = load_mub_file(path)
+    loaded = read_mub_file(path)
     assert loaded.d == 4 and loaded.is_maximal
 
 

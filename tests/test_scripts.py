@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts and the README quick tour, run in-process,
-a check that the benchmark's imports from the package resolve, and a check that
-every exported name has a reader outside the tests."""
+a check that the benchmark's imports from the package resolve, a check that
+every exported name has a reader outside the tests, and a check that only the
+CLI touches files."""
 
 import ast
 import csv
@@ -84,10 +85,10 @@ def test_output_digest_is_deterministic(capsys):
     # per d: mub --out (stdout, file) and validate of the file; validate,
     # analyze, analyze --oracle and tensor of two specs; validate, analyze and
     # analyze --oracle of a spec on the family file; analyze
-    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then seven
+    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then nine
     # refused inputs and selftest's seven check lines and summary line
     assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
-    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 7 + 7 + 1
+    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 9 + 7 + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0
@@ -161,3 +162,26 @@ def test_every_export_has_a_non_test_reader():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unread.append(name)
     assert len(exports) > 40 and not unread, unread
+
+
+def test_only_the_cli_touches_files():
+    # the library takes and returns values; reading inputs and writing
+    # outputs is the CLI's job alone
+    found = []
+    for path in sorted((ROOT / "src" / "gpchannels").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    found.append(f"{path.name}:{node.lineno}: open(...)")
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            found += [f"{path.name}:{node.lineno}: import {m}" for m in modules
+                      if m.split(".")[0] in {"os", "pathlib", "io"}]
+    assert not found, found

@@ -39,6 +39,9 @@ def main(argv=None) -> int:
     ap.add_argument("--restarts", type=int, default=64, help="Haar restarts beyond the seeded ones")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
+    for name in ("samples", "restarts", "seed"):
+        if getattr(args, name) < 0:
+            ap.error(f"--{name} must be nonnegative, got {getattr(args, name)}")
 
     fam = build_mub_family(args.d)
     seeds = mub_seed_states(fam)

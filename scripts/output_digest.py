@@ -50,7 +50,7 @@ NAN_FAMILY["bases"][1][0][2] = NAN_FAMILY["bases"][2][1][0] = [float("nan"), 0.0
 #: integer, a dimension with no built-in family and no family file, a
 #: spectrum that is not CPTP, a family file with NaN entries, read
 #: directly and through a channel spec, a spec that is not a JSON object,
-#: and a `mub_file` that is not a string
+#: a `mub_file` that is not a string, and a negative search seed
 REFUSALS = [
     (["validate", "float-d.json"], {"d": 3.9, "probabilities": [0.2] * 5}),
     (["analyze", "string-d.json"], {"d": "3", "eigenvalues": [0.5] * 4}),
@@ -62,6 +62,8 @@ REFUSALS = [
      {"d": 3, "probabilities": [0.2] * 5, "mub_file": "nan-family-d3.json"}),
     (["validate", "array-spec.json"], [1, 2]),
     (["analyze", "number-mub-file.json"], {"d": 3, "probabilities": [0.2] * 5, "mub_file": 5}),
+    (["analyze", "negative-seed.json", "--oracle", "--seed", "-1", "--restarts", "6"],
+     {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]}),
 ]
 
 

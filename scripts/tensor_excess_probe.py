@@ -50,8 +50,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--out", default=None, help="JSON path (default stdout)")
     args = ap.parse_args(argv)
-    if args.samples < 0:
-        ap.error(f"--samples must be nonnegative, got {args.samples}")
+    for name in ("samples", "seed"):
+        if getattr(args, name) < 0:
+            ap.error(f"--{name} must be nonnegative, got {getattr(args, name)}")
+    if args.restarts < 1:
+        ap.error(f"--restarts must be positive, got {args.restarts}")
 
     rng = np.random.default_rng(args.seed)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)

@@ -29,22 +29,13 @@ import numpy as np
 from .errors import MubValidationError, UnsupportedDimensionError
 
 MAX_BUILTIN_DIM = 31
+#: the primes up to MAX_BUILTIN_DIM: the dimensions with a built-in family
+_BUILTIN_PRIMES = frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31})
 
 #: validation tolerance for built-in constructions
 BUILD_TOL = 1e-12
 #: validation tolerance applied when loading a family from file
 LOAD_TOL = 1e-10
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +159,8 @@ def build_mub_family(d: int) -> MubFamily:
     :func:`mub_family_from_dict` instead.  Each d is built and validated
     once and the same frozen family is returned on every later call.
     """
-    # the range first: trial division of a huge prime d would run for ages
-    if (not isinstance(d, (int, np.integer)) or not (2 <= d <= MAX_BUILTIN_DIM)
-            or not _is_prime(int(d))):
+    # the type first: 3.0 hashes as 3 and would pass the lookup
+    if not isinstance(d, (int, np.integer)) or int(d) not in _BUILTIN_PRIMES:
         raise UnsupportedDimensionError(
             f"no built-in construction for d={d}; need a prime in [2, {MAX_BUILTIN_DIM}] "
             "(load a family from file for other dimensions)"

@@ -36,16 +36,15 @@ resumed after a loose stop until it stops by one of the other rules.
 Restart seeding always includes the supplied candidate states (basis
 vectors, or their tensor products for tensor-power probes) ahead of Haar
 draws, so conjectured optima are starting points and the search's job is
-to confirm nothing beats them.  Each Haar restart draws from a generator
-spawned from the master seed and the restart's global index, making
-results independent of batching or worker count.  On ties within
+to confirm nothing beats them.  The Haar starts of one search are the rows
+of one draw from a generator seeded with the config's seed, so a larger
+restart budget appends starts and keeps the earlier ones.  On ties within
 VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,8 +88,8 @@ class OracleConfig:
 
     ``restarts`` is the number of ascents (raised to the number of seeded
     candidates if they are more), ``max_iters`` caps the sweeps of each and
-    ``seed`` keys the Haar starts.  The stop tolerances are the module
-    constants STEP_TOL and VALUE_TOL.
+    ``seed``, a nonnegative integer, seeds the Haar starts.  The stop
+    tolerances are the module constants STEP_TOL and VALUE_TOL.
     """
 
     restarts: int = SINGLE_RESTARTS
@@ -102,6 +101,8 @@ class OracleConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class OracleResult:
     first), which never ends on a loose stop unless it runs out of sweeps.
     ``restart_values`` holds each restart's final objective and
     ``restart_iterations`` its sweeps.  The same config and inputs replay
-    the result bit-identically regardless of how restarts are scheduled.
+    the result bit-identically.
     """
 
     value: float
@@ -133,12 +134,17 @@ class OracleResult:
                 object.__setattr__(self, name, arr)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unit vector (normalized complex-normal components)."""
+def random_pure_state(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar-distributed unit vectors of C^dim (normalized complex-normal rows).
+
+    Row j reads draws 2*dim*j to 2*dim*(j+1) - 1 of one standard-normal
+    block, real and imaginary parts interleaved, so a larger ``count``
+    appends rows and never changes the earlier ones.
+    """
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    z = rng.standard_normal((count, dim, 2)).view(complex)[..., 0]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def mub_seed_states(fam: MubFamily) -> np.ndarray:
@@ -174,18 +180,6 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     return superop.reshape(m, m, m, m).transpose(1, 0, 3, 2).reshape(m * m, m * m), m
 
 
-@functools.lru_cache(maxsize=8)
-def _haar_block(dim: int, seed: int, first: int, count: int) -> np.ndarray:
-    """Read-only Haar starts for global restart indices first..first+count-1."""
-    block = np.empty((count, dim), dtype=complex)
-    for i in range(count):
-        # generator keyed by the global restart index: worker-count independent
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(first + i,)))
-        block[i] = random_pure_state(dim, rng)
-    block.setflags(write=False)
-    return block
-
-
 def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray, int]:
     if seed_states is None:
         seeds = np.zeros((0, dim), dtype=complex)
@@ -194,7 +188,7 @@ def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray,
         seeds = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
     _check_start_count(max(cfg.restarts, seeds.shape[0]), dim)  # before any Haar start is drawn
     n_haar = max(cfg.restarts - seeds.shape[0], 0)
-    haar = _haar_block(dim, cfg.seed, seeds.shape[0], n_haar)
+    haar = random_pure_state(dim, np.random.default_rng(cfg.seed), n_haar)
     return np.concatenate([seeds, haar], axis=0), seeds.shape[0]
 
 

@@ -291,12 +291,24 @@ def test_restarts_guard_exit4_before_drawing(tmp_path, capsys, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("the Haar starts were drawn")
 
-    monkeypatch.setattr(oracle, "_haar_block", no_draw)
+    monkeypatch.setattr(oracle, "random_pure_state", no_draw)
     spec = write_spec(tmp_path, "ch.json", {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]})
     for argv in (["analyze", spec, "--oracle"], ["tensor", spec, "--n", "2"]):
         code, out, err = run_cli(argv + ["--restarts", str(10**9)], capsys)
         assert code == 4
         assert "exceed" in err and out == ""
+
+
+@pytest.mark.parametrize("restarts", ["6", "8"])
+@pytest.mark.parametrize("command", [["analyze", "--oracle"], ["tensor", "--n", "2"]])
+def test_negative_seed_exits_2(tmp_path, capsys, command, restarts):
+    # at 6 restarts the 6 basis states of d=2 leave no Haar start to draw:
+    # the seed is refused all the same
+    spec = write_spec(tmp_path, "ch.json", {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]})
+    argv = [command[0], spec, *command[1:], "--seed", "-1", "--restarts", restarts]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: seed must be >= 0, got -1\n"
 
 
 def test_evolve_steps_guard_exit4_before_allocating(tmp_path, capsys, monkeypatch):
@@ -609,17 +621,8 @@ BIG_PRIME = 2**61 - 1
     (["validate"], {"d": BIG_PRIME, "probabilities": [1, 0, 0]}),
     (["evolve", *_EVOLVE_FLAGS], {"d": BIG_PRIME, "rates": [1, 1, 1]}),
 ])
-def test_huge_prime_dimension_refused_before_trial_division(tmp_path, capsys, monkeypatch,
-                                                            argv, payload):
-    from gpchannels import mub
-
-    is_prime = mub._is_prime
-
-    def small_only(n):
-        assert n <= mub.MAX_BUILTIN_DIM, f"trial division of {n}"
-        return is_prime(n)
-
-    monkeypatch.setattr(mub, "_is_prime", small_only)
+def test_huge_prime_dimension_refused_before_trial_division(tmp_path, capsys, argv, payload):
+    # built-in dimensions are a table lookup: a huge prime is refused at once
     if payload is not None:
         argv = argv[:1] + [write_spec(tmp_path, "spec.json", payload)] + argv[1:]
     code, out, err = run_cli(argv, capsys)

@@ -38,12 +38,19 @@ def small_cfg(fam, extra=8, seed=7):
 
 def test_random_pure_state_norm_and_determinism():
     rng = np.random.default_rng(123)
-    psi = random_pure_state(5, rng)
-    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-    again = random_pure_state(5, np.random.default_rng(123))
+    psi = random_pure_state(5, rng, 7)
+    assert psi.shape == (7, 5)
+    assert np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= 1e-12)
+    again = random_pure_state(5, np.random.default_rng(123), 7)
     assert np.array_equal(psi, again)
-    with pytest.raises(ValueError):
-        random_pure_state(1, rng)
+    # the complex view of one normal block: real and imaginary parts interleaved
+    z = np.random.default_rng(123).standard_normal((7, 5, 2))
+    z = z[..., 0] + 1j * z[..., 1]
+    assert np.array_equal(psi, z / np.linalg.norm(z, axis=1, keepdims=True))
+    assert random_pure_state(5, rng, 0).shape == (0, 5)
+    for count in (0, 3):
+        with pytest.raises(ValueError):
+            random_pure_state(1, rng, count)
 
 
 def test_oracle_config_validation():
@@ -51,13 +58,22 @@ def test_oracle_config_validation():
         OracleConfig(restarts=0)
     with pytest.raises(ValueError):
         OracleConfig(max_iters=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        OracleConfig(seed=-1)
+    assert OracleConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_dimension_one_refused_without_haar_starts(restarts):
+    # one seed state fills restarts=1, so no Haar start is drawn; C^1 is refused anyway
+    cfg = OracleConfig(restarts=restarts)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        extremize_self_fidelity(np.eye(1), "max", cfg, seed_states=np.ones((1, 1)))
 
 
 def test_random_pure_state_haar_first_moment():
-    rng = np.random.default_rng(99)
     dim = 3
-    z = rng.standard_normal((100_000, dim)) + 1j * rng.standard_normal((100_000, dim))
-    psi = z / np.linalg.norm(z, axis=1, keepdims=True)
+    psi = random_pure_state(dim, np.random.default_rng(99), 100_000)
     w = np.abs(psi[:, 0]) ** 2
     se = w.std() / np.sqrt(w.size)
     assert abs(w.mean() - 1 / dim) <= 3 * se
@@ -309,18 +325,26 @@ def test_seeded_fixed_points_stop_after_one_sweep(fam3):
         assert res.best_restart < res.n_seed_states, name
 
 
-def test_haar_starts_generated_once_and_read_only(fam2):
-    from gpchannels.oracle import _haar_block, _start_states
+def test_haar_starts_are_one_seeded_stream(fam2):
+    # the Haar rows follow the seeded candidates: unit vectors, the same for
+    # the same seed, a prefix of any larger budget, and unmoved by the seeds
+    from gpchannels.oracle import _start_states
 
     seeds = mub_seed_states(fam2)
-    cfg = OracleConfig(restarts=12, seed=5)
-    first, _ = _start_states(2, cfg, seeds)
-    block = _haar_block(2, 5, seeds.shape[0], 12 - seeds.shape[0])
-    assert block is _haar_block(2, 5, seeds.shape[0], 12 - seeds.shape[0])
-    assert not block.flags.writeable
-    first[:] = 0.0  # a caller's copy; the memoized block is untouched
-    again, _ = _start_states(2, cfg, seeds)
-    assert np.array_equal(again[seeds.shape[0]:], block)
+    n = seeds.shape[0]
+    starts, n_seeds = _start_states(2, OracleConfig(restarts=12, seed=5), seeds)
+    assert n_seeds == n and starts.shape == (12, 2)
+    assert np.allclose(starts[:n], seeds, rtol=0, atol=1e-15)  # renormalized
+    haar = starts[n:]
+    assert np.all(np.abs(np.linalg.norm(haar, axis=1) - 1.0) <= 1e-12)
+    again, _ = _start_states(2, OracleConfig(restarts=12, seed=5), seeds)
+    assert np.array_equal(again, starts)
+    other, _ = _start_states(2, OracleConfig(restarts=12, seed=6), seeds)
+    assert not np.array_equal(other[n:], haar)
+    more, _ = _start_states(2, OracleConfig(restarts=40, seed=5), seeds)
+    assert np.array_equal(more[:12], starts)
+    unseeded, n_none = _start_states(2, OracleConfig(restarts=12, seed=5), None)
+    assert n_none == 0 and np.array_equal(unseeded[: 12 - n], haar)
 
 
 def test_oracle_determinism(fam3, rng):
@@ -340,19 +364,6 @@ def test_oracle_determinism(fam3, rng):
     assert n1.value == n2.value
     assert np.array_equal(n1.state, n2.state)
     assert np.array_equal(n1.dual_state, n2.dual_state)
-
-
-def test_start_states_keyed_by_global_restart_index(fam2):
-    # each Haar start depends only on (master seed, its global index), not on
-    # how many restarts run together, so any scheduling reproduces the batch
-    from gpchannels.oracle import _start_states
-
-    seeds = mub_seed_states(fam2)
-    full, n_seeds = _start_states(2, OracleConfig(restarts=12, seed=5), seeds)
-    assert n_seeds == seeds.shape[0]
-    for i in range(n_seeds, 12):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
-        assert np.array_equal(full[i], random_pure_state(2, rng))
 
 
 def test_returned_pair_respects_coefficient_bound(fam3, rng):
@@ -444,7 +455,7 @@ def test_restart_guard_trips_before_drawing(fam2, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("the Haar starts were drawn")
 
-    monkeypatch.setattr(oracle, "_haar_block", no_draw)
+    monkeypatch.setattr(oracle, "random_pure_state", no_draw)
     s = superoperator_of(identity_channel(2, fam2))
     seeds = mub_seed_states(fam2)
     huge = OracleConfig(restarts=10**9)

@@ -66,6 +66,24 @@ def test_tensor_excess_probe_refuses_negative_samples(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("script, argv", [
+    ("inf_norm_gap_scan", ["--samples", "-2"]),
+    ("inf_norm_gap_scan", ["--restarts", "-100"]),
+    ("inf_norm_gap_scan", ["--seed", "-1"]),
+    ("tensor_excess_probe", ["--restarts", "0"]),
+    ("tensor_excess_probe", ["--seed", "-1"]),
+])
+def test_scripts_refuse_bad_counts(tmp_path, capsys, script, argv):
+    # a usage error (exit 2) naming the flag, before any channel is drawn
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _load(script).main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {argv[0]} must be" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_readme_quick_tour_runs():
     # every name the tour imports must resolve, and its own assert must hold
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
@@ -85,10 +103,10 @@ def test_output_digest_is_deterministic(capsys):
     # per d: mub --out (stdout, file) and validate of the file; validate,
     # analyze, analyze --oracle and tensor of two specs; validate, analyze and
     # analyze --oracle of a spec on the family file; analyze
-    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then nine
+    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then ten
     # refused inputs and selftest's seven check lines and summary line
     assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
-    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 9 + 7 + 1
+    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 10 + 7 + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0

@@ -347,6 +347,52 @@ def test_haar_starts_are_one_seeded_stream(fam2):
     assert n_none == 0 and np.array_equal(unseeded[: 12 - n], haar)
 
 
+def test_haar_starts_generated_once_and_read_only(fam2, monkeypatch):
+    # each search draws its Haar starts in one call and never writes into them
+    from gpchannels import oracle
+
+    s = superoperator_of(random_cptp_channel(2, np.random.default_rng(3), fam2))
+    seeds = mub_seed_states(fam2)
+    cfg = OracleConfig(restarts=12, seed=5)
+    searches = [
+        lambda: extremize_self_fidelity(s, "max", cfg, seeds),
+        lambda: extremize_self_fidelity(s, "min", cfg, seeds),
+        lambda: maximize_output_2norm(s, cfg, seeds),
+        lambda: maximize_output_inf_norm(s, cfg, seeds),
+    ]
+    expected = [search() for search in searches]
+    draw = oracle.random_pure_state
+    for search, want in zip(searches, expected):
+        blocks = []
+
+        def read_only_draw(dim, rng, count):
+            block = draw(dim, rng, count)
+            block.setflags(write=False)
+            blocks.append((count, block, block.copy()))
+            return block
+
+        monkeypatch.setattr(oracle, "random_pure_state", read_only_draw)
+        got = search()
+        assert len(blocks) == 1
+        count, block, before = blocks[0]
+        assert count == 12 - seeds.shape[0]
+        assert np.array_equal(block, before)
+        assert got.value == want.value and np.array_equal(got.state, want.state)
+
+
+def test_start_states_keyed_by_global_restart_index(fam2):
+    # each Haar start depends only on (seed, its index in the stream), not on
+    # how many restarts are drawn together or how many seed states precede it
+    from gpchannels.oracle import _start_states
+
+    seeds = mub_seed_states(fam2)
+    full, n_seeds = _start_states(2, OracleConfig(restarts=12, seed=5), seeds)
+    assert n_seeds == seeds.shape[0]
+    for j in range(12 - n_seeds):
+        alone = random_pure_state(2, np.random.default_rng(5), j + 1)[j]
+        assert np.array_equal(full[n_seeds + j], alone)
+
+
 def test_oracle_determinism(fam3, rng):
     ch = random_cptp_channel(3, rng, fam3)
     s = superoperator_of(ch)

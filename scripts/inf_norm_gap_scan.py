@@ -29,11 +29,13 @@ from gpchannels import (
     spectrum_of,
     superoperator_of,
 )
+from gpchannels.mub import BUILTIN_PRIMES
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--d", type=int, default=3, help="prime dimension (default 3)")
+    ap.add_argument("--d", type=int, default=3, choices=sorted(BUILTIN_PRIMES),
+                    help="prime dimension with a built-in family (default 3)")
     ap.add_argument("--samples", type=int, default=200)
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--restarts", type=int, default=64, help="Haar restarts beyond the seeded ones")

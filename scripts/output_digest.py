@@ -46,11 +46,12 @@ SEARCH_RESTARTS = "16"  # the basis seed states are searched even where they out
 TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr with
 NAN_FAMILY = mub_family_to_dict(build_mub_family(3))
 NAN_FAMILY["bases"][1][0][2] = NAN_FAMILY["bases"][2][1][0] = [float("nan"), 0.0]
-#: (argv, spec written to the file argv[1]) of inputs the CLI refuses: a `d` that is not a JSON
-#: integer, a dimension with no built-in family and no family file, a
-#: spectrum that is not CPTP, a family file with NaN entries, read
-#: directly and through a channel spec, a spec that is not a JSON object,
-#: a `mub_file` that is not a string, and a negative search seed
+#: (argv, spec written to the file argv[1], or None where argv names no file) of inputs the CLI
+#: refuses: a `d` that is not a JSON integer, a dimension with no built-in
+#: family and no family file, a spectrum that is not CPTP, a family file
+#: with NaN entries, read directly and through a channel spec, a spec that
+#: is not a JSON object, a `mub_file` that is not a string, a negative
+#: search seed, and a selftest with a negative seed or a `--d` with no family
 REFUSALS = [
     (["validate", "float-d.json"], {"d": 3.9, "probabilities": [0.2] * 5}),
     (["analyze", "string-d.json"], {"d": "3", "eigenvalues": [0.5] * 4}),
@@ -64,6 +65,8 @@ REFUSALS = [
     (["analyze", "number-mub-file.json"], {"d": 3, "probabilities": [0.2] * 5, "mub_file": 5}),
     (["analyze", "negative-seed.json", "--oracle", "--seed", "-1", "--restarts", "6"],
      {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]}),
+    (["selftest", "--seed", "-1"], None),
+    (["selftest", "--d", "2", "--d", "4"], None),
 ]
 
 
@@ -159,8 +162,9 @@ def battery(seed, dims, steps):
             record(argv + ["--csv", csv_name], files=[csv_name])
             record(argv, stderr=True)  # CSV on stdout, summary on stderr
     for argv, spec in REFUSALS:
-        with open(argv[1], "w", encoding="utf-8") as fh:
-            json.dump(spec, fh)
+        if spec is not None:
+            with open(argv[1], "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
         code, _, err = _run(argv)  # a refusal writes one error line to stderr
         text = f"exit {code}\n{err}"
         lines.append(f"{_digest(text)}  {' '.join(argv)} [exit, stderr]")

@@ -148,14 +148,18 @@ def _load_json(path: str, inputs: dict[str, str]) -> dict:
     return payload
 
 
-def _named_family(spec_path: str, payload: dict, inputs: dict[str, str]) -> MubFamily | None:
-    """The family in the file ``mub_file`` names, relative to the spec's directory, or None."""
-    name = payload.get("mub_file")
+def _load_spec(path: str) -> tuple[dict, MubFamily | None, dict[str, str]]:
+    """The spec in file ``path``, the family its ``mub_file`` names relative to the spec's
+    directory (None if none, or if the spec is itself a family file), and each file's digest."""
+    inputs = {}
+    payload = _load_json(path, inputs)
+    name = None if "bases" in payload else payload.get("mub_file")
     if name is None:
-        return None
+        return payload, None, inputs
     if not isinstance(name, str):
         raise MubValidationError(f"'mub_file' must be a path string, got {name!r}")
-    return mub_family_from_dict(_load_json(os.path.join(os.path.dirname(spec_path), name), inputs))
+    family = _load_json(os.path.join(os.path.dirname(path), name), inputs)
+    return payload, mub_family_from_dict(family), inputs
 
 
 def _channel_section(sp: Spectrum, probs, cptp: bool) -> dict:
@@ -266,8 +270,7 @@ def cmd_mub(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    inputs = {}
-    payload = _load_json(args.spec, inputs)
+    payload, fam, inputs = _load_spec(args.spec)
     if "bases" in payload:
         fam = mub_family_from_dict(payload)  # raises MubValidationError on failure
         rep = validate_mub_family(fam, tol=LOAD_TOL)  # the tolerance that admitted it
@@ -278,16 +281,14 @@ def cmd_validate(args) -> int:
             "passed": rep.passed,
         }}
     else:
-        ch = channel_from_dict(payload, _named_family(args.spec, payload, inputs))
+        ch = channel_from_dict(payload, fam)
         report = {"channel": _channel_section(spectrum_of(ch), ch.probs, cptp=True)}
     _emit({"manifest": _manifest("validate", inputs, None, {}), **report}, args.out)
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    inputs = {}
-    payload = _load_json(args.spec, inputs)
-    fam = _named_family(args.spec, payload, inputs)
+    payload, fam, inputs = _load_spec(args.spec)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
     manifest = _manifest(
         "analyze",
@@ -319,9 +320,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    inputs = {}
-    payload = _load_json(args.spec, inputs)
-    ch = channel_from_dict(payload, _named_family(args.spec, payload, inputs))
+    payload, fam, inputs = _load_spec(args.spec)
+    ch = channel_from_dict(payload, fam)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
     probe = tensor_fidelity_probe(ch, args.n, cfg)
     fig = fidelity_report(ch)
@@ -411,6 +411,10 @@ def _random_cptp_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _selftest_checks(dims: list[int], seed: int):
+    """(name, check) pairs in run order; a bad seed or d is refused before any check runs."""
+    OracleConfig(seed=seed)  # refuses a negative seed
+    for d in dims:
+        build_mub_family(d)
     rng = np.random.default_rng(seed)
     oracle_dims = [d for d in dims if d <= 5]
 
@@ -506,20 +510,15 @@ def _selftest_checks(dims: list[int], seed: int):
         )
         return ok, f"generator residual {gen_res:.2e}"
 
-    checks = []
-    for d in dims:
-        checks.append((f"mub-validity-d{d}", lambda d=d: check_mub(d)))
-    checks.append(("probability-roundtrip", check_roundtrip))
-    for d in [d for d in dims if d <= 3]:
-        checks.append((f"cptp-equivalence-d{d}", lambda d=d: check_scan(d)))
-    for d in dims:
-        checks.append((f"eigenrelation-d{d}", lambda d=d: check_eigenrelation(d)))
-    for d in oracle_dims:
-        checks.append((f"closed-vs-oracle-d{d}", lambda d=d: check_oracle(d)))
-    checks.append(("pauli-casework-d2", check_casework))
-    for d in oracle_dims:
-        checks.append((f"dynamics-generator-d{d}", lambda d=d: check_dynamics(d)))
-    return checks
+    return [
+        *((f"mub-validity-d{d}", functools.partial(check_mub, d)) for d in dims),
+        ("probability-roundtrip", check_roundtrip),
+        *((f"cptp-equivalence-d{d}", functools.partial(check_scan, d)) for d in dims if d <= 3),
+        *((f"eigenrelation-d{d}", functools.partial(check_eigenrelation, d)) for d in dims),
+        *((f"closed-vs-oracle-d{d}", functools.partial(check_oracle, d)) for d in oracle_dims),
+        ("pauli-casework-d2", check_casework),
+        *((f"dynamics-generator-d{d}", functools.partial(check_dynamics, d)) for d in oracle_dims),
+    ]
 
 
 def cmd_selftest(args) -> int:

@@ -30,7 +30,7 @@ from .errors import MubValidationError, UnsupportedDimensionError
 
 MAX_BUILTIN_DIM = 31
 #: the primes up to MAX_BUILTIN_DIM: the dimensions with a built-in family
-_BUILTIN_PRIMES = frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31})
+BUILTIN_PRIMES = frozenset({2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31})
 
 #: validation tolerance for built-in constructions
 BUILD_TOL = 1e-12
@@ -99,12 +99,9 @@ class MubFamily:
     def _unitary_stack(self) -> np.ndarray:
         d = self.d
         pows = np.exp(2j * np.pi * np.arange(d) / d)
-        us = np.empty((self.n_bases, d - 1, d, d), dtype=complex)
-        for a in range(self.n_bases):
-            b = self.bases[a]  # rows are vectors
-            for k in range(1, d):
-                w = pows[(k * np.arange(d)) % d]
-                us[a, k - 1] = np.einsum("l,li,lj->ij", w, b, b.conj())
+        k, l = np.ogrid[1:d, :d]
+        # all U(a, k) at once: bases[a, l] is |psi_l> of basis a
+        us = np.einsum("kl,ali,alj->akij", pows[(k * l) % d], self.bases, self.bases.conj())
         us.setflags(write=False)
         return us
 
@@ -160,7 +157,7 @@ def build_mub_family(d: int) -> MubFamily:
     once and the same frozen family is returned on every later call.
     """
     # the type first: 3.0 hashes as 3 and would pass the lookup
-    if not isinstance(d, (int, np.integer)) or int(d) not in _BUILTIN_PRIMES:
+    if not isinstance(d, (int, np.integer)) or int(d) not in BUILTIN_PRIMES:
         raise UnsupportedDimensionError(
             f"no built-in construction for d={d}; need a prime in [2, {MAX_BUILTIN_DIM}] "
             "(load a family from file for other dimensions)"
@@ -183,12 +180,8 @@ def _builtin_family(d: int) -> MubFamily:
         )
     else:
         pows = np.exp(2j * np.pi * np.arange(d) / d)
-        l = np.arange(d)
-        bases = np.empty((d + 1, d, d), dtype=complex)
-        bases[0] = np.eye(d)
-        for a in range(1, d + 1):
-            for k in range(d):
-                bases[a, k] = pows[(a * l * l + k * l) % d] / np.sqrt(d)
+        a, k, l = np.ogrid[1:d + 1, :d, :d]
+        bases = np.concatenate([np.eye(d)[None], pows[(a * l * l + k * l) % d] / np.sqrt(d)])
     return _admitted(MubFamily(d=d, bases=bases), BUILD_TOL, f"built-in construction for d={d}")
 
 

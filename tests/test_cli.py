@@ -863,6 +863,17 @@ def test_selftest_fault_injection_fails(monkeypatch, capsys):
     assert "unbiasedness" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "ValueError: seed must be >= 0, got -1"),
+    (["--d", "2", "--d", "4"], "UnsupportedDimensionError: no built-in construction for d=4"),
+])
+def test_selftest_refuses_bad_input_before_any_check(capsys, argv, message):
+    # the library's own message, and not one check line printed first
+    code, out, err = run_cli(["selftest", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_shared_parser_does_not_accumulate_appended_values():
     from gpchannels.cli import build_parser
 

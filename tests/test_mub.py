@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -35,6 +36,29 @@ def test_d3_all_cross_overlaps_are_one_third(fam3):
         for b in range(a + 1, 4):
             overlaps = np.abs(fam3.bases[a] @ fam3.bases[b].conj().T) ** 2
             assert np.max(np.abs(overlaps - 1 / 3)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_builtin_tables_are_the_module_formulas(d):
+    # each entry on its own, exactly: basis 0 is computational and
+    # psi_k[l] = omega^(a*l^2 + k*l) / sqrt(d) for a >= 1; then
+    # U(a, k)[i, j] = sum_l omega^(k*l) psi_l[i] conj(psi_l[j])
+    fam = build_mub_family(d)
+
+    def omega(m):
+        return np.exp(2j * np.pi * (m % d) / d)
+
+    psi = np.zeros((d + 1, d, d), dtype=complex)
+    for k in range(d):
+        psi[0, k, k] = 1.0
+    for a, k, l in itertools.product(range(1, d + 1), range(d), range(d)):
+        psi[a, k, l] = omega(a * l * l + k * l) / np.sqrt(d)
+    assert np.array_equal(fam.bases, psi)
+    us = fam.unitaries()
+    assert us.shape == (d + 1, d - 1, d, d)
+    for a, k, i, j in itertools.product(range(d + 1), range(1, d), range(d), range(d)):
+        entry = sum(omega(k * l) * psi[a, l, i] * psi[a, l, j].conjugate() for l in range(d))
+        assert us[a, k - 1, i, j] == entry, (a, k, i, j)
 
 
 @pytest.mark.parametrize("d", [1, 4, 6, 9, 32, 37])

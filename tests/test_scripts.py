@@ -84,6 +84,17 @@ def test_scripts_refuse_bad_counts(tmp_path, capsys, script, argv):
     assert not out.exists()
 
 
+def test_inf_norm_gap_scan_refuses_dimension_without_family(tmp_path, capsys):
+    # a usage error naming --d, not a traceback from the family build
+    out = tmp_path / "gaps.csv"
+    with pytest.raises(SystemExit) as exc:
+        _load("inf_norm_gap_scan").main(["--d", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --d: invalid choice: 4" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_readme_quick_tour_runs():
     # every name the tour imports must resolve, and its own assert must hold
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
@@ -103,10 +114,10 @@ def test_output_digest_is_deterministic(capsys):
     # per d: mub --out (stdout, file) and validate of the file; validate,
     # analyze, analyze --oracle and tensor of two specs; validate, analyze and
     # analyze --oracle of a spec on the family file; analyze
-    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then ten
+    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then twelve
     # refused inputs and selftest's seven check lines and summary line
     assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
-    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 10 + 7 + 1
+    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 12 + 7 + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0

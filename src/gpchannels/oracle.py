@@ -17,6 +17,14 @@ never as a form on P:
   2 Lambda^dagger[P_22] on the input block and 2 Lambda[P_11] on the
   measurement block, so it needs only S and S^dagger.
 
+The engine works in real coordinates K(X) = Re X + Im X of Hermitian
+matrices, an isometry onto real matrices: <K(X), K(Y)> = Tr(XY).  Every
+Lambda_H above maps Hermitian matrices to Hermitian matrices when S is
+Hermiticity-preserving, Lambda[X^dagger] = Lambda[X]^dagger, as every channel
+and tensor power of one is; there it is a real linear map of K(P), applied as
+one real matrix per block.  The searches refuse a superoperator that is not
+finite or not Hermiticity-preserving, before any Haar start is drawn.
+
 Each sweep moves every active restart along a Polak-Ribiere+ direction,
 transported by projection and reset to steepest ascent every 2n-2 accepted
 steps on C^n or when it does not ascend.  The line search is exact: along the
@@ -78,6 +86,8 @@ STEP_TOL = 1e-9
 VALUE_TOL = 1e-10
 STALL_CYCLES = 3
 LINE_SEARCH_POINTS = 32
+#: largest |Lambda[X^dagger] - Lambda[X]^dagger| entry of S the searches accept, relative to max |S|
+HP_TOL = 1e-12
 
 DEFAULT_SEED = 2026
 
@@ -169,15 +179,26 @@ def _check_start_count(count: int, dim: int) -> None:
 
 
 def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
-    """The superoperator on row-major vectorizations vec(X)[i*m + j] = X[i, j], and m (capped)."""
-    superop = np.asarray(superop, dtype=complex)
+    """The superoperator on row-major vectorizations vec(X)[i*m + j] = X[i, j], and m (capped).
+
+    It must be finite and Hermiticity-preserving to HP_TOL (see the module docstring).
+    """
+    superop = np.asarray(superop)
     if superop.ndim != 2 or superop.shape[0] != superop.shape[1]:
         raise ValueError(f"superoperator must be square, got {superop.shape}")
     m = int(round(np.sqrt(superop.shape[0])))
     if m * m != superop.shape[0]:
         raise ValueError(f"superoperator side {superop.shape[0]} is not a perfect square")
-    check_oracle_dim(m)
-    return superop.reshape(m, m, m, m).transpose(1, 0, 3, 2).reshape(m * m, m * m), m
+    check_oracle_dim(m)  # before the complex copy
+    superop = superop.astype(complex, copy=False)
+    if not np.isfinite(superop).all():
+        raise ValueError("superoperator has non-finite entries")
+    s = superop.reshape(m, m, m, m).transpose(1, 0, 3, 2)
+    # Lambda[X^dagger] = Lambda[X]^dagger: swapping row and column of input and output conjugates S
+    miss = np.max(np.abs(s.transpose(1, 0, 3, 2) - s.conj()))
+    if miss > HP_TOL * np.max(np.abs(s)):
+        raise ValueError(f"superoperator is not Hermiticity-preserving (off by {miss:.3g})")
+    return s.reshape(m * m, m * m), m
 
 
 def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray, int]:
@@ -185,7 +206,13 @@ def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray,
         seeds = np.zeros((0, dim), dtype=complex)
     else:
         seeds = np.asarray(seed_states, dtype=complex).reshape(-1, dim)
-        seeds = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", over="ignore"):  # such rows are refused below
+            norms = np.linalg.norm(seeds, axis=1, keepdims=True)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+        if bad.size:
+            raise ValueError(f"seed state {bad[0]} has norm {norms[bad[0], 0]}; "
+                             "seed states must be finite and nonzero")
+        seeds = seeds / norms
     _check_start_count(max(cfg.restarts, seeds.shape[0]), dim)  # before any Haar start is drawn
     n_haar = max(cfg.restarts - seeds.shape[0], 0)
     haar = random_pure_state(dim, np.random.default_rng(cfg.seed), n_haar)
@@ -216,6 +243,20 @@ _SPACING = np.pi / LINE_SEARCH_POINTS
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
 
+def _real_operators(ops: np.ndarray) -> np.ndarray:
+    """The real matrices M_j with K(vec X) @ M_j = K(vec X @ ops[j]) on Hermitian X.
+
+    K(X) = Re X + Im X.  For Hermitian X and k = K(vec X), Re vec X = (k + k[flip]) / 2
+    and Im vec X = (k - k[flip]) / 2, with flip the row permutation vec(X) -> vec(X^T),
+    its own inverse; so K(vec X @ O) = k @ Re O + k[flip] @ Im O.  ``ops`` (k, m^2, m^2)
+    must map Hermitian matrices to Hermitian matrices, or K of the image loses its
+    anti-Hermitian part.
+    """
+    m = int(round(np.sqrt(ops.shape[-1])))
+    flip = np.arange(m * m).reshape(m, m).T.ravel()
+    return ops.real + ops.imag[:, flip]
+
+
 def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig,
             score=np.asarray):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
@@ -223,29 +264,43 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
     ``starts`` (k, R, m) holds R unit vectors of C^(k m) in k blocks.
     Lambda_H is block diagonal: ``ops[j]`` is the transposed row-major
     superoperator of block j, applied to the projector of block k-1-j (the
-    same block when k = 1).  ``scale`` is ||H||_2; ``score`` maps values to
-    what ``_select_best`` ranks.  Returns states, values, sweeps and the
-    index of the restart to report.
+    same block when k = 1).  It must be Hermiticity-preserving: the engine
+    keeps projectors and their images in the real coordinates K of the module
+    docstring, through ``_real_operators``.  ``scale`` is ||H||_2; ``score``
+    maps values to what ``_select_best`` ranks.  Returns states, values,
+    sweeps and the index of the restart to report.
     """
     k, r, m = starts.shape
     tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
     states, values = np.array(starts, dtype=complex), np.full(r, -np.inf)
     iters, settled = np.zeros(r, dtype=np.int64), np.zeros(r, dtype=bool)  # settled: no loose stop
+    ops = _real_operators(ops)
 
     def apply(w, out):
-        # out <- Lambda_H[w w^dagger] for w of shape (n, k, b, m); returns the projectors
+        # out <- K(Lambda_H[w w^dagger]) for w of shape (n, k, b, m); returns the K(w w^dagger)
         ws = w[:, ::-1]
-        proj = (ws[..., :, None] * ws.conj()[..., None, :]).reshape(*w.shape[:3], m * m)
+        proj = ws[..., :, None] * ws.conj()[..., None, :]
+        proj = (proj.real + proj.imag).reshape(*w.shape[:3], m * m)
         np.matmul(proj, ops, out=out)
         return proj[:, ::-1]
+
+    def times(img, x):
+        # G x = Re G x + i Im G x for the image K = K(G) of G = Lambda_H[P]:
+        # Re G = (K + K^T) / 2 and Im G = (K - K^T) / 2, so G x = ((1+i) K x + (1-i) K^T x) / 2
+        kk, xs = img.reshape(k, -1, m, m), (0.5 * x).view(float).reshape(*x.shape, 2)
+        kx, ktx = kk @ xs, kk.mT @ xs
+        both, diff = kx + ktx, kx - ktx
+        both[..., 0] -= diff[..., 1]
+        both[..., 1] += diff[..., 0]
+        return both.view(complex)[..., 0]
 
     def climb(idx, patient):
         # run restarts idx from their states; a patient climb makes no loose stop
         x = states[:, idx]
-        g = np.empty((3, k, idx.size, m * m), dtype=complex)  # Lambda_H[P], then line-search images
+        g = np.empty((3, k, idx.size, m * m))  # K(Lambda_H[P]), then line-search images
         apply(x[None], g[:1])
-        gx = np.matvec(g[0].reshape(k, -1, m, m), x)
+        gx = times(g[0], x)
         f = np.maximum(np.vecdot(x, gx).real.sum(0), values[idx])  # a resumed value never drops
         values[idx] = f
         grad = gx - f[:, None] * x  # the Riemannian gradient, up to a factor 2
@@ -265,7 +320,7 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
                 idx, x = idx[keep], x[:, keep]
                 if idx.size == 0:
                     return
-                g, old = np.empty((3, k, idx.size, m * m), dtype=complex), g
+                g, old = np.empty((3, k, idx.size, m * m)), g
                 np.compress(keep, old[0], axis=1, out=g[0])
                 gx, grad, memory = gx[:, keep], grad[:, keep], memory[:, :, keep]
                 f, gg, gg_prev, low, last_low, age, stall, stop = (
@@ -289,7 +344,7 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
             proj = apply(np.stack([un, x + un]), g[1:])
             dots = np.empty((idx.size, 6))
             dots[:, 0] = f
-            dots[:, 1:] = np.vecdot(proj[:, None], g).real.sum(2).reshape(6, -1)[[3, 0, 1, 2, 5]].T
+            dots[:, 1:] = np.vecdot(proj[:, None], g).sum(2).reshape(6, -1)[[3, 0, 1, 2, 5]].T
             best = np.argmax(dots @ _GAIN, axis=1)
             slope, bend = np.vecdot(dots[:, None, :], _DERIVS[best]).T
             bend = np.where(bend > 0.0, bend, np.inf)  # a Newton step only where concave
@@ -302,7 +357,7 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
             mix = (cs[:, :, None] * cs[:, None, :]).reshape(-1, 4) @ _MIX
             gn = np.empty_like(g)
             np.matmul(mix[None, :, None, :], g.transpose(1, 2, 0, 3), out=gn[0][:, :, None, :])
-            gxn = np.matvec(gn[0].reshape(k, -1, m, m), xn)
+            gxn = times(gn[0], xn)
             fn = np.vecdot(xn, gxn).real.sum(0)
             up = fn > f
             if not up.all():

@@ -19,9 +19,10 @@ from gpchannels import (
     spectrum_of,
     superoperator_of,
     tensor_fidelity_probe,
+    tensor_power,
 )
 from gpchannels.cli import nearest_basis_index
-from gpchannels.oracle import VALUE_TOL
+from gpchannels.oracle import VALUE_TOL, _checked_superop, _real_operators
 from helpers import (
     apply_channel,
     depolarizing_channel,
@@ -123,8 +124,17 @@ def test_sense_argument_validated(fam2):
 
 
 def test_oracle_dimension_guard():
-    with pytest.raises(TooLargeError):
-        extremize_self_fidelity(np.eye(65**2), "max")
+    # refused before the 285 MB complex copy of the superoperator is made
+    import tracemalloc
+
+    huge = np.broadcast_to(np.float32(0.0), (65**2, 65**2))  # no memory of its own
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            extremize_self_fidelity(huge, "max")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_nu2_oracle(fam2):
@@ -181,15 +191,19 @@ def _top_output_eigenvalue(superop, x):
     return np.linalg.eigvalsh(out.reshape(m, m, order="F"))[-1]
 
 
-def test_nu_inf_dual_step_uses_adjoint():
-    # amplitude damping is not self-adjoint: the input half-step must take the
-    # top eigenvector of Lambda^dagger[Q], or the pair drifts off its value
-    gamma = 0.6
+def _amplitude_damping(gamma):
+    """Kraus operators and column-stacking superoperator of qubit amplitude damping."""
     kraus = [
         np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]]),
         np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
     ]
-    s = sum(np.kron(k.conj(), k) for k in kraus)
+    return kraus, sum(np.kron(k.conj(), k) for k in kraus)
+
+
+def test_nu_inf_dual_step_uses_adjoint():
+    # amplitude damping is not self-adjoint: the input half-step must take the
+    # top eigenvector of Lambda^dagger[Q], or the pair drifts off its value
+    kraus, s = _amplitude_damping(0.6)
     assert not np.allclose(s, s.conj().T)
     res = maximize_output_inf_norm(s, OracleConfig(restarts=16, seed=5))
     out = sum(k @ np.outer(res.state, res.state.conj()) @ k.conj().T for k in kraus)
@@ -347,19 +361,32 @@ def test_haar_starts_are_one_seeded_stream(fam2):
     assert n_none == 0 and np.array_equal(unseeded[: 12 - n], haar)
 
 
+def _four_searches(s, cfg, seeds=None):
+    """The four searches of `analyze --oracle`, each as a thunk."""
+    return [
+        lambda: extremize_self_fidelity(s, "max", cfg, seeds),
+        lambda: extremize_self_fidelity(s, "min", cfg, seeds),
+        lambda: maximize_output_2norm(s, cfg, seeds),
+        lambda: maximize_output_inf_norm(s, cfg, seeds),
+    ]
+
+
+def _forbid_haar_draws(monkeypatch):
+    from gpchannels import oracle
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the Haar starts were drawn")
+
+    monkeypatch.setattr(oracle, "random_pure_state", no_draw)
+
+
 def test_haar_starts_generated_once_and_read_only(fam2, monkeypatch):
     # each search draws its Haar starts in one call and never writes into them
     from gpchannels import oracle
 
     s = superoperator_of(random_cptp_channel(2, np.random.default_rng(3), fam2))
     seeds = mub_seed_states(fam2)
-    cfg = OracleConfig(restarts=12, seed=5)
-    searches = [
-        lambda: extremize_self_fidelity(s, "max", cfg, seeds),
-        lambda: extremize_self_fidelity(s, "min", cfg, seeds),
-        lambda: maximize_output_2norm(s, cfg, seeds),
-        lambda: maximize_output_inf_norm(s, cfg, seeds),
-    ]
+    searches = _four_searches(s, OracleConfig(restarts=12, seed=5), seeds)
     expected = [search() for search in searches]
     draw = oracle.random_pure_state
     for search, want in zip(searches, expected):
@@ -498,10 +525,7 @@ def test_restart_guard_trips_before_drawing(fam2, monkeypatch):
     # 10^9 restarts would need tens of gigabytes: refused before any Haar start
     from gpchannels import oracle
 
-    def no_draw(*args, **kwargs):
-        raise AssertionError("the Haar starts were drawn")
-
-    monkeypatch.setattr(oracle, "random_pure_state", no_draw)
+    _forbid_haar_draws(monkeypatch)
     s = superoperator_of(identity_channel(2, fam2))
     seeds = mub_seed_states(fam2)
     huge = OracleConfig(restarts=10**9)
@@ -520,6 +544,92 @@ def test_restart_guard_trips_before_drawing(fam2, monkeypatch):
         extremize_self_fidelity(s, "max", OracleConfig(restarts=seeds.shape[0] + 1), seeds)
     with pytest.raises(AssertionError, match="drawn"):
         extremize_self_fidelity(s, "max", OracleConfig(restarts=1), seeds)
+
+
+def test_searches_refuse_non_finite_or_non_hp_superoperators(fam2, monkeypatch):
+    # NaN used to end in an SVD LinAlgError and +-inf in an IndexError; a map
+    # that is not Hermiticity-preserving has no real coordinates (X -> A X misses)
+    _forbid_haar_draws(monkeypatch)
+    s = superoperator_of(random_cptp_channel(2, np.random.default_rng(8), fam2))
+    a = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    cases = []
+    for value, match in ((np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite")):
+        bad = s.copy()
+        bad[1, 2] = value
+        cases.append((bad, match))
+    cases.append((np.kron(np.eye(2), a), "not Hermiticity-preserving"))
+    for bad, match in cases:
+        for search in _four_searches(bad, OracleConfig(restarts=12, seed=1)):
+            with pytest.raises(ValueError, match=match):
+                search()
+
+
+def test_searches_accept_amplitude_damping_and_tensor_powers(fam2):
+    # Hermiticity-preserving maps that are not Pauli channels, or not on C^d
+    ch = random_cptp_channel(2, np.random.default_rng(9), fam2)
+    for s in (_amplitude_damping(0.3)[1], tensor_power(ch, 2)):
+        for search in _four_searches(s, OracleConfig(restarts=8, seed=2)):
+            assert np.isfinite(search().value)
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]])
+def test_bad_seed_state_refused_before_drawing(fam2, monkeypatch, row):
+    # a zero or non-finite row used to warn in the normalization, then end in an IndexError
+    _forbid_haar_draws(monkeypatch)
+    s = superoperator_of(random_cptp_channel(2, np.random.default_rng(10), fam2))
+    seeds = mub_seed_states(fam2)
+    seeds[3] = row
+    for search in _four_searches(s, OracleConfig(restarts=12, seed=1), seeds):
+        with pytest.raises(ValueError, match="seed state 3 has norm"):
+            search()
+
+
+def _coordinates(x):
+    """K(X) = Re X + Im X, the engine's real coordinates of Hermitian matrices."""
+    return x.real + x.imag
+
+
+def test_real_coordinates_are_an_isometry(rng):
+    # <K(X), K(Y)> = Tr(XY) on Hermitian X, Y
+    z = rng.standard_normal((2, 20, 5, 5)) + 1j * rng.standard_normal((2, 20, 5, 5))
+    x, y = z + z.conj().swapaxes(-1, -2)
+    lhs = np.sum(_coordinates(x) * _coordinates(y), axis=(-2, -1))
+    rhs = np.trace(x @ y, axis1=-2, axis2=-1)
+    assert np.allclose(lhs, rhs.real, rtol=0, atol=1e-12)
+    assert np.all(np.abs(rhs.imag) <= 1e-12)
+
+
+@pytest.mark.parametrize("case", ["d2", "d3", "d5", "d7", "amplitude-damping", "tensor-2x2"])
+def test_real_coordinate_images_match_the_complex_route(case, rng):
+    # the real matrix of each map the searches build sends K(P) to K of the
+    # complex image, for random projectors P
+    from gpchannels import build_mub_family
+
+    if case == "amplitude-damping":
+        superop = _amplitude_damping(0.4)[1]
+    elif case == "tensor-2x2":
+        superop = tensor_power(random_cptp_channel(2, rng, build_mub_family(2)), 2)
+    else:
+        d = int(case[1:])
+        superop = superoperator_of(random_cptp_channel(d, rng, build_mub_family(d)))
+    s, m = _checked_superop(superop)
+    psi = random_pure_state(m, rng, 16)
+    p = psi[:, :, None] * psi.conj()[:, None, :]
+    vec = p.reshape(-1, m * m)
+    lam = (superop @ p.transpose(0, 2, 1).reshape(-1, m * m).T).T  # column-stacked Lambda[P]
+    lam = lam.reshape(-1, m, m).transpose(0, 2, 1)
+    h = 0.5 * (s + s.conj().T)
+    maps = {  # transposed row-major superoperators, as the searches pass them
+        "Lambda": (s.T, lam),
+        "Lambda^dagger": (s.conj(), None),
+        "self-fidelity H": (h.T, None),
+        "S^dagger S": (s.T @ s.conj(), None),
+    }
+    for name, (ops, image) in maps.items():
+        if image is None:
+            image = (vec @ ops).reshape(-1, m, m)
+        real = _coordinates(p).reshape(-1, m * m) @ _real_operators(ops[None])[0]
+        assert np.allclose(real, _coordinates(image).reshape(-1, m * m), rtol=0, atol=1e-13), name
 
 
 def test_tensor_probe_refuses_before_building(fam2, monkeypatch):

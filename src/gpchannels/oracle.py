@@ -18,12 +18,14 @@ never as a form on P:
   measurement block, so it needs only S and S^dagger.
 
 The engine works in real coordinates K(X) = Re X + Im X of Hermitian
-matrices, an isometry onto real matrices: <K(X), K(Y)> = Tr(XY).  Every
-Lambda_H above maps Hermitian matrices to Hermitian matrices when S is
+matrices, an isometry onto real matrices: <K(X), K(Y)> = Tr(XY).  When S is
 Hermiticity-preserving, Lambda[X^dagger] = Lambda[X]^dagger, as every channel
-and tensor power of one is; there it is a real linear map of K(P), applied as
-one real matrix per block.  The searches refuse a superoperator that is not
-finite or not Hermiticity-preserving, before any Haar start is drawn.
+and tensor power of one is, Lambda is one real matrix R on row vectors,
+K(vec X) @ R = K(vec Lambda[X]), and Lambda^dagger is R^T.  Each search
+builds its map from R alone: H = +/-(R + R^T)/2 for the fidelities, R R^T
+for the 2-norm, and the blocks 2 R^T and 2 R for the inf-norm.  The searches
+refuse a superoperator that is not finite or not Hermiticity-preserving, or
+of dimension below 2, before any Haar start is drawn.
 
 Each sweep moves every active restart along a Polak-Ribiere+ direction,
 transported by projection and reset to steepest ascent every 2n-2 accepted
@@ -179,9 +181,12 @@ def _check_start_count(count: int, dim: int) -> None:
 
 
 def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
-    """The superoperator on row-major vectorizations vec(X)[i*m + j] = X[i, j], and m (capped).
+    """The real matrix R of Lambda in the coordinates K, and the state dimension m (capped).
 
-    It must be finite and Hermiticity-preserving to HP_TOL (see the module docstring).
+    ``superop`` acts on column-stacked vectorizations; R acts on row vectors of
+    row-major ones, K(vec X) @ R = K(vec Lambda[X]) for Hermitian X, where
+    vec(X)[i*m + j] = X[i, j].  K is an isometry, so R^T is Lambda^dagger.
+    S must be finite and Hermiticity-preserving to HP_TOL (see the module docstring).
     """
     superop = np.asarray(superop)
     if superop.ndim != 2 or superop.shape[0] != superop.shape[1]:
@@ -189,6 +194,8 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     m = int(round(np.sqrt(superop.shape[0])))
     if m * m != superop.shape[0]:
         raise ValueError(f"superoperator side {superop.shape[0]} is not a perfect square")
+    if m < 2:
+        raise ValueError("dimension must be >= 2")
     check_oracle_dim(m)  # before the complex copy
     superop = superop.astype(complex, copy=False)
     if not np.isfinite(superop).all():
@@ -198,14 +205,19 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     miss = np.max(np.abs(s.transpose(1, 0, 3, 2) - s.conj()))
     if miss > HP_TOL * np.max(np.abs(s)):
         raise ValueError(f"superoperator is not Hermiticity-preserving (off by {miss:.3g})")
-    return s.reshape(m * m, m * m), m
+    # for k = K(vec X), Re vec X = (k + k[flip]) / 2 and Im vec X = (k - k[flip]) / 2, with
+    # flip the permutation vec(X) -> vec(X^T); so K(vec Lambda[X]) = k @ (Re S + Im S[:, flip])^T
+    return (s.real + s.imag.transpose(0, 1, 3, 2)).reshape(m * m, m * m).T, m
 
 
 def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray, int]:
     if seed_states is None:
         seeds = np.zeros((0, dim), dtype=complex)
     else:
-        seeds = np.asarray(seed_states, dtype=complex).reshape(-1, dim)
+        seeds = np.asarray(seed_states, dtype=complex)
+        if seeds.shape[-1:] != (dim,) or seeds.ndim > 2:
+            raise ValueError(f"seed states of shape {seeds.shape} are not vectors of C^{dim}")
+        seeds = seeds.reshape(-1, dim)
         with np.errstate(invalid="ignore", over="ignore"):  # such rows are refused below
             norms = np.linalg.norm(seeds, axis=1, keepdims=True)
         bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
@@ -243,39 +255,24 @@ _SPACING = np.pi / LINE_SEARCH_POINTS
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
 
-def _real_operators(ops: np.ndarray) -> np.ndarray:
-    """The real matrices M_j with K(vec X) @ M_j = K(vec X @ ops[j]) on Hermitian X.
-
-    K(X) = Re X + Im X.  For Hermitian X and k = K(vec X), Re vec X = (k + k[flip]) / 2
-    and Im vec X = (k - k[flip]) / 2, with flip the row permutation vec(X) -> vec(X^T),
-    its own inverse; so K(vec X @ O) = k @ Re O + k[flip] @ Im O.  ``ops`` (k, m^2, m^2)
-    must map Hermitian matrices to Hermitian matrices, or K of the image loses its
-    anti-Hermitian part.
-    """
-    m = int(round(np.sqrt(ops.shape[-1])))
-    flip = np.arange(m * m).reshape(m, m).T.ravel()
-    return ops.real + ops.imag[:, flip]
-
-
 def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig,
             score=np.asarray):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
     ``starts`` (k, R, m) holds R unit vectors of C^(k m) in k blocks.
-    Lambda_H is block diagonal: ``ops[j]`` is the transposed row-major
-    superoperator of block j, applied to the projector of block k-1-j (the
-    same block when k = 1).  It must be Hermiticity-preserving: the engine
-    keeps projectors and their images in the real coordinates K of the module
-    docstring, through ``_real_operators``.  ``scale`` is ||H||_2; ``score``
-    maps values to what ``_select_best`` ranks.  Returns states, values,
-    sweeps and the index of the restart to report.
+    Lambda_H is block diagonal: ``ops[j]`` is the real matrix of block j in
+    the coordinates K of the module docstring, K(vec P) @ ops[j] for the
+    row-major vec P of block k-1-j (the same block when k = 1), as built from
+    ``_checked_superop``'s R.  The engine keeps projectors and their images
+    in K.  ``scale`` is ||H||_2; ``score`` maps values to what
+    ``_select_best`` ranks.  Returns states, values, sweeps and the index of
+    the restart to report.
     """
     k, r, m = starts.shape
     tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
     states, values = np.array(starts, dtype=complex), np.full(r, -np.inf)
     iters, settled = np.zeros(r, dtype=np.int64), np.zeros(r, dtype=bool)  # settled: no loose stop
-    ops = _real_operators(ops)
 
     def apply(w, out):
         # out <- K(Lambda_H[w w^dagger]) for w of shape (n, k, b, m); returns the K(w w^dagger)
@@ -420,11 +417,11 @@ def extremize_self_fidelity(
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
     cfg = cfg or OracleConfig()
-    s, m = _checked_superop(superop)
+    r, m = _checked_superop(superop)
     sgn = 1.0 if sense == "max" else -1.0
     starts, n_seeds = _start_states(m, cfg, seed_states)
-    h = 0.5 * sgn * (s + s.conj().T)
-    psi, g, iters, best = _ascent(np.ascontiguousarray(h.T)[None], starts[None], _norm2(h), cfg)
+    h = 0.5 * sgn * (r + r.T)
+    psi, g, iters, best = _ascent(h[None], starts[None], _norm2(h), cfg)
     return _result(g, psi[0], iters, best, n_seeds, sign=sgn)
 
 
@@ -435,10 +432,10 @@ def maximize_output_2norm(
 ) -> OracleResult:
     """Search the largest output 2-norm sqrt(Tr(Lambda[P]^2)) over pure inputs."""
     cfg = cfg or OracleConfig()
-    s, m = _checked_superop(superop)
+    r, m = _checked_superop(superop)
     starts, n_seeds = _start_states(m, cfg, seed_states)
-    h_t = s.T @ s.conj()  # (S^dagger S)^T
-    psi, g, iters, best = _ascent(h_t[None], starts[None], _norm2(h_t), cfg, score=np.sqrt)
+    h = r @ r.T  # Lambda^dagger Lambda
+    psi, g, iters, best = _ascent(h[None], starts[None], _norm2(h), cfg, score=np.sqrt)
     return _result(np.sqrt(g), psi[0], iters, best, n_seeds)
 
 
@@ -455,13 +452,14 @@ def maximize_output_inf_norm(
     the measurement Q; on ties the earlier (seeded) pair is kept.
     """
     cfg = cfg or OracleConfig()
-    s, m = _checked_superop(superop)
+    r, m = _checked_superop(superop)
     psi, n_seeds = _start_states(m, cfg, seed_states)
-    out = ((psi[:, :, None] * psi.conj()[:, None, :]).reshape(-1, m * m) @ s.T).reshape(-1, m, m)
-    phi = np.linalg.eigh(out)[1][:, :, -1]
-    ops = np.stack([2.0 * s.conj(), 2.0 * s.T])  # Lambda^dagger, then Lambda
+    proj = psi[:, :, None] * psi.conj()[:, None, :]
+    out = ((proj.real + proj.imag).reshape(-1, m * m) @ r).reshape(-1, m, m)  # K(Lambda[P])
+    phi = np.linalg.eigh(out + out.mT + 1j * (out - out.mT))[1][:, :, -1]  # of 2 Lambda[P]
     starts = np.stack([psi, phi]) / np.sqrt(2.0)
-    x, g, iters, best = _ascent(ops, starts, 2.0 * _norm2(s), cfg)
+    ops = 2.0 * np.stack([r.T, r])  # Lambda^dagger, then Lambda
+    x, g, iters, best = _ascent(ops, starts, 2.0 * _norm2(r), cfg)
     x /= np.linalg.norm(x, axis=2, keepdims=True)
     return _result(g, x[0], iters, best, n_seeds, dual_states=x[1])
 

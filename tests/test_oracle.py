@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from gpchannels import (
     tensor_power,
 )
 from gpchannels.cli import nearest_basis_index
-from gpchannels.oracle import VALUE_TOL, _checked_superop, _real_operators
+from gpchannels.oracle import VALUE_TOL, _checked_superop
 from helpers import (
     apply_channel,
     depolarizing_channel,
@@ -65,11 +67,16 @@ def test_oracle_config_validation():
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
-def test_dimension_one_refused_without_haar_starts(restarts):
+def test_dimension_one_refused_without_haar_starts(restarts, monkeypatch):
     # one seed state fills restarts=1, so no Haar start is drawn; C^1 is refused anyway
     cfg = OracleConfig(restarts=restarts)
     with pytest.raises(ValueError, match="dimension must be >= 2"):
         extremize_self_fidelity(np.eye(1), "max", cfg, seed_states=np.ones((1, 1)))
+    # a 0x0 superoperator used to end in numpy's "zero-size array" error
+    _forbid_haar_draws(monkeypatch)
+    for search in _four_searches(np.zeros((0, 0)), cfg):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            search()
 
 
 def test_random_pure_state_haar_first_moment():
@@ -584,6 +591,20 @@ def test_bad_seed_state_refused_before_drawing(fam2, monkeypatch, row):
             search()
 
 
+@pytest.mark.parametrize("shape", [(6, 2), (8,), (2, 3, 4), ()])
+def test_seed_states_of_the_wrong_shape_refused_before_drawing(fam2, monkeypatch, shape):
+    # the six C^2 family vectors used to be read as three starts of C^4
+    s = tensor_power(random_cptp_channel(2, np.random.default_rng(11), fam2), 2)
+    # one vector of C^4 is one seed
+    one = extremize_self_fidelity(s, "max", OracleConfig(restarts=1), np.ones(4))
+    assert one.n_seed_states == 1
+    _forbid_haar_draws(monkeypatch)
+    seeds = np.ones(shape) if shape != (6, 2) else mub_seed_states(fam2)
+    for search in _four_searches(s, OracleConfig(restarts=1, seed=1), seeds):
+        with pytest.raises(ValueError, match=f"seed states of shape {re.escape(str(shape))}"):
+            search()
+
+
 def _coordinates(x):
     """K(X) = Re X + Im X, the engine's real coordinates of Hermitian matrices."""
     return x.real + x.imag
@@ -601,8 +622,9 @@ def test_real_coordinates_are_an_isometry(rng):
 
 @pytest.mark.parametrize("case", ["d2", "d3", "d5", "d7", "amplitude-damping", "tensor-2x2"])
 def test_real_coordinate_images_match_the_complex_route(case, rng):
-    # the real matrix of each map the searches build sends K(P) to K of the
-    # complex image, for random projectors P
+    # R from _checked_superop, R^T and each map the searches build from R send
+    # K(P) to K of the complex image, for random projectors P, and their
+    # 2-norms, which scale the stop tolerances, are the complex maps' norms
     from gpchannels import build_mub_family
 
     if case == "amplitude-damping":
@@ -612,24 +634,26 @@ def test_real_coordinate_images_match_the_complex_route(case, rng):
     else:
         d = int(case[1:])
         superop = superoperator_of(random_cptp_channel(d, rng, build_mub_family(d)))
-    s, m = _checked_superop(superop)
+    r, m = _checked_superop(superop)
     psi = random_pure_state(m, rng, 16)
     p = psi[:, :, None] * psi.conj()[:, None, :]
-    vec = p.reshape(-1, m * m)
-    lam = (superop @ p.transpose(0, 2, 1).reshape(-1, m * m).T).T  # column-stacked Lambda[P]
-    lam = lam.reshape(-1, m, m).transpose(0, 2, 1)
-    h = 0.5 * (s + s.conj().T)
-    maps = {  # transposed row-major superoperators, as the searches pass them
-        "Lambda": (s.T, lam),
-        "Lambda^dagger": (s.conj(), None),
-        "self-fidelity H": (h.T, None),
-        "S^dagger S": (s.T @ s.conj(), None),
+    s = superop.astype(complex)  # the complex reference, on column-stacked vectorizations
+
+    def image(op):
+        out = (op @ p.transpose(0, 2, 1).reshape(-1, m * m).T).T  # column-stacked images
+        return out.reshape(-1, m, m).transpose(0, 2, 1)
+
+    maps = {  # the inf-norm search runs on 2 R^T and 2 R, scaled by 2 ||R||_2
+        "Lambda": (r, s),
+        "Lambda^dagger": (r.T, s.conj().T),
+        "self-fidelity H": (0.5 * (r + r.T), 0.5 * (s + s.conj().T)),
+        "2-norm H": (r @ r.T, s.conj().T @ s),
     }
-    for name, (ops, image) in maps.items():
-        if image is None:
-            image = (vec @ ops).reshape(-1, m, m)
-        real = _coordinates(p).reshape(-1, m * m) @ _real_operators(ops[None])[0]
-        assert np.allclose(real, _coordinates(image).reshape(-1, m * m), rtol=0, atol=1e-13), name
+    for name, (real_op, op) in maps.items():
+        real = (_coordinates(p).reshape(-1, m * m) @ real_op).reshape(-1, m, m)
+        assert np.allclose(real, _coordinates(image(op)), rtol=0, atol=1e-13), name
+        norm = np.linalg.norm(op, 2)
+        assert abs(np.linalg.norm(real_op, 2) - norm) <= 1e-13 * norm, name
 
 
 def test_tensor_probe_refuses_before_building(fam2, monkeypatch):

@@ -46,12 +46,15 @@ SEARCH_RESTARTS = "16"  # the basis seed states are searched even where they out
 TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr with
 NAN_FAMILY = mub_family_to_dict(build_mub_family(3))
 NAN_FAMILY["bases"][1][0][2] = NAN_FAMILY["bases"][2][1][0] = [float("nan"), 0.0]
-#: (argv, spec written to the file argv[1], or None where argv names no file) of inputs the CLI
-#: refuses: a `d` that is not a JSON integer, a dimension with no built-in
-#: family and no family file, a spectrum that is not CPTP, a family file
-#: with NaN entries, read directly and through a channel spec, a spec that
-#: is not a JSON object, a `mub_file` that is not a string, a negative
-#: search seed, and a selftest with a negative seed or a `--d` with no family
+#: (argv, spec written to the file argv[1] as JSON, or as is where it is a string, or None
+#: where argv names no file) of inputs the CLI refuses: a `d` that is not a
+#: JSON integer, a dimension with no built-in family and no family file, a
+#: spectrum that is not CPTP, a family file with NaN entries, read directly
+#: and through a channel spec, a spec that is not a JSON object, a `mub_file`
+#: that is not a string, a negative search seed, a selftest with a negative
+#: seed or a `--d` with no family, spec numbers that are strings, booleans or
+#: objects, a file nested too deeply to parse, and specs that give both
+#: parametrizations of a channel or both kinds of evolution
 REFUSALS = [
     (["validate", "float-d.json"], {"d": 3.9, "probabilities": [0.2] * 5}),
     (["analyze", "string-d.json"], {"d": "3", "eigenvalues": [0.5] * 4}),
@@ -67,6 +70,17 @@ REFUSALS = [
      {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]}),
     (["selftest", "--seed", "-1"], None),
     (["selftest", "--d", "2", "--d", "4"], None),
+    (["validate", "string-probabilities.json"], {"d": 2, "probabilities": ["0.25"] * 4}),
+    (["analyze", "bool-probabilities.json"], {"d": 2, "probabilities": [True, False, False, False]}),
+    (["analyze", "object-eigenvalue.json"], {"d": 2, "eigenvalues": [0.25, 0.25, {"a": 1}]}),
+    (["evolve", "string-rates.json", "--t-max", "1", "--steps", "3"], {"d": 2, "rates": ["1"] * 3}),
+    (["evolve", "string-t.json", "--t-max", "1", "--steps", "3"],
+     {"d": 2, "trajectory": [{"t": "0", "lambdas": [1, 1, 1]}]}),
+    (["validate", "deep-nesting.json"], "[" * 100_000 + "]" * 100_000),
+    (["analyze", "probabilities-and-eigenvalues.json"],
+     {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1], "eigenvalues": [-0.5, -0.5, -0.5]}),
+    (["evolve", "rates-and-trajectory.json", "--t-max", "1", "--steps", "3"],
+     {"d": 2, "rates": [1, 1, 1], "trajectory": [{"t": 0, "lambdas": [1, 1, 1]}]}),
 ]
 
 
@@ -164,7 +178,10 @@ def battery(seed, dims, steps):
     for argv, spec in REFUSALS:
         if spec is not None:
             with open(argv[1], "w", encoding="utf-8") as fh:
-                json.dump(spec, fh)
+                if isinstance(spec, str):  # text as is: json.dump recurses too deep to write it
+                    fh.write(spec)
+                else:
+                    json.dump(spec, fh)
         code, _, err = _run(argv)  # a refusal writes one error line to stderr
         text = f"exit {code}\n{err}"
         lines.append(f"{_digest(text)}  {' '.join(argv)} [exit, stderr]")

@@ -27,6 +27,11 @@ are immutable and all operations are pure.  Superoperators use the
 column-stacking convention vec(A)[i + rows*j] = A[i, j], so that
 vec(A X B) = (B^T kron A) vec(X).  Every superoperator, generator and
 Choi matrix is built by :func:`dephasing_mixture`.
+
+The oracle searches' budget and defaults also live here: MAX_ORACLE_DIM,
+the restart counts SINGLE_RESTARTS and TENSOR_RESTARTS, DEFAULT_SEED and
+:class:`OracleConfig`.  :mod:`gpchannels.oracle` re-exports them, and the
+CLI checks its flags against them without loading the search engine.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (
     NotCPTPError,
     TooLargeError,
 )
-from .mub import MubFamily, build_mub_family, families_equal, spec_dimension
+from .mub import MubFamily, build_mub_family, families_equal, spec_dimension, spec_numbers
 
 #: tolerated probability round-off at CPTP boundaries
 PROB_TOL = 1e-12
@@ -51,6 +56,10 @@ PROB_TOL = 1e-12
 FA_TOL = 1e-12
 #: hard cap on the state dimension of a tensor power or an oracle search
 MAX_ORACLE_DIM = 64
+#: default restart counts (single-copy searches, tensor-power probes) and Haar seed
+SINGLE_RESTARTS = 256
+TENSOR_RESTARTS = 2048
+DEFAULT_SEED = 2026
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,31 @@ class Spectrum:
             raise BadProbabilitiesError(f"non-finite eigenvalue in {lam.tolist()}")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """Search budget and reproducibility stamp for one oracle run.
+
+    ``restarts`` is the number of ascents (raised to the number of seeded
+    candidates if they are more), ``max_iters`` caps the sweeps of each and
+    ``seed``, a nonnegative integer, seeds the Haar starts.  The stop
+    tolerances are the constants ``oracle.STEP_TOL`` and ``oracle.VALUE_TOL``.
+    It lives here, with the searches' defaults, so that a caller can check a
+    budget without importing the search engine.
+    """
+
+    restarts: int = SINGLE_RESTARTS
+    max_iters: int = 500
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -298,19 +332,22 @@ def channel_from_dict(payload: dict, fam: MubFamily | None = None) -> Generalize
     """Build a channel from a parsed spec dict, over ``fam`` or the built-in family.
 
     The payload carries ``d`` (see :func:`~gpchannels.mub.spec_dimension`),
-    ``probabilities`` (d+2) or ``eigenvalues`` (d+1), and optionally
-    ``mub_file``, a basis-family file that the caller reads and passes as
-    ``fam`` (a payload naming one without ``fam`` is refused).  Weights
-    drifting off one by at most 1e-9 are renormalized.  This is where a
-    spec's complete positivity is decided: every channel is CPTP.
+    either ``probabilities`` (d+2) or ``eigenvalues`` (d+1), each read by
+    :func:`~gpchannels.mub.spec_numbers`, and optionally ``mub_file``, a
+    basis-family file that the caller reads and passes as ``fam`` (a
+    payload naming one without ``fam`` is refused).  Weights drifting off
+    one by at most 1e-9 are renormalized.  This is where a spec's complete
+    positivity is decided: every channel is CPTP.
     """
     d = spec_dimension(payload)
+    if "probabilities" in payload and "eigenvalues" in payload:
+        raise BadProbabilitiesError("channel spec gives both 'probabilities' and 'eigenvalues'")
     if fam is None:
         if payload.get("mub_file") is not None:
             raise MubValidationError("the spec names a 'mub_file', but no family was passed")
         fam = build_mub_family(d)
     if "probabilities" in payload:
-        p = np.asarray(payload["probabilities"], dtype=float)
+        p = spec_numbers(payload["probabilities"], "probabilities", BadProbabilitiesError)
         # non-finite weights are left for channel_from_probabilities to reject
         with np.errstate(over="ignore"):  # an overflowing sum is rejected as a drift
             total = float(np.sum(p)) if np.all(np.isfinite(p)) else 1.0
@@ -318,6 +355,7 @@ def channel_from_dict(payload: dict, fam: MubFamily | None = None) -> Generalize
             raise BadProbabilitiesError(f"probabilities sum to {total!r}, beyond 1e-9 drift")
         return channel_from_probabilities(d, p / total, fam)
     if "eigenvalues" in payload:
-        return channel_from_eigenvalues(d, np.asarray(payload["eigenvalues"], dtype=float), fam)
+        lam = spec_numbers(payload["eigenvalues"], "eigenvalues", BadProbabilitiesError)
+        return channel_from_eigenvalues(d, lam, fam)
     raise BadProbabilitiesError("channel spec needs 'probabilities' or 'eigenvalues'")
 

@@ -20,13 +20,18 @@ constant by default), keys are sorted, and the embedded manifest carries
 the command, input digests, seed, config echo, and tool version.  Rerunning
 the same command on the same inputs reproduces the report byte for byte;
 wall-clock timing goes to stderr only.
+
+Importing this module loads only the ``channel``, ``errors`` and ``mub``
+layers.  Each command imports the other layers it runs when it runs:
+``metrics`` for ``analyze``, ``tensor`` and ``selftest``, ``oracle`` for
+``analyze --oracle``, ``tensor`` and ``selftest``, and ``dynamics`` for
+``evolve`` and ``selftest``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -36,7 +41,11 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    DEFAULT_SEED,
+    SINGLE_RESTARTS,
+    TENSOR_RESTARTS,
     GeneralizedPauliChannel,
+    OracleConfig,
     Spectrum,
     channel_from_dict,
     fa_slacks,
@@ -44,14 +53,6 @@ from .channel import (
     probabilities_of,
     spectrum_of,
     superoperator_of,
-)
-from .dynamics import (
-    evolution_from_dict,
-    exponential_evolution,
-    generator_consistency_residual,
-    timeline_csv_text,
-    timeline_report,
-    validate_trajectory,
 )
 from .errors import (
     GpcError,
@@ -61,7 +62,6 @@ from .errors import (
     OutOfRangeError,
     TooLargeError,
 )
-from .metrics import fidelity_report, max_output_inf_norm
 from .mub import (
     LOAD_TOL,
     MubFamily,
@@ -69,20 +69,6 @@ from .mub import (
     mub_family_from_dict,
     mub_family_to_dict,
     validate_mub_family,
-)
-from .oracle import (
-    DEFAULT_SEED,
-    SINGLE_RESTARTS,
-    TENSOR_RESTARTS,
-    OracleConfig,
-    SpectrumGrid,
-    cptp_equivalence_scan,
-    eigenrelation_residual,
-    extremize_self_fidelity,
-    maximize_output_2norm,
-    maximize_output_inf_norm,
-    mub_seed_states,
-    tensor_fidelity_probe,
 )
 
 EXIT_OK = 0
@@ -137,11 +123,17 @@ def _load_json(path: str, inputs: dict[str, str]) -> dict:
     """The JSON object in file ``path``; ``inputs[path]`` becomes the digest of its bytes.
 
     Every input file is read here, once.  Its bytes are decoded as UTF-8,
-    not sniffed, so a byte-order mark stays a parse error.
+    not sniffed, so a byte-order mark stays a parse error, and JSON nested
+    deeper than the parser can recurse is one too.
     """
+    import hashlib
+
     with open(path, "rb") as fh:
         raw = fh.read()
-    payload = json.loads(raw.decode("utf-8"))
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON too deeply to parse") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path} must hold a JSON object, found {type(payload).__name__}")
     inputs[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
@@ -179,6 +171,8 @@ def _channel_section(sp: Spectrum, probs, cptp: bool) -> dict:
 
 
 def _metrics_section(ch: GeneralizedPauliChannel) -> dict:
+    from .metrics import fidelity_report
+
     rep = fidelity_report(ch)
     return {
         "f_min": rep.f_min,
@@ -222,6 +216,10 @@ def _oracle_state(fam: MubFamily, psi: np.ndarray) -> dict:
 
 
 def _oracle_section(ch: GeneralizedPauliChannel, cfg: OracleConfig) -> dict:
+    from .metrics import fidelity_report
+    from .oracle import (eigenrelation_residual, extremize_self_fidelity, maximize_output_2norm,
+                         maximize_output_inf_norm, mub_seed_states)
+
     superop = superoperator_of(ch)
     seeds = mub_seed_states(ch.fam)
     fig = fidelity_report(ch)
@@ -320,6 +318,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    from .metrics import fidelity_report
+    from .oracle import tensor_fidelity_probe
+
     payload, fam, inputs = _load_spec(args.spec)
     ch = channel_from_dict(payload, fam)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
@@ -359,6 +360,8 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .dynamics import evolution_from_dict, timeline_csv_text, timeline_report
+
     inputs = {}
     spec = evolution_from_dict(_load_json(args.spec, inputs))
     # every flag is checked before the grid is allocated
@@ -412,6 +415,12 @@ def _random_cptp_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _selftest_checks(dims: list[int], seed: int):
     """(name, check) pairs in run order; a bad seed or d is refused before any check runs."""
+    from .dynamics import (exponential_evolution, generator_consistency_residual,
+                           timeline_report, validate_trajectory)
+    from .metrics import max_output_inf_norm
+    from .oracle import (SpectrumGrid, cptp_equivalence_scan, eigenrelation_residual,
+                         mub_seed_states)
+
     OracleConfig(seed=seed)  # refuses a negative seed
     for d in dims:
         build_mub_family(d)

@@ -33,7 +33,7 @@ import numpy as np
 from .channel import dephasing_mixture, eigen_columns, resolve_family
 from .errors import InvalidTrajectoryError, OutOfRangeError
 from .metrics import SpectralFigures, spectral_figures
-from .mub import MubFamily, spec_dimension
+from .mub import MubFamily, spec_dimension, spec_numbers
 
 #: eigenvalue negativity tolerated on validated trajectories
 TRAJ_TOL = 1e-12
@@ -230,16 +230,22 @@ def generator_consistency_residual(spec: EvolutionSpec, times) -> float:
 
 def evolution_from_dict(payload: dict) -> EvolutionSpec:
     """Build a spec from ``{"d":, "rates": [...]}`` or
-    ``{"d":, "trajectory": [{"t":, "lambdas": [...]}, ...]}``; ``d`` is read
-    by :func:`~gpchannels.mub.spec_dimension`."""
+    ``{"d":, "trajectory": [{"t":, "lambdas": [...]}, ...]}``, not both; ``d``
+    is read by :func:`~gpchannels.mub.spec_dimension` and every number by
+    :func:`~gpchannels.mub.spec_numbers`."""
     d = spec_dimension(payload)
+    if "rates" in payload and "trajectory" in payload:
+        raise InvalidTrajectoryError("evolution spec gives both 'rates' and 'trajectory'")
     if "rates" in payload:
-        return exponential_evolution(d, np.asarray(payload["rates"], dtype=float))
+        rates = spec_numbers(payload["rates"], "rates", InvalidTrajectoryError)
+        return exponential_evolution(d, rates)
     if "trajectory" in payload:
         rows = payload["trajectory"]
         try:
-            times = np.array([float(row["t"]) for row in rows])
-            lams = np.array([[float(x) for x in row["lambdas"]] for row in rows])
+            times = np.array([spec_numbers(row["t"], "t", InvalidTrajectoryError)
+                              for row in rows])
+            lams = np.array([spec_numbers(row["lambdas"], "lambdas", InvalidTrajectoryError)
+                             for row in rows])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidTrajectoryError(f"malformed trajectory rows: {exc}") from exc
         return sampled_evolution(d, times, lams)

@@ -210,6 +210,18 @@ def spec_dimension(payload: dict) -> int:
     return int(d)
 
 
+def spec_numbers(value, name: str, error: type[Exception]) -> np.ndarray:
+    """A spec's number, or flat list of numbers, ``value`` as floats; ``name`` is its field.
+
+    Only JSON integers and floats are numbers: a boolean, a string, an
+    object, a null or a nested list anywhere in ``value`` raises ``error``.
+    """
+    for x in value if isinstance(value, (list, tuple, np.ndarray)) else [value]:
+        if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+            raise error(f"spec field {name!r} must hold JSON numbers, found {type(x).__name__}")
+    return np.array(value, dtype=float)
+
+
 def mub_family_to_dict(fam: MubFamily) -> dict:
     """JSON-ready form: vectors as [re, im] pairs."""
     return {

@@ -51,6 +51,11 @@ of one draw from a generator seeded with the config's seed, so a larger
 restart budget appends starts and keeps the earlier ones.  On ties within
 VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
+
+The search budget :class:`OracleConfig`, its defaults SINGLE_RESTARTS,
+TENSOR_RESTARTS and DEFAULT_SEED, and the state-dimension cap MAX_ORACLE_DIM
+are defined in :mod:`gpchannels.channel`, which loads without this module,
+and are re-exported here.
 """
 
 from __future__ import annotations
@@ -60,9 +65,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    MAX_ORACLE_DIM,  # noqa: F401  the searches' cap, also read as oracle.MAX_ORACLE_DIM
+from .channel import (  # noqa: F401  the budget names are also read off this module
+    DEFAULT_SEED,
+    MAX_ORACLE_DIM,
+    SINGLE_RESTARTS,
+    TENSOR_RESTARTS,
     GeneralizedPauliChannel,
+    OracleConfig,
     check_oracle_dim,
     choi_from_spectrum,
     eigen_columns,
@@ -74,9 +83,6 @@ from .errors import TooLargeError
 from .metrics import fidelity_report, spectral_figures
 from .mub import MubFamily, build_mub_family
 
-#: default restart counts (single-copy searches, tensor-power probes)
-SINGLE_RESTARTS = 256
-TENSOR_RESTARTS = 2048
 #: hard cap on restarts times squared state dimension, the size of the ascent's projector arrays
 MAX_START_ENTRIES = 2**24
 #: hard cap on spectra per equivalence scan
@@ -90,31 +96,6 @@ STALL_CYCLES = 3
 LINE_SEARCH_POINTS = 32
 #: largest |Lambda[X^dagger] - Lambda[X]^dagger| entry of S the searches accept, relative to max |S|
 HP_TOL = 1e-12
-
-DEFAULT_SEED = 2026
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Search budget and reproducibility stamp for one oracle run.
-
-    ``restarts`` is the number of ascents (raised to the number of seeded
-    candidates if they are more), ``max_iters`` caps the sweeps of each and
-    ``seed``, a nonnegative integer, seeds the Haar starts.  The stop
-    tolerances are the module constants STEP_TOL and VALUE_TOL.
-    """
-
-    restarts: int = SINGLE_RESTARTS
-    max_iters: int = 500
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -546,6 +546,82 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, payload):
     assert "Traceback" not in err
 
 
+#: JSON values that are not numbers, which a spec's number fields refuse
+NON_NUMBERS = {"string": "0.25", "boolean": True, "object": {"a": 1}}
+
+
+@pytest.mark.parametrize("kind", list(NON_NUMBERS))
+@pytest.mark.parametrize(
+    "command, field, payload, expected, name",
+    [
+        ("validate", "probabilities", {"d": 2, "probabilities": [0.25, 0.25, 0.25, None]},
+         2, "BadProbabilitiesError"),
+        ("analyze", "probabilities", {"d": 2, "probabilities": [None, 0.25, 0.25, 0.25]},
+         2, "BadProbabilitiesError"),
+        ("validate", "eigenvalues", {"d": 2, "eigenvalues": [0.5, None, 0.5]},
+         2, "BadProbabilitiesError"),
+        ("analyze", "eigenvalues", {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, None]},
+         2, "BadProbabilitiesError"),
+        ("evolve", "rates", {"d": 2, "rates": [1, None, 1]}, 3, "InvalidTrajectoryError"),
+        ("evolve", "t", {"d": 2, "trajectory": [_TRAJ_START, {"t": None, "lambdas": [1, 1, 1]}]},
+         3, "InvalidTrajectoryError"),
+        ("evolve", "lambdas",
+         {"d": 2, "trajectory": [_TRAJ_START, {"t": 1, "lambdas": [0.5, None, 0.5]}]},
+         3, "InvalidTrajectoryError"),
+    ],
+    ids=["probabilities-validate", "probabilities-analyze", "eigenvalues-validate",
+         "eigenvalues-analyze", "rates", "trajectory-t", "trajectory-lambdas"],
+)
+def test_spec_number_that_is_not_a_json_number_is_refused(tmp_path, capsys, command, field,
+                                                          payload, expected, name, kind):
+    # the one null in each payload marks the entry that becomes the non-number
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload).replace("null", json.dumps(NON_NUMBERS[kind])))
+    flags = _EVOLVE_FLAGS if command == "evolve" else []
+    code, out, err = run_cli([command, str(spec), *flags], capsys)
+    assert code == expected and out == ""
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+    found = type(NON_NUMBERS[kind]).__name__
+    assert f"spec field '{field}' must hold JSON numbers, found {found}" in err
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["evolve", *_EVOLVE_FLAGS],
+                                  ["analyze", "family"]],
+                         ids=["validate", "analyze", "evolve", "family-file"])
+def test_deeply_nested_file_is_a_parse_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    spec = str(deep)
+    if argv[-1] == "family":  # a channel spec whose mub_file is the deep file
+        argv = argv[:1]
+        spec = write_spec(tmp_path, "ch.json", {"d": 3, "probabilities": [0.2] * 5,
+                                                "mub_file": "deep.json"})
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: ValueError: {deep} nests JSON too deeply to parse\n"
+
+
+@pytest.mark.parametrize(
+    "argv, payload, expected, message",
+    [
+        (["validate"], {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1],
+                        "eigenvalues": [-0.5, -0.5, -0.5]},
+         2, "BadProbabilitiesError: channel spec gives both 'probabilities' and 'eigenvalues'"),
+        (["analyze"], {"d": 2, "eigenvalues": [-0.5, -0.5, -0.5],
+                       "probabilities": [0.7, 0.1, 0.1, 0.1]},
+         2, "BadProbabilitiesError: channel spec gives both 'probabilities' and 'eigenvalues'"),
+        (["evolve", *_EVOLVE_FLAGS], {"d": 2, "rates": [1, 1, 1], "trajectory": [_TRAJ_START]},
+         3, "InvalidTrajectoryError: evolution spec gives both 'rates' and 'trajectory'"),
+    ],
+    ids=["validate", "analyze", "evolve"],
+)
+def test_spec_giving_both_forms_is_refused(tmp_path, capsys, argv, payload, expected, message):
+    spec = write_spec(tmp_path, "spec.json", payload)
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == expected and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["validate"], {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1]}),
     (["analyze"], {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2]}),
@@ -721,6 +797,9 @@ def test_evolve_fuzz_exit_codes_and_csv(case, steps, to_file):
     assert text == timeline_csv_reference(tl)
 
 
+_NON_NUMBER_ENTRIES = st.sampled_from(["0.25", "NaN", True, False, None, {"a": 1}, [0.5]])
+
+
 @st.composite
 def _channel_cases(draw):
     """(argv head, spec): a command and a channel spec, valid or hostile."""
@@ -738,6 +817,8 @@ def _channel_cases(draw):
         number = st.one_of(st.floats(-1.0, 1.5), _SPECIAL_NUMBERS)
         length = draw(st.sampled_from([size, size, size - 1, size + 1]))
         values = draw(st.lists(number, min_size=length, max_size=length))
+        if values and draw(st.booleans()):  # one entry that is not a JSON number
+            values[draw(st.integers(0, length - 1))] = draw(_NON_NUMBER_ENTRIES)
     return head, {"d": d, key: values}
 
 

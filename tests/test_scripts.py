@@ -114,10 +114,10 @@ def test_output_digest_is_deterministic(capsys):
     # per d: mub --out (stdout, file) and validate of the file; validate,
     # analyze, analyze --oracle and tensor of two specs; validate, analyze and
     # analyze --oracle of a spec on the family file; analyze
-    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then twelve
+    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then twenty
     # refused inputs and selftest's seven check lines and summary line
     assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
-    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 12 + 7 + 1
+    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 20 + 7 + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0
@@ -178,9 +178,14 @@ def test_every_export_has_a_non_test_reader():
     # a name the package exports must be read by the library, a script, the
     # benchmark or the README; one only the tests read belongs in tests/helpers.py
     init = ROOT / "src" / "gpchannels" / "__init__.py"
+    body = ast.parse(init.read_text()).body
     exports = [alias.asname or alias.name
-               for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
+               for node in body if isinstance(node, ast.ImportFrom) and node.level == 1
                for alias in node.names]
+    # and the names of the layers that are imported on first access
+    lazy = [node.value for node in body
+            if isinstance(node, ast.Assign) and node.targets[0].id == "_LAZY"]
+    exports += [name for names in ast.literal_eval(lazy[0]).values() for name in names]
     sources = [p for p in sorted((ROOT / "src" / "gpchannels").glob("*.py")) if p != init]
     sources += sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py")) + [ROOT / "README.md"]
     lines = [line for path in sources for line in path.read_text(encoding="utf-8").splitlines()]

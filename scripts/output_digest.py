@@ -46,6 +46,8 @@ SEARCH_RESTARTS = "16"  # the basis seed states are searched even where they out
 TIMING_PREFIX = "[gpchannels] "  # the wall-clock line every command ends stderr with
 NAN_FAMILY = mub_family_to_dict(build_mub_family(3))
 NAN_FAMILY["bases"][1][0][2] = NAN_FAMILY["bases"][2][1][0] = [float("nan"), 0.0]
+BOOL_FAMILY = mub_family_to_dict(build_mub_family(2))
+BOOL_FAMILY["bases"][0] = [[[True, False], [False, False]], [[False, False], [True, False]]]
 #: (argv, spec written to the file argv[1] as JSON, or as is where it is a string, or None
 #: where argv names no file) of inputs the CLI refuses: a `d` that is not a
 #: JSON integer, a dimension with no built-in family and no family file, a
@@ -53,8 +55,11 @@ NAN_FAMILY["bases"][1][0][2] = NAN_FAMILY["bases"][2][1][0] = [float("nan"), 0.0
 #: and through a channel spec, a spec that is not a JSON object, a `mub_file`
 #: that is not a string, a negative search seed, a selftest with a negative
 #: seed or a `--d` with no family, spec numbers that are strings, booleans or
-#: objects, a file nested too deeply to parse, and specs that give both
-#: parametrizations of a channel or both kinds of evolution
+#: objects, a file nested too deeply to parse, specs that give both
+#: parametrizations of a channel or both kinds of evolution, a family file
+#: whose computational basis is written with booleans, a family file that
+#: also holds channel probabilities, and an evolution spec whose `mub_file`
+#: is not a string
 REFUSALS = [
     (["validate", "float-d.json"], {"d": 3.9, "probabilities": [0.2] * 5}),
     (["analyze", "string-d.json"], {"d": "3", "eigenvalues": [0.5] * 4}),
@@ -81,6 +86,11 @@ REFUSALS = [
      {"d": 2, "probabilities": [0.7, 0.1, 0.1, 0.1], "eigenvalues": [-0.5, -0.5, -0.5]}),
     (["evolve", "rates-and-trajectory.json", "--t-max", "1", "--steps", "3"],
      {"d": 2, "rates": [1, 1, 1], "trajectory": [{"t": 0, "lambdas": [1, 1, 1]}]}),
+    (["validate", "bool-family-d2.json"], BOOL_FAMILY),
+    (["analyze", "family-and-probabilities.json"],
+     {**mub_family_to_dict(build_mub_family(2)), "probabilities": [0.7, 0.1, 0.1, 0.1]}),
+    (["evolve", "number-mub-file-evolution.json", "--t-max", "1", "--steps", "3"],
+     {"d": 2, "rates": [1, 1, 1], "mub_file": 5}),
 ]
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: spec loading, analysis runs, reproducible reports.
 
 It is the package's only module that touches files: it reads every input
-file and writes every output.
+file and writes every output, and every command reads its input through
+:func:`_load_spec`, which decides once whether a file is a family or a spec.
 
 Commands
 --------
@@ -66,6 +67,7 @@ from .mub import (
     LOAD_TOL,
     MubFamily,
     build_mub_family,
+    complex_pairs,
     mub_family_from_dict,
     mub_family_to_dict,
     validate_mub_family,
@@ -79,6 +81,8 @@ EXIT_GUARD = 4
 
 #: largest evolve time grid
 MAX_STEPS = 10**6
+#: the fields of channel and evolution specs, none of which a basis-family file holds
+SPEC_FIELDS = ("probabilities", "eigenvalues", "rates", "trajectory", "mub_file")
 
 
 def _json_default(obj):
@@ -140,12 +144,23 @@ def _load_json(path: str, inputs: dict[str, str]) -> dict:
     return payload
 
 
-def _load_spec(path: str) -> tuple[dict, MubFamily | None, dict[str, str]]:
-    """The spec in file ``path``, the family its ``mub_file`` names relative to the spec's
-    directory (None if none, or if the spec is itself a family file), and each file's digest."""
+def _load_spec(path: str, family_file: bool = False) -> tuple[dict | None, MubFamily | None, dict]:
+    """(spec, family, input digests) of the file ``path``.
+
+    A payload holding ``bases`` is a family file (``spec`` None), refused unless
+    ``family_file`` and when it also holds a spec field.  A spec's family is read
+    from the file its ``mub_file`` names, relative to the spec's directory, or None.
+    """
     inputs = {}
     payload = _load_json(path, inputs)
-    name = None if "bases" in payload else payload.get("mub_file")
+    if "bases" in payload:
+        mixed = [key for key in SPEC_FIELDS if key in payload]
+        if mixed:
+            raise ValueError(f"{path} holds both a basis family and the spec field {mixed[0]!r}")
+        if not family_file:
+            raise ValueError(f"{path} holds a basis family, not a spec")
+        return None, mub_family_from_dict(payload), inputs
+    name = payload.get("mub_file")
     if name is None:
         return payload, None, inputs
     if not isinstance(name, str):
@@ -210,7 +225,7 @@ def nearest_basis_index(fam: MubFamily, psi: np.ndarray) -> tuple[int, int, floa
 def _oracle_state(fam: MubFamily, psi: np.ndarray) -> dict:
     a, k, overlap = nearest_basis_index(fam, psi)
     return {
-        "amplitudes": [[float(z.real), float(z.imag)] for z in psi],
+        "amplitudes": complex_pairs(psi),
         "nearest_basis": {"alpha": a, "k": k, "overlap": overlap},
     }
 
@@ -261,16 +276,13 @@ def _oracle_section(ch: GeneralizedPauliChannel, cfg: OracleConfig) -> dict:
 
 
 def cmd_mub(args) -> int:
-    fam = build_mub_family(args.d)
-    report = mub_family_to_dict(fam)
-    _emit(report, args.out)
+    _emit(mub_family_to_dict(build_mub_family(args.d)), args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    payload, fam, inputs = _load_spec(args.spec)
-    if "bases" in payload:
-        fam = mub_family_from_dict(payload)  # raises MubValidationError on failure
+    spec, fam, inputs = _load_spec(args.spec, family_file=True)
+    if spec is None:
         rep = validate_mub_family(fam, tol=LOAD_TOL)  # the tolerance that admitted it
         report = {"family": {
             "d": fam.d,
@@ -279,7 +291,7 @@ def cmd_validate(args) -> int:
             "passed": rep.passed,
         }}
     else:
-        ch = channel_from_dict(payload, fam)
+        ch = channel_from_dict(spec, fam)
         report = {"channel": _channel_section(spectrum_of(ch), ch.probs, cptp=True)}
     _emit({"manifest": _manifest("validate", inputs, None, {}), **report}, args.out)
     return EXIT_OK
@@ -288,12 +300,8 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     payload, fam, inputs = _load_spec(args.spec)
     cfg = OracleConfig(restarts=args.restarts, seed=args.seed)
-    manifest = _manifest(
-        "analyze",
-        inputs,
-        args.seed,
-        {"oracle": bool(args.oracle), "restarts": args.restarts},
-    )
+    manifest = _manifest("analyze", inputs, args.seed,
+                         {"oracle": bool(args.oracle), "restarts": args.restarts})
     try:
         ch = channel_from_dict(payload, fam)
     except NotCPTPError as exc:
@@ -333,12 +341,8 @@ def cmd_tensor(args) -> int:
     )
     _emit(
         {
-            "manifest": _manifest(
-                "tensor",
-                inputs,
-                args.seed,
-                {"n": args.n, "restarts": args.restarts},
-            ),
+            "manifest": _manifest("tensor", inputs, args.seed,
+                                  {"n": args.n, "restarts": args.restarts}),
             "channel": _channel_section(spectrum_of(ch), ch.probs, cptp=True),
             "probe": {
                 "n": probe.n,
@@ -362,8 +366,8 @@ def cmd_tensor(args) -> int:
 def cmd_evolve(args) -> int:
     from .dynamics import evolution_from_dict, timeline_csv_text, timeline_report
 
-    inputs = {}
-    spec = evolution_from_dict(_load_json(args.spec, inputs))
+    payload, fam, inputs = _load_spec(args.spec)
+    spec = evolution_from_dict(payload, fam)
     # every flag is checked before the grid is allocated
     if not np.isfinite(args.t_max):
         raise InvalidTrajectoryError(f"--t-max must be finite, got {args.t_max!r}")
@@ -377,9 +381,7 @@ def cmd_evolve(args) -> int:
     tl = timeline_report(spec, grid)  # raises InvalidTrajectoryError with first time
     _write(timeline_csv_text(tl), args.csv)
     summary = {
-        "manifest": _manifest(
-            "evolve", inputs, None, {"t_max": args.t_max, "steps": args.steps}
-        ),
+        "manifest": _manifest("evolve", inputs, None, {"t_max": args.t_max, "steps": args.steps}),
         "evolution": {
             "d": spec.d,
             "kind": spec.kind,

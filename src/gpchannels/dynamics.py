@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dephasing_mixture, eigen_columns, resolve_family
-from .errors import InvalidTrajectoryError, OutOfRangeError
+from .errors import InvalidTrajectoryError, MubValidationError, OutOfRangeError
 from .metrics import SpectralFigures, spectral_figures
 from .mub import MubFamily, spec_dimension, spec_numbers
 
@@ -228,17 +228,20 @@ def generator_consistency_residual(spec: EvolutionSpec, times) -> float:
 # ---------------------------------------------------------------------------
 
 
-def evolution_from_dict(payload: dict) -> EvolutionSpec:
+def evolution_from_dict(payload: dict, fam: MubFamily | None = None) -> EvolutionSpec:
     """Build a spec from ``{"d":, "rates": [...]}`` or
-    ``{"d":, "trajectory": [{"t":, "lambdas": [...]}, ...]}``, not both; ``d``
-    is read by :func:`~gpchannels.mub.spec_dimension` and every number by
+    ``{"d":, "trajectory": [{"t":, "lambdas": [...]}, ...]}``, not both, over ``fam``
+    or the built-in family, as ``channel_from_dict`` does (a ``mub_file`` needs ``fam``);
+    ``d`` is read by :func:`~gpchannels.mub.spec_dimension` and every number by
     :func:`~gpchannels.mub.spec_numbers`."""
     d = spec_dimension(payload)
     if "rates" in payload and "trajectory" in payload:
         raise InvalidTrajectoryError("evolution spec gives both 'rates' and 'trajectory'")
+    if fam is None and payload.get("mub_file") is not None:
+        raise MubValidationError("the spec names a 'mub_file', but no family was passed")
     if "rates" in payload:
         rates = spec_numbers(payload["rates"], "rates", InvalidTrajectoryError)
-        return exponential_evolution(d, rates)
+        return exponential_evolution(d, rates, fam)
     if "trajectory" in payload:
         rows = payload["trajectory"]
         try:
@@ -248,7 +251,7 @@ def evolution_from_dict(payload: dict) -> EvolutionSpec:
                              for row in rows])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidTrajectoryError(f"malformed trajectory rows: {exc}") from exc
-        return sampled_evolution(d, times, lams)
+        return sampled_evolution(d, times, lams, fam)
     raise InvalidTrajectoryError("evolution spec needs 'rates' or 'trajectory'")
 
 

@@ -31,7 +31,8 @@ at d = 2; at d >= 3 the search can exceed it.  The four flags are
     fmin_multiplicative   |max(lambda)| <= |min(lambda)|,
     nuinf_equals_fmax     max(lambda) >= -min(lambda)/(d-1)
                           (nu_inf collapses onto f_max),
-    nuinf_multiplicative  fmax_multiplicative and nuinf_equals_fmax.
+    nuinf_multiplicative  fmax_multiplicative and nuinf_equals_fmax; the first
+                          implies the second at d >= 2, rounding included.
 
 Every formula above is written once, in :func:`spectral_figures`, which
 takes spectra of shape (..., d+1) and returns one :class:`SpectralFigures`
@@ -46,8 +47,8 @@ is f_max); and the Fujiwara-Algoet slacks fa_lower_slack and
 fa_upper_slack of :func:`gpchannels.channel.fa_slacks`.
 
 That record is the only one: the per-channel functions below return it for
-a single spectrum (numpy scalars), the trajectory timelines extend it with
-their time grid, and the complete-positivity scan reads its slacks.
+a single spectrum (numpy scalars) and the trajectory timelines extend it with
+their time grid.
 Argmax/argmin ties break toward the lowest basis index everywhere, so
 attainment indices are deterministic.  Comparisons carry
 :data:`CLASSIFY_SLACK` (1e-12) toward "true" on equalities.
@@ -106,7 +107,6 @@ def spectral_figures(lambdas) -> SpectralFigures:
     lmax = lam.max(axis=-1)
     squares = lam**2
     fmax_mult = lmax >= np.abs(lmin) - CLASSIFY_SLACK
-    nuinf_eq = lmax >= -lmin / (d - 1) - CLASSIFY_SLACK
     lower, upper = fa_slacks(lam)
     f_max = (1.0 + (d - 1) * lmax) / d
     nu_inf = np.maximum(1.0 + (d - 1) * lmax, 1.0 - lmin) / d
@@ -120,8 +120,8 @@ def spectral_figures(lambdas) -> SpectralFigures:
         nu2_alpha=np.argmax(squares, axis=-1),
         fmax_multiplicative=fmax_mult,
         fmin_multiplicative=np.abs(lmax) <= np.abs(lmin) + CLASSIFY_SLACK,
-        nuinf_equals_fmax=nuinf_eq,
-        nuinf_multiplicative=fmax_mult & nuinf_eq,
+        nuinf_equals_fmax=lmax >= -lmin / (d - 1) - CLASSIFY_SLACK,
+        nuinf_multiplicative=fmax_mult,  # it implies nuinf_equals_fmax: see the module docstring
         nu2_fmax_coincide=np.abs(lmax) >= np.abs(lmin) - CLASSIFY_SLACK,
         nu2_fmin_coincide=lmax**2 <= lmin**2 + CLASSIFY_SLACK,
         inf_exact=(d == 2) | fmax_mult,

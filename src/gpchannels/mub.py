@@ -108,17 +108,11 @@ class MubFamily:
     @functools.cached_property
     def _residuals(self) -> tuple[float, float]:
         """Worst orthonormality and unbiasedness residuals; see :func:`validate_mub_family`."""
-        d = self.d
-        ortho, unbias = [], [0.0]
-        eye = np.eye(d)
-        for a in range(self.n_bases):
-            g = self.bases[a] @ self.bases[a].conj().T  # Gram matrix of basis a
-            ortho.append(np.max(np.abs(g - eye)))
-        for a in range(self.n_bases):
-            for b in range(a + 1, self.n_bases):
-                overlaps = np.abs(self.bases[a] @ self.bases[b].conj().T) ** 2
-                unbias.append(np.max(np.abs(overlaps - 1.0 / d)))
-        return float(np.max(ortho)), float(np.max(unbias))  # np.max: a nan is never dropped
+        a, b = np.triu_indices(self.n_bases)  # every pair a <= b, each basis with itself too
+        g = self.bases[a] @ self.bases.conj()[b].swapaxes(1, 2)  # Gram matrix of each pair
+        ortho = np.max(np.abs(g[a == b] - np.eye(self.d)))
+        unbias = np.max(np.abs(np.abs(g[a != b]) ** 2 - 1.0 / self.d), initial=0.0)
+        return float(ortho), float(unbias)  # np.max: a nan is never dropped
 
 
 @dataclass(frozen=True)
@@ -211,37 +205,38 @@ def spec_dimension(payload: dict) -> int:
 
 
 def spec_numbers(value, name: str, error: type[Exception]) -> np.ndarray:
-    """A spec's number, or flat list of numbers, ``value`` as floats; ``name`` is its field.
+    """A file's number, or rectangular nest of lists of numbers, ``value`` as floats.
 
-    Only JSON integers and floats are numbers: a boolean, a string, an
-    object, a null or a nested list anywhere in ``value`` raises ``error``.
+    ``name`` is its field; the caller checks the shape.  A boolean, string, object,
+    null or list where a number belongs anywhere in ``value`` raises ``error``.
     """
-    for x in value if isinstance(value, (list, tuple, np.ndarray)) else [value]:
-        if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
-            raise error(f"spec field {name!r} must hold JSON numbers, found {type(x).__name__}")
-    return np.array(value, dtype=float)
+    entries = np.array(value, dtype=object)  # lists nest as deep as they are rectangular
+    flat = entries.ravel().tolist()
+    bad = [t for t in set(map(type, flat))
+           if t is bool or not issubclass(t, (int, float, np.integer, np.floating))]
+    if bad:  # name the first entry that is not a number
+        found = next(type(x) for x in flat if type(x) in bad)
+        raise error(f"spec field {name!r} must hold JSON numbers, found {found.__name__}")
+    return entries.astype(float)
+
+
+def complex_pairs(z) -> list:
+    """A complex array as nested lists with each entry an [re, im] pair, as files hold them."""
+    return np.stack([np.real(z), np.imag(z)], -1).tolist()
 
 
 def mub_family_to_dict(fam: MubFamily) -> dict:
     """JSON-ready form: vectors as [re, im] pairs."""
-    return {
-        "d": fam.d,
-        "bases": [
-            [[[float(z.real), float(z.imag)] for z in vec] for vec in basis]
-            for basis in fam.bases
-        ],
-    }
+    return {"d": fam.d, "bases": complex_pairs(fam.bases)}
 
 
 def mub_family_from_dict(payload: dict) -> MubFamily:
-    """Family from its JSON form (``d`` read by :func:`spec_dimension`), admitted at LOAD_TOL."""
+    """Family from its JSON form, ``d`` and ``bases`` of [re, im] pairs, admitted at LOAD_TOL."""
     d = spec_dimension(payload)
     try:
-        raw = payload["bases"]
-        bases = np.array(
-            [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],
-            dtype=complex,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: a huge integer
+        pairs = spec_numbers(payload["bases"], "bases", MubValidationError)
+    except (KeyError, OverflowError) as exc:  # no bases, or a JSON integer past the float range
         raise MubValidationError(f"malformed basis-family payload: {exc}") from exc
-    return _admitted(MubFamily(d=d, bases=bases), LOAD_TOL, "loaded family")
+    if pairs.ndim != 4 or pairs.shape[-1] != 2:  # not bases of vectors of [re, im] pairs
+        raise MubValidationError(f"malformed basis-family payload: 'bases' has shape {pairs.shape}")
+    return _admitted(MubFamily(d=d, bases=pairs.view(complex)[..., 0]), LOAD_TOL, "loaded family")

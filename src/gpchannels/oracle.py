@@ -75,12 +75,13 @@ from .channel import (  # noqa: F401  the budget names are also read off this mo
     check_oracle_dim,
     choi_from_spectrum,
     eigen_columns,
+    fa_slacks,
     spectrum_of,
     superoperator_of,
     tensor_power,
 )
 from .errors import TooLargeError
-from .metrics import fidelity_report, spectral_figures
+from .metrics import fidelity_report
 from .mub import MubFamily, build_mub_family
 
 #: hard cap on restarts times squared state dimension, the size of the ascent's projector arrays
@@ -527,8 +528,7 @@ def cptp_equivalence_scan(
     spectra = _grid_spectra(d, grid)
     n = spectra.shape[0]
 
-    fig = spectral_figures(spectra)
-    lower, upper = fig.fa_lower_slack, fig.fa_upper_slack
+    lower, upper = fa_slacks(spectra)
     fa_pass = (lower >= -tol) & (upper >= -tol)
 
     min_eigs = np.empty(n)

@@ -631,6 +631,7 @@ def test_spec_giving_both_forms_is_refused(tmp_path, capsys, argv, payload, expe
     (["analyze"], {"d": 3, "eigenvalues": [0.4, 0.2, 0.1, 0.2], "mub_file": "fam.json"}),
     (["tensor", "--n", "2", "--restarts", "128"],
      {"d": 2, "eigenvalues": [0.6, 0.6, 0.6], "mub_file": "fam.json"}),
+    (["evolve", *_EVOLVE_FLAGS], {"d": 3, "rates": [1, 0, 2, 1], "mub_file": "fam.json"}),
 ])
 def test_each_command_opens_its_spec_once(tmp_path, capsys, monkeypatch, argv, payload):
     # the manifest digests the very bytes that were parsed, not a second read,
@@ -672,7 +673,8 @@ def test_file_that_is_not_an_object_exits_2(tmp_path, capsys, argv, via_spec, pa
 
 
 @pytest.mark.parametrize("name", [5, [], {}, True, ["x"]])
-@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["tensor", "--n", "2"]])
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["tensor", "--n", "2"],
+                                  ["evolve", *_EVOLVE_FLAGS]])
 def test_mub_file_that_is_not_a_string_exits_2(tmp_path, capsys, argv, name):
     spec = write_spec(tmp_path, "spec.json", {"d": 3, "probabilities": [0.2] * 5,
                                               "mub_file": name})
@@ -687,6 +689,125 @@ def test_null_mub_file_means_the_builtin_family(tmp_path, capsys):
                                               "mub_file": None})
     code, out, _ = run_cli(["analyze", spec], capsys)
     assert code == 0 and list(json.loads(out)["manifest"]["inputs"]) == [spec]
+
+
+@pytest.mark.parametrize("payload", [
+    {"d": 3, "rates": [1, 0, 2, 1], "mub_file": "absent.json"},
+    {"d": 2, "trajectory": [_TRAJ_START], "mub_file": "absent.json"},
+])
+def test_evolution_spec_naming_a_missing_family_file_exits_2(tmp_path, capsys, payload):
+    spec = write_spec(tmp_path, "evo.json", payload)
+    code, out, err = run_cli(["evolve", spec, *_EVOLVE_FLAGS], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: FileNotFoundError: ") and "absent.json" in err
+
+
+def test_evolution_on_the_builtin_family_file_writes_the_same_csv(tmp_path, capsys):
+    # the family a spec names is the one its timeline is built over; at d=3 the
+    # file holds the built-in family, so only the manifest's inputs change
+    fam = write_spec(tmp_path, "fam3.json", mub_family_to_dict(build_mub_family(3)))
+    rates = {"d": 3, "rates": [0.3, 0.0, 1.2, 0.7]}
+    outputs = []
+    for name, payload in [("plain.json", rates), ("named.json", {**rates, "mub_file": "fam3.json"})]:
+        spec = write_spec(tmp_path, name, payload)
+        csv_path, out_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.out"
+        argv = ["evolve", spec, "--t-max", "3", "--steps", "40", "--csv", str(csv_path),
+                "--out", str(out_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        outputs.append((spec, csv_path.read_bytes(), json.loads(out_path.read_text())))
+    (plain, plain_csv, plain_out), (named, named_csv, named_out) = outputs
+    assert named_csv == plain_csv
+    assert list(plain_out["manifest"]["inputs"]) == [plain]
+    assert named_out["manifest"]["inputs"].keys() == {named, fam}
+    del plain_out["manifest"]["inputs"], named_out["manifest"]["inputs"]
+    assert named_out == plain_out
+
+
+def test_evolution_on_a_two_qubit_family_file(tmp_path, capsys):
+    # d=4 has no built-in family: the spec's family file supplies one
+    from gpchannels.mub import MubFamily
+    from helpers import two_qubit_mub_bases
+
+    write_spec(tmp_path, "fam4.json", mub_family_to_dict(MubFamily(d=4, bases=two_qubit_mub_bases())))
+    spec = write_spec(tmp_path, "evo4.json", {"d": 4, "rates": [1.0, 0.5, 0.5, 0.2, 0.0],
+                                              "mub_file": "fam4.json"})
+    code, out, err = run_cli(["evolve", spec, "--t-max", "2", "--steps", "5"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[0].startswith("t,lambda_1,") and len(out.splitlines()) == 6
+    summary = json.loads(err[: err.rindex("[gpchannels]")])
+    assert summary["evolution"]["d"] == 4 and len(summary["manifest"]["inputs"]) == 2
+
+
+_SPEC_VALUES = {"probabilities": [0.7, 0.1, 0.1, 0.1], "eigenvalues": [0.6, 0.6, 0.6],
+                "rates": [1, 1, 1], "trajectory": [_TRAJ_START], "mub_file": "other.json"}
+
+
+@pytest.mark.parametrize("field", list(_SPEC_VALUES))
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["tensor", "--n", "2"],
+                                  ["evolve", *_EVOLVE_FLAGS]])
+def test_family_with_a_spec_field_is_refused(tmp_path, capsys, argv, field):
+    # a file holds one kind of payload: no command reads it as the other
+    payload = {**mub_family_to_dict(build_mub_family(2)), field: _SPEC_VALUES[field]}
+    spec = write_spec(tmp_path, "mixed.json", payload)
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: ValueError: {spec} holds both a basis family and the spec "
+                   f"field {field!r}\n")
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["tensor", "--n", "2"], ["evolve", *_EVOLVE_FLAGS]])
+def test_family_file_is_not_a_spec(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "fam.json", mub_family_to_dict(build_mub_family(2)))
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: ValueError: {spec} holds a basis family, not a spec\n"
+
+
+@pytest.mark.parametrize("entry", [True, False, "0.5", None, {}])
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["evolve", *_EVOLVE_FLAGS]])
+def test_family_entry_that_is_not_a_json_number_is_refused(tmp_path, capsys, argv, entry):
+    family = mub_family_to_dict(build_mub_family(2))
+    family["bases"][1][0][1][0] = entry
+    path = write_spec(tmp_path, "fam.json", family)
+    specs = {"analyze": {"d": 2, "probabilities": [0.25] * 4}, "evolve": {"d": 2, "rates": [1] * 3}}
+    if argv[0] in specs:  # a spec on the family file
+        path = write_spec(tmp_path, "spec.json", {**specs[argv[0]], "mub_file": "fam.json"})
+    code, out, err = run_cli(argv[:1] + [path] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: MubValidationError: spec field 'bases' must hold JSON numbers, "
+                   f"found {type(entry).__name__}\n")
+
+
+def test_family_of_booleans_is_refused(tmp_path, capsys):
+    # true and false are not 1 and 0: the computational basis written with them is refused
+    family = mub_family_to_dict(build_mub_family(2))
+    family["bases"][0] = [[[True, False], [False, False]], [[False, False], [True, False]]]
+    path = write_spec(tmp_path, "fam.json", family)
+    code, out, err = run_cli(["validate", path], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: MubValidationError: spec field 'bases' must hold JSON numbers")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, expected",
+    [
+        (["validate"], {"d": 2, "probabilities": [[0.25, 0.25], [0.25, 0.25]]}, 2),
+        (["analyze"], {"d": 2, "probabilities": [[0.25], [0.25], [0.25], [0.25]]}, 2),
+        (["analyze"], {"d": 2, "eigenvalues": [[0.5], [0.5], [0.5]]}, 2),
+        (["analyze"], {"d": 2, "eigenvalues": [0.5, [0.5], 0.5]}, 2),
+        (["evolve", *_EVOLVE_FLAGS], {"d": 2, "rates": [[1], [1], [1]]}, 3),
+        (["evolve", *_EVOLVE_FLAGS], {"d": 2, "trajectory": [{"t": [0.0], "lambdas": [1, 1, 1]}]}, 3),
+        (["evolve", *_EVOLVE_FLAGS], {"d": 2, "trajectory": [{"t": 0, "lambdas": [[1, 1, 1]]}]}, 3),
+    ],
+    ids=["probabilities-square", "probabilities-column", "eigenvalues-column",
+         "eigenvalues-ragged", "rates", "trajectory-t", "trajectory-lambdas"],
+)
+def test_nested_list_in_a_flat_field_exits_with_its_code(tmp_path, capsys, argv, payload,
+                                                         expected):
+    spec = write_spec(tmp_path, "spec.json", payload)
+    code, out, err = run_cli(argv[:1] + [spec] + argv[1:], capsys)
+    assert code == expected and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 BIG_PRIME = 2**61 - 1
@@ -856,7 +977,8 @@ def test_channel_commands_fuzz_exit_codes_and_reports(case):
         assert all(math.isfinite(x) for x in _numbers(report))
 
 
-_FAMILY_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, HUGE, -HUGE])
+_FAMILY_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, HUGE, -HUGE,
+                                   True, False, "0.5", None, {}])
 
 
 @st.composite

@@ -7,6 +7,8 @@ import pytest
 from gpchannels import (
     DimensionMismatchError,
     InvalidTrajectoryError,
+    MubFamily,
+    MubValidationError,
     OutOfRangeError,
     UnsupportedDimensionError,
     build_mub_family,
@@ -314,3 +316,17 @@ def test_evolution_files(tmp_path, fam2):
     bad_path.write_text(json.dumps({"d": 2}))
     with pytest.raises(InvalidTrajectoryError):
         load_evolution_file(bad_path)
+
+
+@pytest.mark.parametrize("payload", [{"d": 3, "rates": [1, 0, 2, 1]},
+                                     {"d": 3, "trajectory": [{"t": 0, "lambdas": [1] * 4}]}])
+def test_evolution_spec_is_built_over_the_family_passed(payload, fam3):
+    # as channel_from_dict: the family a mub_file names comes in as fam
+    named = {**payload, "mub_file": "fam3.json"}
+    with pytest.raises(MubValidationError, match="no family was passed"):
+        evolution_from_dict(named)
+    other = MubFamily(d=3, bases=fam3.bases[:, ::-1])
+    assert evolution_from_dict(named, other).fam is other
+    assert evolution_from_dict(payload).fam is fam3
+    with pytest.raises(DimensionMismatchError):
+        evolution_from_dict(named, build_mub_family(2))

@@ -406,3 +406,24 @@ def test_spectral_figures_rejects_non_finite_and_short_spectra():
             spectral_figures([[0.1, 0.2, 0.3], [0.1, bad, 0.3]])
     with pytest.raises(DimensionMismatchError):
         spectral_figures([0.1, 0.2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11, 31])
+def test_fmax_multiplicative_implies_nuinf_equals_fmax(d):
+    # max >= |min| - s implies max >= -min/(d-1) - s in floating point too, so
+    # nuinf_multiplicative, the conjunction of the two flags, is fmax_multiplicative
+    rng = np.random.default_rng(7200 + d)
+    lmin = -rng.uniform(0.0, 1.0, size=500)
+    tops = []
+    for edge in (np.abs(lmin), -lmin / (d - 1)):  # each flag's boundary, +- the slack
+        for cut in (edge - CLASSIFY_SLACK, edge, edge + CLASSIFY_SLACK):
+            tops += [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
+    edges = np.column_stack([np.tile(lmin, len(tops)), np.concatenate(tops)])
+    inner = rng.uniform(edges.min(axis=1, keepdims=True), edges.max(axis=1, keepdims=True),
+                        size=(edges.shape[0], d - 1))
+    lam = np.vstack([np.hstack([edges, inner]), rng.uniform(-1.0, 1.0, size=(5000, d + 1))])
+    fig = spectral_figures(lam)
+    assert fig.fmax_multiplicative.any() and not fig.fmax_multiplicative.all()
+    assert fig.nuinf_equals_fmax[fig.fmax_multiplicative].all()
+    assert np.array_equal(fig.nuinf_multiplicative,
+                          fig.fmax_multiplicative & fig.nuinf_equals_fmax)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gpchannels import (
     build_mub_family,
     validate_mub_family,
 )
-from gpchannels.mub import mub_family_from_dict, mub_family_to_dict
+from gpchannels.mub import BUILTIN_PRIMES, mub_family_from_dict, mub_family_to_dict
 from helpers import choi_of, projector, rotated_family, two_qubit_mub_bases
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -264,3 +265,48 @@ def test_rotated_family_gives_same_extremal_values(fam3, rng):
             superoperator_of(ch), "max", cfg, mub_seed_states(fam)
         ).value
         assert v == pytest.approx(ext.f_max, abs=1e-9)
+
+
+def _residuals_pair_by_pair(fam):
+    """Both residuals from one Gram product per basis and per pair of bases."""
+    ortho = [np.max(np.abs(b @ b.conj().T - np.eye(fam.d))) for b in fam.bases]
+    unbias = [np.max(np.abs(np.abs(a @ b.conj().T) ** 2 - 1.0 / fam.d))
+              for a, b in itertools.combinations(fam.bases, 2)]
+    return float(np.max(ortho)), float(np.max([0.0] + unbias))
+
+
+def _families_to_check(d, rng):
+    base = (build_mub_family(d) if d in BUILTIN_PRIMES
+            else mub_family_from_dict(mub_family_to_dict(MubFamily(d=d, bases=two_qubit_mub_bases()))))
+    noisy = base.bases + 1e-7 * rng.standard_normal(base.bases.shape)
+    return [base, rotated_family(base, rng), MubFamily(d=d, bases=noisy / 1.00001),
+            MubFamily(d=d, bases=base.bases[:2]), MubFamily(d=d, bases=base.bases[:1])]
+
+
+@pytest.mark.parametrize("d", sorted(BUILTIN_PRIMES) + [4])
+def test_residuals_bitwise_against_pair_by_pair_products(d):
+    # the batched Gram product rounds each entry as the per-pair products do
+    for fam in _families_to_check(d, np.random.default_rng(300 + d)):
+        assert fam._residuals == _residuals_pair_by_pair(fam)
+
+
+@pytest.mark.parametrize("d", sorted(BUILTIN_PRIMES))
+def test_family_json_is_entrywise_pairs_and_reads_back_exactly(d):
+    fam = build_mub_family(d)
+    entrywise = {"d": d, "bases": [[[[float(z.real), float(z.imag)] for z in vec] for vec in basis]
+                                   for basis in fam.bases]}
+    text = json.dumps(mub_family_to_dict(fam), indent=2, sort_keys=True)
+    assert text == json.dumps(entrywise, indent=2, sort_keys=True)
+    assert mub_family_from_dict(json.loads(text)).bases.tobytes() == fam.bases.tobytes()
+
+
+@pytest.mark.parametrize("bases, message", [
+    ([], "'bases' has shape (0,)"),
+    ([[[0.5, 0.5]]], "'bases' has shape (1, 1, 2)"),
+    ([[[[1, 0, 0]]]], "'bases' has shape (1, 1, 1, 3)"),
+    ([[[[1, 0], [0, 0]], [[0, 0]]]], "must hold JSON numbers, found list"),
+    ([[[[1, 0], [0, 0]], [[0, 0], [1, True]]]], "must hold JSON numbers, found bool"),
+])
+def test_family_payload_that_is_no_bases_of_pairs_is_refused(bases, message):
+    with pytest.raises(MubValidationError, match=re.escape(message)):
+        mub_family_from_dict({"d": 2, "bases": bases})

@@ -91,6 +91,8 @@ REFUSALS = [
      {**mub_family_to_dict(build_mub_family(2)), "probabilities": [0.7, 0.1, 0.1, 0.1]}),
     (["evolve", "number-mub-file-evolution.json", "--t-max", "1", "--steps", "3"],
      {"d": 2, "rates": [1, 1, 1], "mub_file": 5}),
+    (["evolve", "no-family-d4-string-rates.json", "--t-max", "1", "--steps", "3"],
+     {"d": 4, "rates": ["x"] * 5}),
 ]
 
 

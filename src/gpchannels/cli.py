@@ -250,6 +250,10 @@ def _oracle_section(ch: GeneralizedPauliChannel, cfg: OracleConfig) -> dict:
             "closed_form": closed_form,
             "residual": abs(res.value - closed_form),
             "state": _oracle_state(ch.fam, res.state),
+            # a certified search met its S-only bound with a seed and ran no Haar start
+            "certified": res.certified,
+            "bound": res.bound,
+            "haar_restarts": res.restarts - res.n_seed_states,
         }
 
     nu_inf = float(fig.nu_inf)

@@ -239,6 +239,7 @@ def evolution_from_dict(payload: dict, fam: MubFamily | None = None) -> Evolutio
         raise InvalidTrajectoryError("evolution spec gives both 'rates' and 'trajectory'")
     if fam is None and payload.get("mub_file") is not None:
         raise MubValidationError("the spec names a 'mub_file', but no family was passed")
+    fam = resolve_family(d, fam)  # an unsupported d fails first, whatever the numbers
     if "rates" in payload:
         rates = spec_numbers(payload["rates"], "rates", InvalidTrajectoryError)
         return exponential_evolution(d, rates, fam)

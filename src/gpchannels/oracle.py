@@ -52,6 +52,29 @@ restart budget appends starts and keeps the earlier ones.  On ties within
 VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
 
+The seeds climb first, and the restart budget is a ceiling: a search whose
+best seed meets an upper bound read off R alone is ``certified`` and never
+draws its Haar starts.  Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
+to HP_TOL max|R| (Lambda is unital and trace preserving), a pure P has
+<K(P), u> = Tr P/sqrt(m) and ||K(P)|| = ||P||_F = 1, so K(P) = u/sqrt(m) + p
+with p in the complement u^perp and ||p||^2 = 1 - 1/m exactly.  Each H above
+then fixes u up to sign and maps u^perp to itself, the cross terms vanish,
+and every engine value is at most:
+
+* f (H = +/-(R + R^T)/2): <u, H u>/m + (1 - 1/m) lambda_max(H on u^perp),
+  where <u, H u> = +/-1;
+* nu_2^2 (H = R R^T): 1/m + (1 - 1/m) lambda_max(R R^T on u^perp);
+* the inf-norm pair value 4|a|^2|b|^2 <phi, Lambda[psi psi^dagger] phi> <=
+  <K(phi phi^dagger), K(psi psi^dagger) R> = 1/m + <q, p R>, at most
+  1/m + (1 - 1/m) sigma_max(R on u^perp), the root of lambda_max(R R^T on u^perp).
+
+H is restricted to u^perp through an orthonormal basis of it, the last m^2 - 1
+columns of the Householder reflector taking e_0 to -u; the compression
+(I - u u^T) H (I - u u^T) would add an eigenvalue 0 on u, which exceeds
+lambda_max whenever every eigenvalue on u^perp is negative.  The bound is
+tried only when the search has both seeds and Haar starts, and costs one
+eigvalsh of side m^2 - 1.  No closed form and no family enters it.
+
 The search budget :class:`OracleConfig`, its defaults SINGLE_RESTARTS,
 TENSOR_RESTARTS and DEFAULT_SEED, and the state-dimension cap MAX_ORACLE_DIM
 are defined in :mod:`gpchannels.channel`, which loads without this module,
@@ -107,8 +130,12 @@ class OracleResult:
     the earliest restart within VALUE_TOL of it (seeded candidates come
     first), which never ends on a loose stop unless it runs out of sweeps.
     ``restart_values`` holds each restart's final objective and
-    ``restart_iterations`` its sweeps.  The same config and inputs replay
-    the result bit-identically.
+    ``restart_iterations`` its sweeps, for the ``restarts`` rows that ran.
+    ``bound`` is the S-only bound of the module docstring in the units of
+    ``value`` (a lower bound for a minimum), or None where it was not tried
+    or the map is not unital and trace preserving; ``certified`` says the
+    best seed met it within VALUE_TOL, so no Haar start ran.  The same
+    config and inputs replay the result bit-identically.
     """
 
     value: float
@@ -119,6 +146,8 @@ class OracleResult:
     best_restart: int
     restarts: int
     n_seed_states: int
+    certified: bool
+    bound: float | None
 
     def __post_init__(self):
         for name in ("state", "dual_state", "restart_values", "restart_iterations"):
@@ -192,7 +221,12 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     return (s.real + s.imag.transpose(0, 1, 3, 2)).reshape(m * m, m * m).T, m
 
 
-def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray, int]:
+def _start_states(dim: int, cfg: OracleConfig, seed_states, lift=lambda psi: psi[None]):
+    """The engine's seeded starts, and a function drawing its Haar starts (None if none run).
+
+    ``lift`` maps unit rows of C^dim to the engine's (k, rows, m) starts.  The
+    restart cap is checked before anything is drawn.
+    """
     if seed_states is None:
         seeds = np.zeros((0, dim), dtype=complex)
     else:
@@ -209,8 +243,37 @@ def _start_states(dim: int, cfg: OracleConfig, seed_states) -> tuple[np.ndarray,
         seeds = seeds / norms
     _check_start_count(max(cfg.restarts, seeds.shape[0]), dim)  # before any Haar start is drawn
     n_haar = max(cfg.restarts - seeds.shape[0], 0)
-    haar = random_pure_state(dim, np.random.default_rng(cfg.seed), n_haar)
-    return np.concatenate([seeds, haar], axis=0), seeds.shape[0]
+
+    def haar():
+        return lift(random_pure_state(dim, np.random.default_rng(cfg.seed), n_haar))
+
+    return lift(seeds), haar if n_haar else None
+
+
+def _unital_bound(r: np.ndarray, h: np.ndarray, m: int, root: bool = False) -> float | None:
+    """The bound of the module docstring on <k, h k> (root: on the inf-norm pair value).
+
+    None unless R fixes u = K(vec I)/sqrt(m) from both sides to HP_TOL max|R|.
+    """
+    u = np.eye(m).reshape(-1) / np.sqrt(m)
+    if max(np.linalg.norm(u @ r - u), np.linalg.norm(r @ u - u)) > HP_TOL * np.max(np.abs(r)):
+        return None
+    w = u.copy()
+    w[0] += 1.0  # I - w w^T / w[0] reflects e_0 to -u; u[0] > 0, so no cancellation
+    perp = np.eye(m * m)[:, 1:] - np.outer(w, w[1:] / w[0])  # orthonormal basis of u^perp
+    top = float(np.linalg.eigvalsh(perp.T @ h @ perp)[-1])
+    if root:
+        top = np.sqrt(max(top, 0.0))
+    return float(u @ h @ u) / m + (1.0 - 1.0 / m) * top
+
+
+def _pair_starts(r: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Inf-norm starts (psi, phi)/sqrt(2), phi the top eigenvector of Lambda[psi psi^dagger]."""
+    m = psi.shape[1]
+    proj = psi[:, :, None] * psi.conj()[:, None, :]
+    out = ((proj.real + proj.imag).reshape(-1, m * m) @ r).reshape(-1, m, m)  # K(Lambda[P])
+    phi = np.linalg.eigh(out + out.mT + 1j * (out - out.mT))[1][:, :, -1]  # of 2 Lambda[P]
+    return np.stack([psi, phi]) / np.sqrt(2.0)
 
 
 def _line_search_tables(points: int):
@@ -237,24 +300,28 @@ _SPACING = np.pi / LINE_SEARCH_POINTS
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
 
-def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig,
-            score=np.asarray):
+def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, scale: float, cfg: OracleConfig,
+            score=np.asarray, bound=None):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
-    ``starts`` (k, R, m) holds R unit vectors of C^(k m) in k blocks.
+    ``seeds`` (k, n, m) holds n unit vectors of C^(k m) in k blocks, and
+    ``haar`` is None or returns the Haar starts in the same layout.
     Lambda_H is block diagonal: ``ops[j]`` is the real matrix of block j in
     the coordinates K of the module docstring, K(vec P) @ ops[j] for the
     row-major vec P of block k-1-j (the same block when k = 1), as built from
     ``_checked_superop``'s R.  The engine keeps projectors and their images
     in K.  ``scale`` is ||H||_2; ``score`` maps values to what
-    ``_select_best`` ranks.  Returns states, values, sweeps and the index of
-    the restart to report.
+    ``_select_best`` ranks.  The seeds climb first; where Haar starts would
+    follow, ``bound()`` (a value bound, or None) is tried, and a best seed
+    within VALUE_TOL of it skips them.  Returns states, values, sweeps, the
+    index of the restart to report, the scored bound tried (or None) and
+    whether it certified.
     """
-    k, r, m = starts.shape
+    k, n, m = seeds.shape
     tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
-    states, values = np.array(starts, dtype=complex), np.full(r, -np.inf)
-    iters, settled = np.zeros(r, dtype=np.int64), np.zeros(r, dtype=bool)  # settled: no loose stop
+    states, values = np.array(seeds, dtype=complex), np.full(n, -np.inf)
+    iters, settled = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)  # settled: no loose stop
 
     def apply(w, out):
         # out <- K(Lambda_H[w w^dagger]) for w of shape (n, k, b, m); returns the K(w w^dagger)
@@ -353,13 +420,27 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, scale: float, cfg: OracleConfig
             stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
         states[:, idx] = x
 
-    climb(np.arange(r), False)
+    top, certified = None, False
+    if n:
+        climb(np.arange(n), False)
+        if haar is not None and bound is not None:
+            top = bound()
+            top = None if top is None else float(score(top))
+            certified = top is not None and bool(np.max(score(values)) >= top - VALUE_TOL)
+    if haar is not None and not certified:
+        more = haar()
+        h = more.shape[1]
+        states = np.concatenate([states, more], axis=1)
+        values = np.concatenate([values, np.full(h, -np.inf)])
+        iters = np.concatenate([iters, np.zeros(h, dtype=np.int64)])
+        settled = np.concatenate([settled, np.zeros(h, dtype=bool)])
+        climb(np.arange(n, n + h), False)
     # the restart that is reported carries the certificate: resume it after a loose stop;
     # that only raises its value, so it stays the earliest within VALUE_TOL of the best
     best = _select_best(score(values))
     if not settled[best] and iters[best] < cfg.max_iters:
         climb(np.array([best]), True)
-    return states, values, iters, best
+    return states, values, iters, best, top, certified
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -371,8 +452,12 @@ def _select_best(values: np.ndarray) -> int:
     return int(np.nonzero(values >= np.max(values) - VALUE_TOL)[0][0])
 
 
-def _result(score, states, iters, best, n_seeds, sign=1.0, dual_states=None):
-    """OracleResult from per-restart scores (larger is better), reported as sign * score."""
+def _result(score, states, run, n_seeds, sign=1.0, dual_states=None):
+    """OracleResult from per-restart scores (larger is better), reported as sign * score.
+
+    ``run`` is the engine's (sweeps, reported restart, scored bound, certified).
+    """
+    iters, best, top, certified = run
     return OracleResult(
         value=sign * float(np.max(score)),
         state=states[best],
@@ -382,6 +467,8 @@ def _result(score, states, iters, best, n_seeds, sign=1.0, dual_states=None):
         best_restart=best,
         restarts=score.shape[0],
         n_seed_states=n_seeds,
+        certified=certified,
+        bound=None if top is None else sign * top,
     )
 
 
@@ -394,17 +481,18 @@ def extremize_self_fidelity(
     """Search the extremum of Tr(P Lambda[P]) over pure inputs.
 
     ``sense`` is ``"max"`` or ``"min"``.  The returned value is the best
-    over all restarts; seeded candidates are searched first.
+    over all restarts that ran; seeded candidates are searched first.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
     sgn = 1.0 if sense == "max" else -1.0
-    starts, n_seeds = _start_states(m, cfg, seed_states)
+    seeds, haar = _start_states(m, cfg, seed_states)
     h = 0.5 * sgn * (r + r.T)
-    psi, g, iters, best = _ascent(h[None], starts[None], _norm2(h), cfg)
-    return _result(g, psi[0], iters, best, n_seeds, sign=sgn)
+    psi, g, *run = _ascent(h[None], seeds, haar, _norm2(h), cfg,
+                           bound=lambda: _unital_bound(r, h, m))
+    return _result(g, psi[0], run, seeds.shape[1], sign=sgn)
 
 
 def maximize_output_2norm(
@@ -415,10 +503,11 @@ def maximize_output_2norm(
     """Search the largest output 2-norm sqrt(Tr(Lambda[P]^2)) over pure inputs."""
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
-    starts, n_seeds = _start_states(m, cfg, seed_states)
+    seeds, haar = _start_states(m, cfg, seed_states)
     h = r @ r.T  # Lambda^dagger Lambda
-    psi, g, iters, best = _ascent(h[None], starts[None], _norm2(h), cfg, score=np.sqrt)
-    return _result(np.sqrt(g), psi[0], iters, best, n_seeds)
+    psi, g, *run = _ascent(h[None], seeds, haar, _norm2(h), cfg, score=np.sqrt,
+                           bound=lambda: _unital_bound(r, h, m))
+    return _result(np.sqrt(g), psi[0], run, seeds.shape[1])
 
 
 def maximize_output_inf_norm(
@@ -435,15 +524,12 @@ def maximize_output_inf_norm(
     """
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
-    psi, n_seeds = _start_states(m, cfg, seed_states)
-    proj = psi[:, :, None] * psi.conj()[:, None, :]
-    out = ((proj.real + proj.imag).reshape(-1, m * m) @ r).reshape(-1, m, m)  # K(Lambda[P])
-    phi = np.linalg.eigh(out + out.mT + 1j * (out - out.mT))[1][:, :, -1]  # of 2 Lambda[P]
-    starts = np.stack([psi, phi]) / np.sqrt(2.0)
+    seeds, haar = _start_states(m, cfg, seed_states, lambda psi: _pair_starts(r, psi))
     ops = 2.0 * np.stack([r.T, r])  # Lambda^dagger, then Lambda
-    x, g, iters, best = _ascent(ops, starts, 2.0 * _norm2(r), cfg)
+    x, g, *run = _ascent(ops, seeds, haar, 2.0 * _norm2(r), cfg,
+                         bound=lambda: _unital_bound(r, r @ r.T, m, root=True))
     x /= np.linalg.norm(x, axis=2, keepdims=True)
-    return _result(g, x[0], iters, best, n_seeds, dual_states=x[1])
+    return _result(g, x[0], run, seeds.shape[1], dual_states=x[1])
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel) -> float:

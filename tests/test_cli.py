@@ -859,6 +859,22 @@ def test_error_line_names_class(tmp_path, capsys, argv, payload, expected, name)
         assert "not finite at t=0.125" in err
 
 
+@pytest.mark.parametrize("payload", [
+    {"d": 4, "rates": ["x"] * 5},
+    {"d": 4, "trajectory": [{"t": "x", "lambdas": ["x"] * 5}]},
+    {"d": 4, "trajectory": "x"},
+])
+def test_evolve_unsupported_dimension_fails_before_the_numbers(tmp_path, capsys, payload):
+    # unreadable rates or rows would be InvalidTrajectoryError (exit 3); as for a channel
+    # spec, a d without a built-in family is refused first
+    spec = write_spec(tmp_path, "evo.json", payload)
+    code, out, err = run_cli(["evolve", spec, "--t-max", "1", "--steps", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: UnsupportedDimensionError: no built-in construction for d=4")
+    channel = write_spec(tmp_path, "ch.json", {"d": 4, "probabilities": ["x"] * 6})
+    assert run_cli(["analyze", channel], capsys) == (2, "", err)
+
+
 _SPECIAL_NUMBERS = st.sampled_from(
     [0.0, -0.0, -1.0, 1e308, -1e308, math.nan, math.inf, -math.inf]
 )

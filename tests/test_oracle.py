@@ -346,25 +346,33 @@ def test_seeded_fixed_points_stop_after_one_sweep(fam3):
         assert res.best_restart < res.n_seed_states, name
 
 
+def _all_starts(dim, cfg, seeds):
+    """Every start of a search that runs its Haar rows, and the number of seeds."""
+    from gpchannels.oracle import _start_states
+
+    lifted, haar = _start_states(dim, cfg, seeds)
+    if haar is not None:
+        lifted = np.concatenate([lifted, haar()], axis=1)
+    return lifted[0], 0 if seeds is None else len(seeds)
+
+
 def test_haar_starts_are_one_seeded_stream(fam2):
     # the Haar rows follow the seeded candidates: unit vectors, the same for
     # the same seed, a prefix of any larger budget, and unmoved by the seeds
-    from gpchannels.oracle import _start_states
-
     seeds = mub_seed_states(fam2)
     n = seeds.shape[0]
-    starts, n_seeds = _start_states(2, OracleConfig(restarts=12, seed=5), seeds)
+    starts, n_seeds = _all_starts(2, OracleConfig(restarts=12, seed=5), seeds)
     assert n_seeds == n and starts.shape == (12, 2)
     assert np.allclose(starts[:n], seeds, rtol=0, atol=1e-15)  # renormalized
     haar = starts[n:]
     assert np.all(np.abs(np.linalg.norm(haar, axis=1) - 1.0) <= 1e-12)
-    again, _ = _start_states(2, OracleConfig(restarts=12, seed=5), seeds)
+    again, _ = _all_starts(2, OracleConfig(restarts=12, seed=5), seeds)
     assert np.array_equal(again, starts)
-    other, _ = _start_states(2, OracleConfig(restarts=12, seed=6), seeds)
+    other, _ = _all_starts(2, OracleConfig(restarts=12, seed=6), seeds)
     assert not np.array_equal(other[n:], haar)
-    more, _ = _start_states(2, OracleConfig(restarts=40, seed=5), seeds)
+    more, _ = _all_starts(2, OracleConfig(restarts=40, seed=5), seeds)
     assert np.array_equal(more[:12], starts)
-    unseeded, n_none = _start_states(2, OracleConfig(restarts=12, seed=5), None)
+    unseeded, n_none = _all_starts(2, OracleConfig(restarts=12, seed=5), None)
     assert n_none == 0 and np.array_equal(unseeded[: 12 - n], haar)
 
 
@@ -388,10 +396,11 @@ def _forbid_haar_draws(monkeypatch):
 
 
 def test_haar_starts_generated_once_and_read_only(fam2, monkeypatch):
-    # each search draws its Haar starts in one call and never writes into them
+    # each search draws its Haar starts in one call and never writes into them;
+    # amplitude damping is not unital, so no search is certified by its seeds
     from gpchannels import oracle
 
-    s = superoperator_of(random_cptp_channel(2, np.random.default_rng(3), fam2))
+    s = _amplitude_damping(0.3)[1]
     seeds = mub_seed_states(fam2)
     searches = _four_searches(s, OracleConfig(restarts=12, seed=5), seeds)
     expected = [search() for search in searches]
@@ -412,15 +421,14 @@ def test_haar_starts_generated_once_and_read_only(fam2, monkeypatch):
         assert count == 12 - seeds.shape[0]
         assert np.array_equal(block, before)
         assert got.value == want.value and np.array_equal(got.state, want.state)
+        assert not got.certified and got.restarts == 12
 
 
 def test_start_states_keyed_by_global_restart_index(fam2):
     # each Haar start depends only on (seed, its index in the stream), not on
     # how many restarts are drawn together or how many seed states precede it
-    from gpchannels.oracle import _start_states
-
     seeds = mub_seed_states(fam2)
-    full, n_seeds = _start_states(2, OracleConfig(restarts=12, seed=5), seeds)
+    full, n_seeds = _all_starts(2, OracleConfig(restarts=12, seed=5), seeds)
     assert n_seeds == seeds.shape[0]
     for j in range(12 - n_seeds):
         alone = random_pure_state(2, np.random.default_rng(5), j + 1)[j]
@@ -468,6 +476,116 @@ def test_seeded_restart_wins_ties(fam3):
     assert res.best_restart < res.n_seed_states
     overlap = np.abs(fam3.all_vectors() @ res.state.conj()) ** 2
     assert np.max(overlap) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 5, 7])
+def certificate_battery(request):
+    """12 channels at one d: closed forms, the four searches, and the same searches
+    with no bound (so every restart runs), at 256 restarts."""
+    from gpchannels import build_mub_family, fidelity_report, oracle
+
+    d = request.param
+    fam = build_mub_family(d)
+    rng = np.random.default_rng(400 + d)
+    seeds, cfg = mub_seed_states(fam), OracleConfig(restarts=256, seed=2026)
+    rows = []
+    for j in range(12):
+        ch = random_cptp_channel(d, rng, fam, alpha=(0.2, 0.5, 1.0, 3.0)[j % 4])
+        searches = _four_searches(superoperator_of(ch), cfg, seeds)
+        run = [search() for search in searches]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_unital_bound", lambda *args, **kwargs: None)
+            full = [search() for search in searches]
+        rows.append((fidelity_report(ch), run, full))
+    return rows
+
+
+def test_certified_searches_match_the_full_search(certificate_battery):
+    # a certified search ran only its seeds, and no restart of the full search beats its bound
+    for fig, run, full in certificate_battery:
+        for sign, res, whole in zip((1.0, -1.0, 1.0, 1.0), run, full):
+            assert whole.restarts == 256 and not whole.certified and whole.bound is None
+            if res.certified:
+                assert res.restarts == res.n_seed_states
+                assert abs(res.value - whole.value) <= VALUE_TOL
+                assert np.all(sign * whole.restart_values <= sign * res.bound + 1e-12)
+            else:  # the Haar starts ran, as they do without a bound
+                assert res.restarts == 256
+                assert res.value == pytest.approx(whole.value, abs=1e-12)
+                assert res.best_restart == whole.best_restart
+        # f and nu2 always certify; nu_inf does wherever its closed form is exact
+        assert all(res.certified for res in run[:3])
+        assert run[3].certified or not fig.inf_exact
+
+
+def test_bound_equals_the_closed_forms(certificate_battery):
+    # read off S alone, the bound is the paper's f_max, f_min and nu2 (and nu_inf when exact)
+    for fig, run, _ in certificate_battery:
+        for res, closed in zip(run, (fig.f_max, fig.f_min, fig.nu2)):
+            assert res.bound == pytest.approx(float(closed), abs=1e-12)
+        if fig.inf_exact:
+            assert run[3].bound == pytest.approx(float(fig.nu_inf), abs=1e-12)
+
+
+def test_positive_spectrum_certifies_its_minimum(fam3):
+    # with every lambda > 0, -(R + R^T)/2 is negative on u^perp: the compression
+    # (I - u u^T) H (I - u u^T) would add a 0 eigenvalue there and never certify
+    ch = channel_from_eigenvalues(3, [0.4, 0.2, 0.1, 0.2], fam3)
+    r, m = _checked_superop(superoperator_of(ch))
+    h = -0.5 * (r + r.T)
+    u = np.eye(m).reshape(-1) / np.sqrt(m)
+    q = np.eye(m * m) - np.outer(u, u)
+    assert np.linalg.eigvalsh(q @ h @ q)[-1] == pytest.approx(0.0, abs=1e-12)
+    res = extremize_self_fidelity(superoperator_of(ch), "min", OracleConfig(),
+                                  mub_seed_states(fam3))
+    assert res.certified and res.restarts == res.n_seed_states
+    assert res.value == pytest.approx(0.4, abs=1e-12)  # (1 + (d - 1) min lambda) / d
+    assert res.bound == pytest.approx(0.4, abs=1e-12)
+
+
+def test_non_unital_map_is_never_certified(fam2):
+    # amplitude damping is trace preserving but not unital: no bound, every restart runs
+    s = _amplitude_damping(0.3)[1]
+    cfg = OracleConfig(restarts=24, seed=3)
+    for search in _four_searches(s, cfg, mub_seed_states(fam2)):
+        res = search()
+        assert not res.certified and res.bound is None
+        assert res.restarts == 24 and res.restart_values.shape == (24,)
+
+
+def test_uncertified_search_keeps_its_haar_result(fam3):
+    # an open-regime nu_inf above its closed form: the bound is loose, the Haar
+    # starts run, and the result is the one found before the bound existed
+    ch = channel_from_eigenvalues(3, [0.187, 0.153, -0.341, -0.419], fam3)
+    cfg = OracleConfig(restarts=256, seed=2026)
+    res = maximize_output_inf_norm(superoperator_of(ch), cfg, mub_seed_states(fam3))
+    assert not res.certified and res.bound > res.value + 1e-3
+    assert res.restarts == 256 and res.best_restart == 6
+    assert res.value == pytest.approx(0.532864127471987, abs=1e-12)
+
+
+def test_certified_searches_draw_no_haar_start(fam3, monkeypatch):
+    # the seeds meet the bound, so the Haar rows (and their nu_inf eighs) never exist
+    _forbid_haar_draws(monkeypatch)
+    s = superoperator_of(channel_from_eigenvalues(3, [0.4, 0.2, 0.1, 0.2], fam3))
+    for search in _four_searches(s, OracleConfig(), mub_seed_states(fam3)):
+        assert search().certified
+
+
+def test_bound_tried_only_with_seeds_and_haar_starts(fam2, monkeypatch):
+    # seeds filling the budget, or no seeds at all: the bound is never computed
+    from gpchannels import oracle
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("the bound was computed")
+
+    monkeypatch.setattr(oracle, "_unital_bound", no_bound)
+    s = superoperator_of(identity_channel(2, fam2))
+    seeds = mub_seed_states(fam2)
+    for cfg, rows in ((OracleConfig(restarts=seeds.shape[0]), seeds), (OracleConfig(restarts=8), None)):
+        for search in _four_searches(s, cfg, rows):
+            res = search()
+            assert not res.certified and res.bound is None
 
 
 def test_eigenrelation_residual_and_fault_injection(fam5, rng, monkeypatch):
@@ -549,8 +667,9 @@ def test_restart_guard_trips_before_drawing(fam2, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_START_ENTRIES", 4 * seeds.shape[0])
     with pytest.raises(TooLargeError):
         extremize_self_fidelity(s, "max", OracleConfig(restarts=seeds.shape[0] + 1), seeds)
+    # a budget at the cap reaches the draw (with the seeds filling it, nothing is drawn)
     with pytest.raises(AssertionError, match="drawn"):
-        extremize_self_fidelity(s, "max", OracleConfig(restarts=1), seeds)
+        extremize_self_fidelity(s, "max", OracleConfig(restarts=seeds.shape[0]))
 
 
 def test_searches_refuse_non_finite_or_non_hp_superoperators(fam2, monkeypatch):

@@ -114,10 +114,10 @@ def test_output_digest_is_deterministic(capsys):
     # per d: mub --out (stdout, file) and validate of the file; validate,
     # analyze, analyze --oracle and tensor of two specs; validate, analyze and
     # analyze --oracle of a spec on the family file; analyze
-    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then twenty-three
+    # --allow-noncptp; 2 evolve kinds x (--csv: 2, stdout: 2); then twenty-four
     # refused inputs and selftest's seven check lines and summary line
     assert set(digest.TINY_DIMS) <= set(digest.TENSOR_DIMS)
-    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 23 + 7 + 1
+    assert len(lines) == len(digest.TINY_DIMS) * (3 + 8 + 3 + 1 + 8) + 24 + 7 + 1
     for line in lines:
         sha, command = line.split("  ", 1)
         assert len(sha) == 64 and int(sha, 16) >= 0

@@ -52,9 +52,16 @@ restart budget appends starts and keeps the earlier ones.  On ties within
 VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
 
-The seeds climb first, and the restart budget is a ceiling: a search whose
-best seed meets an upper bound read off R alone is ``certified`` and never
-draws its Haar starts.  Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
+The restart budget is a ceiling: a search whose best seed meets an upper
+bound read off R alone is ``certified`` and never draws its Haar starts.
+Where the search has seeds, that bound is computed before anything climbs,
+and the seeds' start values are read off with one application of Lambda_H.
+If the best of them is within VALUE_TOL of the bound, nothing climbs: the
+search reports the earliest seed on the bound, with its start value and 0
+sweeps.  Otherwise the seeds climb, the bound is tried on their climbed
+values, and only a search still below it draws its Haar starts.  ||H||_2,
+which only the CERT_TOL stop rules read, is computed when the first climb
+runs.  Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
 to HP_TOL max|R| (Lambda is unital and trace preserving), a pure P has
 <K(P), u> = Tr P/sqrt(m) and ||K(P)|| = ||P||_F = 1, so K(P) = u/sqrt(m) + p
 with p in the complement u^perp and ||p||^2 = 1 - 1/m exactly.  Each H above
@@ -72,8 +79,8 @@ H is restricted to u^perp through an orthonormal basis of it, the last m^2 - 1
 columns of the Householder reflector taking e_0 to -u; the compression
 (I - u u^T) H (I - u u^T) would add an eigenvalue 0 on u, which exceeds
 lambda_max whenever every eigenvalue on u^perp is negative.  The bound is
-tried only when the search has both seeds and Haar starts, and costs one
-eigvalsh of side m^2 - 1.  No closed form and no family enters it.
+tried whenever the search has seeds, and costs one eigvalsh of side m^2 - 1.
+No closed form and no family enters it.
 
 The search budget :class:`OracleConfig`, its defaults SINGLE_RESTARTS,
 TENSOR_RESTARTS and DEFAULT_SEED, and the state-dimension cap MAX_ORACLE_DIM
@@ -132,10 +139,13 @@ class OracleResult:
     ``restart_values`` holds each restart's final objective and
     ``restart_iterations`` its sweeps, for the ``restarts`` rows that ran.
     ``bound`` is the S-only bound of the module docstring in the units of
-    ``value`` (a lower bound for a minimum), or None where it was not tried
-    or the map is not unital and trace preserving; ``certified`` says the
-    best seed met it within VALUE_TOL, so no Haar start ran.  The same
-    config and inputs replay the result bit-identically.
+    ``value`` (a lower bound for a minimum), or None where the search had
+    no seeds or the map is not unital and trace preserving; ``certified``
+    says the best seed met it within VALUE_TOL, so no Haar start ran.  A
+    search certified at its seeds' start values climbs nothing: its
+    ``restart_values`` are those start values, its ``restart_iterations``
+    are 0, and ``state`` is the earliest seed within VALUE_TOL of the
+    bound.  The same config and inputs replay the result bit-identically.
     """
 
     value: float
@@ -300,8 +310,8 @@ _SPACING = np.pi / LINE_SEARCH_POINTS
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
 
-def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, scale: float, cfg: OracleConfig,
-            score=np.asarray, bound=None):
+def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound,
+            score=np.asarray):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
     ``seeds`` (k, n, m) holds n unit vectors of C^(k m) in k blocks, and
@@ -310,15 +320,15 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, scale: float, cfg: OracleC
     the coordinates K of the module docstring, K(vec P) @ ops[j] for the
     row-major vec P of block k-1-j (the same block when k = 1), as built from
     ``_checked_superop``'s R.  The engine keeps projectors and their images
-    in K.  ``scale`` is ||H||_2; ``score`` maps values to what
-    ``_select_best`` ranks.  The seeds climb first; where Haar starts would
-    follow, ``bound()`` (a value bound, or None) is tried, and a best seed
-    within VALUE_TOL of it skips them.  Returns states, values, sweeps, the
-    index of the restart to report, the scored bound tried (or None) and
-    whether it certified.
+    in K.  ``score`` maps values to what ``_select_best`` ranks.  Where
+    there are seeds, ``bound()`` (a value bound, or None) is tried first: a
+    seed starting within VALUE_TOL of it ends the search before any climb,
+    and otherwise a best seed within VALUE_TOL of it after the seeds climb
+    skips the Haar starts.  Returns states, values, sweeps, the index of the
+    restart to report, the scored bound (or None) and whether it certified.
     """
     k, n, m = seeds.shape
-    tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
+    limits = []  # the squared CERT_TOL thresholds, set by the first climb
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
     states, values = np.array(seeds, dtype=complex), np.full(n, -np.inf)
     iters, settled = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)  # settled: no loose stop
@@ -341,11 +351,17 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, scale: float, cfg: OracleC
         both[..., 1] += diff[..., 0]
         return both.view(complex)[..., 0]
 
-    def climb(idx, patient):
-        # run restarts idx from their states; a patient climb makes no loose stop
+    def climb(idx, patient, g=None):
+        # run restarts idx from their states; a patient climb makes no loose stop;
+        # g, if given, holds K(Lambda_H[P]) of those states in g[0]
+        if not limits:
+            scale = _norm2(ops[0])  # ||H||_2: every block's operator has the same norm
+            limits.extend(((CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2))
+        tight, loose = limits
         x = states[:, idx]
-        g = np.empty((3, k, idx.size, m * m))  # K(Lambda_H[P]), then line-search images
-        apply(x[None], g[:1])
+        if g is None:
+            g = np.empty((3, k, idx.size, m * m))  # K(Lambda_H[P]), then line-search images
+            apply(x[None], g[:1])
         gx = times(g[0], x)
         f = np.maximum(np.vecdot(x, gx).real.sum(0), values[idx])  # a resumed value never drops
         values[idx] = f
@@ -422,11 +438,18 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, scale: float, cfg: OracleC
 
     top, certified = None, False
     if n:
-        climb(np.arange(n), False)
-        if haar is not None and bound is not None:
-            top = bound()
-            top = None if top is None else float(score(top))
-            certified = top is not None and bool(np.max(score(values)) >= top - VALUE_TOL)
+        top = bound()
+        top = None if top is None else float(score(top))
+        g = None
+        if top is not None:  # the seeds' start values, as their climb opens
+            g = np.empty((3, k, n, m * m))
+            apply(states[None], g[:1])
+            values[:] = np.vecdot(states, times(g[0], states)).real.sum(0)
+            on = score(values) >= top - VALUE_TOL
+            if on.any():  # certified where they start: nothing climbs
+                return states, values, iters, int(np.argmax(on)), top, True
+        climb(np.arange(n), False, g)
+        certified = top is not None and bool(np.max(score(values)) >= top - VALUE_TOL)
     if haar is not None and not certified:
         more = haar()
         h = more.shape[1]
@@ -490,8 +513,7 @@ def extremize_self_fidelity(
     sgn = 1.0 if sense == "max" else -1.0
     seeds, haar = _start_states(m, cfg, seed_states)
     h = 0.5 * sgn * (r + r.T)
-    psi, g, *run = _ascent(h[None], seeds, haar, _norm2(h), cfg,
-                           bound=lambda: _unital_bound(r, h, m))
+    psi, g, *run = _ascent(h[None], seeds, haar, cfg, bound=lambda: _unital_bound(r, h, m))
     return _result(g, psi[0], run, seeds.shape[1], sign=sgn)
 
 
@@ -505,7 +527,7 @@ def maximize_output_2norm(
     r, m = _checked_superop(superop)
     seeds, haar = _start_states(m, cfg, seed_states)
     h = r @ r.T  # Lambda^dagger Lambda
-    psi, g, *run = _ascent(h[None], seeds, haar, _norm2(h), cfg, score=np.sqrt,
+    psi, g, *run = _ascent(h[None], seeds, haar, cfg, score=np.sqrt,
                            bound=lambda: _unital_bound(r, h, m))
     return _result(np.sqrt(g), psi[0], run, seeds.shape[1])
 
@@ -526,7 +548,7 @@ def maximize_output_inf_norm(
     r, m = _checked_superop(superop)
     seeds, haar = _start_states(m, cfg, seed_states, lambda psi: _pair_starts(r, psi))
     ops = 2.0 * np.stack([r.T, r])  # Lambda^dagger, then Lambda
-    x, g, *run = _ascent(ops, seeds, haar, 2.0 * _norm2(r), cfg,
+    x, g, *run = _ascent(ops, seeds, haar, cfg,
                          bound=lambda: _unital_bound(r, r @ r.T, m, root=True))
     x /= np.linalg.norm(x, axis=2, keepdims=True)
     return _result(g, x[0], run, seeds.shape[1], dual_states=x[1])

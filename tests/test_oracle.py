@@ -336,9 +336,13 @@ def test_power_ascent_on_non_self_adjoint_superoperator():
     assert values["min"] == pytest.approx(np.cos(0.25) ** 2, abs=1e-9)
 
 
-def test_seeded_fixed_points_stop_after_one_sweep(fam3):
+def test_seeded_fixed_points_stop_after_one_sweep(fam3, monkeypatch):
     # every basis vector is an exact fixed point of the ascent: its first
-    # step moves less than STEP_TOL, which ends the restart at once
+    # step moves less than STEP_TOL, which ends the restart at once; with no
+    # bound the seeds climb, where the bound would certify them at their start
+    from gpchannels import oracle
+
+    monkeypatch.setattr(oracle, "_unital_bound", lambda *args, **kwargs: None)
     ch = channel_from_eigenvalues(3, [0.4, 0.2, 0.1, 0.2], fam3)
     seeds = mub_seed_states(fam3)
     for name, res, _ in _searches(superoperator_of(ch), small_cfg(fam3), seeds):
@@ -572,20 +576,91 @@ def test_certified_searches_draw_no_haar_start(fam3, monkeypatch):
         assert search().certified
 
 
-def test_bound_tried_only_with_seeds_and_haar_starts(fam2, monkeypatch):
-    # seeds filling the budget, or no seeds at all: the bound is never computed
+def test_bound_tried_whenever_the_search_has_seeds(fam2, monkeypatch):
+    # with no seeds the bound is never computed; seeds that fill the budget still certify
     from gpchannels import oracle
+
+    s = superoperator_of(identity_channel(2, fam2))
+    seeds = mub_seed_states(fam2)
+    for search in _four_searches(s, OracleConfig(restarts=seeds.shape[0]), seeds):
+        res = search()
+        assert res.certified and res.bound == pytest.approx(1.0, abs=1e-12)
+        assert res.restarts == res.n_seed_states
 
     def no_bound(*args, **kwargs):
         raise AssertionError("the bound was computed")
 
     monkeypatch.setattr(oracle, "_unital_bound", no_bound)
-    s = superoperator_of(identity_channel(2, fam2))
-    seeds = mub_seed_states(fam2)
-    for cfg, rows in ((OracleConfig(restarts=seeds.shape[0]), seeds), (OracleConfig(restarts=8), None)):
-        for search in _four_searches(s, cfg, rows):
-            res = search()
-            assert not res.certified and res.bound is None
+    for search in _four_searches(s, OracleConfig(restarts=8)):
+        res = search()
+        assert not res.certified and res.bound is None and res.restarts == 8
+
+
+def test_start_certified_search_climbs_nothing(fam3, monkeypatch):
+    # the seeds start on the bound: no sweep runs, so neither ||H||_2 nor a Haar start is needed
+    from gpchannels import oracle
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("||H||_2 was computed")
+
+    _forbid_haar_draws(monkeypatch)
+    monkeypatch.setattr(oracle, "_norm2", no_norm)
+    s = superoperator_of(channel_from_eigenvalues(3, [0.4, 0.2, 0.1, 0.2], fam3))
+    seeds = mub_seed_states(fam3)
+    for search in _four_searches(s, OracleConfig(), seeds):
+        res = search()
+        assert res.certified and res.restarts == seeds.shape[0]
+        assert np.all(res.restart_iterations == 0)
+        assert res.best_restart < res.n_seed_states
+
+
+def test_seeds_that_climb_onto_the_bound_certify(fam2, monkeypatch):
+    # a qubit rotation by 0.7 about (1, 2, 2)/3: f_max = 1 on its eigenvectors, which no
+    # basis vector is, so every seed climbs (two sweeps) before it meets the bound
+    _forbid_haar_draws(monkeypatch)
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    v = np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * np.einsum("i,ijk->jk", axis, paulis)
+    res = extremize_self_fidelity(np.kron(v.conj(), v), "max", OracleConfig(restarts=32, seed=3),
+                                  mub_seed_states(fam2))
+    assert res.certified and res.restarts == res.n_seed_states == 6
+    assert res.bound == pytest.approx(1.0, abs=1e-15) and res.bound < 1.0
+    assert np.all(res.restart_iterations == 2)
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+def _perturbed_superoperators(ch, copies, seed=0):
+    """S, then ``copies`` copies with 1e-16 Gaussian noise on its nonzero entries."""
+    s = superoperator_of(ch)
+    rng = np.random.default_rng(seed)
+    out = [s]
+    for _ in range(copies):
+        t = s.copy()
+        nonzero = t != 0
+        t[nonzero] += 1e-16 * rng.standard_normal(np.count_nonzero(nonzero))
+        out.append(t)
+    return out
+
+
+def test_certified_state_reads_no_roundoff():
+    # a degenerate optimum certified at its start reports the earliest seed on the bound,
+    # whatever the last bits of S: nu_inf of the rounded probs-d7 spectrum, whose optimum
+    # is every vector of basis 5, and f_max of d=3 with lambda_1 = lambda_3 the largest
+    from gpchannels import build_mub_family
+
+    fam7, fam3 = build_mub_family(7), build_mub_family(3)
+    ch7 = channel_from_eigenvalues(7, [0.110, -0.037, 0.006, 0.006, 0.099, 0.291, 0.034, 0.186],
+                                   fam7)
+    for s in _perturbed_superoperators(ch7, 5):
+        res = maximize_output_inf_norm(s, OracleConfig(), mub_seed_states(fam7))
+        assert res.certified and res.best_restart == 35
+        assert nearest_basis_index(fam7, res.state)[:2] == (5, 0)
+        assert nearest_basis_index(fam7, res.dual_state)[:2] == (5, 0)
+    ch3 = channel_from_eigenvalues(3, [0.1, 0.4, 0.0, 0.4], fam3)
+    for s in _perturbed_superoperators(ch3, 5):
+        res = extremize_self_fidelity(s, "max", OracleConfig(), mub_seed_states(fam3))
+        assert res.certified and res.best_restart == 3
+        assert nearest_basis_index(fam3, res.state)[:2] == (1, 0)
 
 
 def test_eigenrelation_residual_and_fault_injection(fam5, rng, monkeypatch):

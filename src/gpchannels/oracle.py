@@ -54,14 +54,18 @@ verbatim.
 
 The restart budget is a ceiling: a search whose best seed meets an upper
 bound read off R alone is ``certified`` and never draws its Haar starts.
-Where the search has seeds, that bound is computed before anything climbs,
-and the seeds' start values are read off with one application of Lambda_H.
-If the best of them is within VALUE_TOL of the bound, nothing climbs: the
-search reports the earliest seed on the bound, with its start value and 0
-sweeps.  Otherwise the seeds climb, the bound is tried on their climbed
-values, and only a search still below it draws its Haar starts.  ||H||_2,
-which only the CERT_TOL stop rules read, is computed when the first climb
-runs.  Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
+Certification comes before the engine.  Where the search has seeds, the bound
+is computed once, and the seeds' start values are read in one pass: <K(P),
+K(P) H> row by row for f and nu_2, and for the inf-norm the top eigenvalue of
+each seed's output Lambda[psi psi^dagger] from one batched eigvalsh (a seed
+starts as the pair (psi, phi)/sqrt(2), phi the top eigenvector of that
+output, whose value is that eigenvalue).  If the best start is within
+VALUE_TOL of the bound, the engine never runs: the search reports the
+earliest seed on the bound, with its start value and 0 sweeps, and an
+inf-norm search takes one eigh for that seed's measurement.  Otherwise the
+seeds are lifted to the engine's starts and climb, the bound is tried on
+their climbed values, and only a search still below it draws its Haar
+starts.  Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
 to HP_TOL max|R| (Lambda is unital and trace preserving), a pure P has
 <K(P), u> = Tr P/sqrt(m) and ||K(P)|| = ||P||_F = 1, so K(P) = u/sqrt(m) + p
 with p in the complement u^perp and ||p||^2 = 1 - 1/m exactly.  Each H above
@@ -76,11 +80,20 @@ and every engine value is at most:
   1/m + (1 - 1/m) sigma_max(R on u^perp), the root of lambda_max(R R^T on u^perp).
 
 H is restricted to u^perp through an orthonormal basis of it, the last m^2 - 1
-columns of the Householder reflector taking e_0 to -u; the compression
-(I - u u^T) H (I - u u^T) would add an eigenvalue 0 on u, which exceeds
-lambda_max whenever every eigenvalue on u^perp is negative.  The bound is
-tried whenever the search has seeds, and costs one eigvalsh of side m^2 - 1.
-No closed form and no family enters it.
+columns of the Householder reflector Q = I - w w^T / w_0, w = u + e_0, which
+takes e_0 to -u.  Q H Q is a rank-2 update of H (Golub & Van Loan, Matrix
+Computations, section 5.1), so the restriction costs O(m^4) and the bound
+one eigvalsh of side m^2 - 1; no identity of side m^2 is built and no dense
+product is formed.  The compression (I - u u^T) H (I - u u^T) would add an
+eigenvalue 0 on u, which exceeds lambda_max whenever every eigenvalue on
+u^perp is negative.  No closed form and no family enters the bound.
+
+||H||_2, which only the CERT_TOL stop rules read, comes from the same
+spectrum: H fixes u up to sign, so <u, H u> and the eigenvalues on u^perp are
+all of H's.  It is max(|<u, H u>|, |lambda_min|, |lambda_max|) on u^perp for
+f, max(1, lambda_max) for nu_2, and 2 sqrt(max(1, lambda_max(R R^T on
+u^perp))) for the inf-norm's blocks 2 R^T and 2 R.  An SVD computes it only
+for a map that is not unital and trace preserving, or a search with no seeds.
 
 The search budget :class:`OracleConfig`, its defaults SINGLE_RESTARTS,
 TENSOR_RESTARTS and DEFAULT_SEED, and the state-dimension cap MAX_ORACLE_DIM
@@ -231,11 +244,10 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     return (s.real + s.imag.transpose(0, 1, 3, 2)).reshape(m * m, m * m).T, m
 
 
-def _start_states(dim: int, cfg: OracleConfig, seed_states, lift=lambda psi: psi[None]):
-    """The engine's seeded starts, and a function drawing its Haar starts (None if none run).
+def _start_states(dim: int, cfg: OracleConfig, seed_states):
+    """The normalized seed rows (n, dim), and a function drawing the Haar rows (None if none run).
 
-    ``lift`` maps unit rows of C^dim to the engine's (k, rows, m) starts.  The
-    restart cap is checked before anything is drawn.
+    The restart cap is checked before anything is drawn.
     """
     if seed_states is None:
         seeds = np.zeros((0, dim), dtype=complex)
@@ -255,34 +267,62 @@ def _start_states(dim: int, cfg: OracleConfig, seed_states, lift=lambda psi: psi
     n_haar = max(cfg.restarts - seeds.shape[0], 0)
 
     def haar():
-        return lift(random_pure_state(dim, np.random.default_rng(cfg.seed), n_haar))
+        return random_pure_state(dim, np.random.default_rng(cfg.seed), n_haar)
 
-    return lift(seeds), haar if n_haar else None
+    return seeds, haar if n_haar else None
 
 
-def _unital_bound(r: np.ndarray, h: np.ndarray, m: int, root: bool = False) -> float | None:
-    """The bound of the module docstring on <k, h k> (root: on the inf-norm pair value).
+def _on_u_perp(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symmetric h restricted to u^perp, in the last m^2 - 1 columns of the reflector Q.
+
+    Q = I - w w^T / w_0 with w = u + e_0 takes e_0 to -u (u_0 > 0, so no
+    cancellation), and Q h Q = h - w z^T - z w^T with z = (h w - (w^T h w /
+    2 w_0) w) / w_0: a rank-2 update of h, read off from row and column 1 on.
+    """
+    w = u.copy()
+    w[0] += 1.0
+    hw = h @ w
+    z = (hw - (w @ hw) / (2.0 * w[0]) * w) / w[0]
+    wz = w[1:, None] * z[1:]
+    return h[1:, 1:] - (wz + wz.T)
+
+
+def _unital_bound(r: np.ndarray, h: np.ndarray, m: int,
+                  root: bool = False) -> tuple[float, float] | None:
+    """The bound of the module docstring on <k, h k> (root: on the pair value), and ||h||_2.
 
     None unless R fixes u = K(vec I)/sqrt(m) from both sides to HP_TOL max|R|.
+    Then h fixes u up to sign, so <u, h u> and the spectrum of h on u^perp
+    are all of its spectrum, and ||h||_2 needs no SVD.  With ``root``, h is
+    R R^T and the norm returned is its root, sigma_max(R).
     """
     u = np.eye(m).reshape(-1) / np.sqrt(m)
     if max(np.linalg.norm(u @ r - u), np.linalg.norm(r @ u - u)) > HP_TOL * np.max(np.abs(r)):
         return None
-    w = u.copy()
-    w[0] += 1.0  # I - w w^T / w[0] reflects e_0 to -u; u[0] > 0, so no cancellation
-    perp = np.eye(m * m)[:, 1:] - np.outer(w, w[1:] / w[0])  # orthonormal basis of u^perp
-    top = float(np.linalg.eigvalsh(perp.T @ h @ perp)[-1])
+    on_u = float(u @ h @ u)
+    spectrum = np.linalg.eigvalsh(_on_u_perp(h, u))
+    top, norm = float(spectrum[-1]), max(abs(on_u), -float(spectrum[0]), float(spectrum[-1]))
     if root:
-        top = np.sqrt(max(top, 0.0))
-    return float(u @ h @ u) / m + (1.0 - 1.0 / m) * top
+        top, norm = np.sqrt(max(top, 0.0)), np.sqrt(norm)
+    return on_u / m + (1.0 - 1.0 / m) * top, norm
+
+
+def _coordinates(psi: np.ndarray) -> np.ndarray:
+    """K(vec P) of the projectors P = psi psi^dagger onto the unit rows psi, one row each."""
+    proj = psi[:, :, None] * psi.conj()[:, None, :]
+    return (proj.real + proj.imag).reshape(-1, psi.shape[1] ** 2)
+
+
+def _doubled_outputs(r: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """2 Lambda[psi psi^dagger] for the unit rows psi, as a stack of Hermitian matrices."""
+    m = psi.shape[1]
+    out = (_coordinates(psi) @ r).reshape(-1, m, m)  # K(Lambda[P])
+    return out + out.mT + 1j * (out - out.mT)
 
 
 def _pair_starts(r: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Inf-norm starts (psi, phi)/sqrt(2), phi the top eigenvector of Lambda[psi psi^dagger]."""
-    m = psi.shape[1]
-    proj = psi[:, :, None] * psi.conj()[:, None, :]
-    out = ((proj.real + proj.imag).reshape(-1, m * m) @ r).reshape(-1, m, m)  # K(Lambda[P])
-    phi = np.linalg.eigh(out + out.mT + 1j * (out - out.mT))[1][:, :, -1]  # of 2 Lambda[P]
+    phi = np.linalg.eigh(_doubled_outputs(r, psi))[1][:, :, -1]
     return np.stack([psi, phi]) / np.sqrt(2.0)
 
 
@@ -310,8 +350,8 @@ _SPACING = np.pi / LINE_SEARCH_POINTS
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
 
-def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound,
-            score=np.asarray):
+def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: float | None,
+            scale: float | None, score=np.asarray, images: np.ndarray | None = None):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
     ``seeds`` (k, n, m) holds n unit vectors of C^(k m) in k blocks, and
@@ -320,15 +360,16 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound,
     the coordinates K of the module docstring, K(vec P) @ ops[j] for the
     row-major vec P of block k-1-j (the same block when k = 1), as built from
     ``_checked_superop``'s R.  The engine keeps projectors and their images
-    in K.  ``score`` maps values to what ``_select_best`` ranks.  Where
-    there are seeds, ``bound()`` (a value bound, or None) is tried first: a
-    seed starting within VALUE_TOL of it ends the search before any climb,
-    and otherwise a best seed within VALUE_TOL of it after the seeds climb
-    skips the Haar starts.  Returns states, values, sweeps, the index of the
-    restart to report, the scored bound (or None) and whether it certified.
+    in K; ``images``, if given, holds K(Lambda_H[P]) of the seeds as (k, n,
+    m^2).  ``scale`` is ||H||_2 (None: computed here, by an SVD).  ``score``
+    maps values to what ``_select_best`` ranks.  The seeds climb first; a
+    best seed within VALUE_TOL of ``bound`` (scored, or None) skips the Haar
+    starts.  Returns states, values, sweeps, the index of the restart to
+    report and whether the bound certified.
     """
     k, n, m = seeds.shape
-    limits = []  # the squared CERT_TOL thresholds, set by the first climb
+    scale = _norm2(ops[0]) if scale is None else scale  # every block's operator has this norm
+    tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
     states, values = np.array(seeds, dtype=complex), np.full(n, -np.inf)
     iters, settled = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)  # settled: no loose stop
@@ -354,10 +395,6 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound,
     def climb(idx, patient, g=None):
         # run restarts idx from their states; a patient climb makes no loose stop;
         # g, if given, holds K(Lambda_H[P]) of those states in g[0]
-        if not limits:
-            scale = _norm2(ops[0])  # ||H||_2: every block's operator has the same norm
-            limits.extend(((CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2))
-        tight, loose = limits
         x = states[:, idx]
         if g is None:
             g = np.empty((3, k, idx.size, m * m))  # K(Lambda_H[P]), then line-search images
@@ -436,20 +473,14 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound,
             stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
         states[:, idx] = x
 
-    top, certified = None, False
+    certified = False
     if n:
-        top = bound()
-        top = None if top is None else float(score(top))
         g = None
-        if top is not None:  # the seeds' start values, as their climb opens
+        if images is not None:
             g = np.empty((3, k, n, m * m))
-            apply(states[None], g[:1])
-            values[:] = np.vecdot(states, times(g[0], states)).real.sum(0)
-            on = score(values) >= top - VALUE_TOL
-            if on.any():  # certified where they start: nothing climbs
-                return states, values, iters, int(np.argmax(on)), top, True
+            g[0] = images
         climb(np.arange(n), False, g)
-        certified = top is not None and bool(np.max(score(values)) >= top - VALUE_TOL)
+        certified = bound is not None and bool(np.max(score(values)) >= bound - VALUE_TOL)
     if haar is not None and not certified:
         more = haar()
         h = more.shape[1]
@@ -463,7 +494,7 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound,
     best = _select_best(score(values))
     if not settled[best] and iters[best] < cfg.max_iters:
         climb(np.array([best]), True)
-    return states, values, iters, best, top, certified
+    return states, values, iters, best, certified
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -475,16 +506,40 @@ def _select_best(values: np.ndarray) -> int:
     return int(np.nonzero(values >= np.max(values) - VALUE_TOL)[0][0])
 
 
-def _result(score, states, run, n_seeds, sign=1.0, dual_states=None):
+def _search(ops, seeds, haar, cfg, found, start, score=np.asarray, lift=lambda psi: psi[None],
+            images=None):
+    """Certify the seeds at their start values, else climb; the run that ``_result`` reads.
+
+    ``found`` is ``_unital_bound``'s (bound, ||H||_2) or None, and ``start``
+    the seeds' engine values (read only where there is a bound).  If the
+    best of them is within VALUE_TOL of the bound, nothing climbs and no
+    start is lifted: the states are the seed rows, as (1, n, m).  Otherwise
+    ``lift`` maps unit rows to the engine's starts and the engine runs.
+    Returns states, scores, sweeps, the reported restart, the scored bound
+    (or None) and whether it certified.
+    """
+    bound, scale = found or (None, None)
+    if bound is not None:
+        bound, values = float(score(bound)), score(start)
+        on = np.flatnonzero(values >= bound - VALUE_TOL)
+        if on.size:
+            return seeds[None], values, np.zeros(values.shape, np.int64), int(on[0]), bound, True
+    more = None if haar is None else lambda: lift(haar())
+    states, values, iters, best, certified = _ascent(ops, lift(seeds), more, cfg, bound, scale,
+                                                     score, images)
+    return states, score(values), iters, best, bound, certified
+
+
+def _result(score, state, run, n_seeds, sign=1.0, dual_state=None):
     """OracleResult from per-restart scores (larger is better), reported as sign * score.
 
-    ``run`` is the engine's (sweeps, reported restart, scored bound, certified).
+    ``run`` is ``_search``'s (sweeps, reported restart, scored bound, certified).
     """
     iters, best, top, certified = run
     return OracleResult(
         value=sign * float(np.max(score)),
-        state=states[best],
-        dual_state=None if dual_states is None else dual_states[best],
+        state=state,
+        dual_state=dual_state,
         restart_values=sign * score,
         restart_iterations=iters,
         best_restart=best,
@@ -493,6 +548,22 @@ def _result(score, states, run, n_seeds, sign=1.0, dual_states=None):
         certified=certified,
         bound=None if top is None else sign * top,
     )
+
+
+def _form_search(r, h, m, cfg, seed_states, score=np.asarray):
+    """Maximize <K(P), K(P) h> over pure P, the f and nu_2 searches.
+
+    Returns the reported state, the scores, ``_search``'s run and the number of seeds.
+    """
+    seeds, haar = _start_states(m, cfg, seed_states)
+    found = _unital_bound(r, h, m) if seeds.shape[0] else None
+    images = start = None
+    if found:  # the seeds' start values <k, k h>, whose images a climb opens with
+        k = _coordinates(seeds)
+        images = (k @ h)[None]
+        start = np.vecdot(images[0], k)
+    psi, g, *run = _search(h[None], seeds, haar, cfg, found, start, score, images=images)
+    return psi[0, run[1]], g, run, seeds.shape[0]
 
 
 def extremize_self_fidelity(
@@ -511,10 +582,8 @@ def extremize_self_fidelity(
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
     sgn = 1.0 if sense == "max" else -1.0
-    seeds, haar = _start_states(m, cfg, seed_states)
-    h = 0.5 * sgn * (r + r.T)
-    psi, g, *run = _ascent(h[None], seeds, haar, cfg, bound=lambda: _unital_bound(r, h, m))
-    return _result(g, psi[0], run, seeds.shape[1], sign=sgn)
+    state, g, run, n_seeds = _form_search(r, 0.5 * sgn * (r + r.T), m, cfg, seed_states)
+    return _result(g, state, run, n_seeds, sign=sgn)
 
 
 def maximize_output_2norm(
@@ -525,11 +594,9 @@ def maximize_output_2norm(
     """Search the largest output 2-norm sqrt(Tr(Lambda[P]^2)) over pure inputs."""
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
-    seeds, haar = _start_states(m, cfg, seed_states)
     h = r @ r.T  # Lambda^dagger Lambda
-    psi, g, *run = _ascent(h[None], seeds, haar, cfg, score=np.sqrt,
-                           bound=lambda: _unital_bound(r, h, m))
-    return _result(np.sqrt(g), psi[0], run, seeds.shape[1])
+    state, g, run, n_seeds = _form_search(r, h, m, cfg, seed_states, score=np.sqrt)
+    return _result(g, state, run, n_seeds)
 
 
 def maximize_output_inf_norm(
@@ -541,17 +608,28 @@ def maximize_output_inf_norm(
 
     The engine runs on the pairs (psi, phi)/sqrt(2) of C^(2m) (see the module
     docstring), each restart starting from its input and the top eigenvector
-    of its output.  The result's ``state`` is the input P and ``dual_state``
-    the measurement Q; on ties the earlier (seeded) pair is kept.
+    of its output.  A seed's start value is the top eigenvalue of its output,
+    so a search certified there lifts only the reported seed.  The result's
+    ``state`` is the input P and ``dual_state`` the measurement Q; on ties
+    the earlier (seeded) pair is kept.
     """
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
-    seeds, haar = _start_states(m, cfg, seed_states, lambda psi: _pair_starts(r, psi))
+    seeds, haar = _start_states(m, cfg, seed_states)
+    found = _unital_bound(r, r @ r.T, m, root=True) if seeds.shape[0] else None
+    outs = start = None
+    if found:
+        found = found[0], 2.0 * found[1]  # the engine's blocks are 2 R^T and 2 R
+        outs = _doubled_outputs(r, seeds)
+        start = 0.5 * np.linalg.eigvalsh(outs)[:, -1]
     ops = 2.0 * np.stack([r.T, r])  # Lambda^dagger, then Lambda
-    x, g, *run = _ascent(ops, seeds, haar, cfg,
-                         bound=lambda: _unital_bound(r, r @ r.T, m, root=True))
-    x /= np.linalg.norm(x, axis=2, keepdims=True)
-    return _result(g, x[0], run, seeds.shape[1], dual_states=x[1])
+    x, g, *run = _search(ops, seeds, haar, cfg, found, start, lift=lambda psi: _pair_starts(r, psi))
+    best = run[1]
+    if x.shape[0] == 1:  # certified at its start: only the reported seed is lifted
+        state, dual = x[0, best], np.linalg.eigh(outs[best])[1][:, -1]
+    else:
+        state, dual = x[:, best] / np.linalg.norm(x[:, best], axis=1, keepdims=True)
+    return _result(g, state, run, seeds.shape[0], dual_state=dual)
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel) -> float:

@@ -89,6 +89,19 @@ def unitary_coefficients(fam, psi):
     return np.einsum("i,akij,j->ak", psi.conj(), fam.unitaries(), psi).conj()
 
 
+def restrict_to_u_perp(h, m):
+    """perp^T h perp, perp the last m^2 - 1 columns of the Householder reflector taking e_0 to -u.
+
+    u = K(vec I)/sqrt(m); the dense reference route for the oracle's rank-2
+    restriction of h to the complement of u.
+    """
+    u = np.eye(m).reshape(-1) / np.sqrt(m)
+    w = u.copy()
+    w[0] += 1.0
+    perp = np.eye(m * m)[:, 1:] - np.outer(w, w[1:] / w[0])
+    return perp.T @ h @ perp
+
+
 def channel_fidelity(ch, psi):
     """Input-output fidelity Tr(P Lambda[P]) of P = |psi><psi| from the coefficient route."""
     x = unitary_coefficients(ch.fam, psi)

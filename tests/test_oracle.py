@@ -31,6 +31,7 @@ from helpers import (
     identity_channel,
     projector,
     random_cptp_channel,
+    restrict_to_u_perp,
     unitary_coefficients,
 )
 
@@ -354,10 +355,10 @@ def _all_starts(dim, cfg, seeds):
     """Every start of a search that runs its Haar rows, and the number of seeds."""
     from gpchannels.oracle import _start_states
 
-    lifted, haar = _start_states(dim, cfg, seeds)
+    starts, haar = _start_states(dim, cfg, seeds)
     if haar is not None:
-        lifted = np.concatenate([lifted, haar()], axis=1)
-    return lifted[0], 0 if seeds is None else len(seeds)
+        starts = np.concatenate([starts, haar()])
+    return starts, 0 if seeds is None else len(seeds)
 
 
 def test_haar_starts_are_one_seeded_stream(fam2):
@@ -500,13 +501,13 @@ def certificate_battery(request):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_unital_bound", lambda *args, **kwargs: None)
             full = [search() for search in searches]
-        rows.append((fidelity_report(ch), run, full))
+        rows.append((fidelity_report(ch), run, full, superoperator_of(ch)))
     return rows
 
 
 def test_certified_searches_match_the_full_search(certificate_battery):
     # a certified search ran only its seeds, and no restart of the full search beats its bound
-    for fig, run, full in certificate_battery:
+    for fig, run, full, _ in certificate_battery:
         for sign, res, whole in zip((1.0, -1.0, 1.0, 1.0), run, full):
             assert whole.restarts == 256 and not whole.certified and whole.bound is None
             if res.certified:
@@ -524,11 +525,95 @@ def test_certified_searches_match_the_full_search(certificate_battery):
 
 def test_bound_equals_the_closed_forms(certificate_battery):
     # read off S alone, the bound is the paper's f_max, f_min and nu2 (and nu_inf when exact)
-    for fig, run, _ in certificate_battery:
+    for fig, run, *_ in certificate_battery:
         for res, closed in zip(run, (fig.f_max, fig.f_min, fig.nu2)):
             assert res.bound == pytest.approx(float(closed), abs=1e-12)
         if fig.inf_exact:
             assert run[3].bound == pytest.approx(float(fig.nu_inf), abs=1e-12)
+
+
+def _engine_scales(s):
+    """The ||H||_2 that the bound's spectrum gives each search, and by an SVD."""
+    from gpchannels.oracle import _unital_bound
+
+    r, m = _checked_superop(s)
+    hs = (0.5 * (r + r.T), -0.5 * (r + r.T), r @ r.T)
+    got = [_unital_bound(r, h, m)[1] for h in hs] + [_unital_bound(r, hs[2], m, root=True)[1]]
+    return got, [np.linalg.norm(h, 2) for h in hs] + [np.linalg.norm(r, 2)]
+
+
+def test_bound_spectrum_gives_the_engine_scale(certificate_battery):
+    # ||H||_2 of f, nu_2 and (halved) nu_inf come from the bound's eigvalsh and <u, H u>
+    for *_, s in certificate_battery:
+        got, svd = _engine_scales(s)
+        assert np.allclose(got, svd, rtol=1e-12, atol=0.0)
+
+
+def _unital_non_pauli_map(d, rng):
+    """S of a mixture of two random unitary conjugations: unital and trace preserving."""
+    def unitary():
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return np.linalg.qr(z)[0]
+
+    return sum(p * np.kron(v.conj(), v) for p, v in zip((0.7, 0.3), (unitary(), unitary())))
+
+
+def test_rank_two_restriction_matches_the_dense_one(rng):
+    # the reflector applied as a rank-2 update gives the dense perp^T h perp, for any symmetric h
+    from gpchannels.oracle import _on_u_perp
+
+    for m in (2, 3, 5, 7):
+        a = rng.standard_normal((m * m, m * m))
+        h = a + a.T
+        u = np.eye(m).reshape(-1) / np.sqrt(m)
+        assert np.max(np.abs(_on_u_perp(h, u) - restrict_to_u_perp(h, m))) <= 1e-13
+    s = _unital_non_pauli_map(3, rng)
+    r, m = _checked_superop(s)
+    u = np.eye(m).reshape(-1) / np.sqrt(m)
+    for h in (0.5 * (r + r.T), r @ r.T):
+        assert np.max(np.abs(_on_u_perp(h, u) - restrict_to_u_perp(h, m))) <= 1e-13
+    got, svd = _engine_scales(s)
+    assert np.allclose(got, svd, rtol=1e-12, atol=0.0)
+
+
+def _start_certified_channel(d):
+    """A channel whose four searches all certify at a basis vector's start value."""
+    from gpchannels import build_mub_family
+
+    fam = build_mub_family(d)
+    return channel_from_eigenvalues(d, np.roll(np.linspace(0.2, -0.05, d + 1), 1), fam), fam
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_start_certified_searches_never_enter_the_engine(d, monkeypatch):
+    from gpchannels import oracle
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the ascent engine ran")
+
+    monkeypatch.setattr(oracle, "_ascent", no_engine)
+    ch, fam = _start_certified_channel(d)
+    for search in _four_searches(superoperator_of(ch), OracleConfig(), mub_seed_states(fam)):
+        res = search()
+        assert res.certified and np.all(res.restart_iterations == 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_start_certified_inf_norm_lifts_no_pair(d, monkeypatch):
+    # the seeds' start values are the top eigenvalues of their outputs; only the
+    # reported seed's eigenvector is taken, and it attains the reported value
+    from gpchannels import oracle
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("the seeds were lifted to pairs")
+
+    monkeypatch.setattr(oracle, "_pair_starts", no_lift)
+    ch, fam = _start_certified_channel(d)
+    res = maximize_output_inf_norm(superoperator_of(ch), OracleConfig(), mub_seed_states(fam))
+    assert res.certified and np.all(res.restart_iterations == 0)
+    out = apply_channel(ch, np.outer(res.state, res.state.conj()))
+    assert res.dual_state.conj() @ out @ res.dual_state == pytest.approx(res.value, abs=1e-12)
+    assert np.linalg.norm(res.dual_state) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_positive_spectrum_certifies_its_minimum(fam3):
@@ -565,6 +650,21 @@ def test_uncertified_search_keeps_its_haar_result(fam3):
     res = maximize_output_inf_norm(superoperator_of(ch), cfg, mub_seed_states(fam3))
     assert not res.certified and res.bound > res.value + 1e-3
     assert res.restarts == 256 and res.best_restart == 6
+    assert res.value == pytest.approx(0.532864127471987, abs=1e-12)
+
+
+def test_open_regime_search_runs_no_svd(fam3, monkeypatch):
+    # the map is unital, so the climbs take ||H||_2 from the bound's spectrum
+    from gpchannels import oracle
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("||H||_2 was computed by an SVD")
+
+    monkeypatch.setattr(oracle, "_norm2", no_norm)
+    ch = channel_from_eigenvalues(3, [0.187, 0.153, -0.341, -0.419], fam3)
+    cfg = OracleConfig(restarts=256, seed=2026)
+    res = maximize_output_inf_norm(superoperator_of(ch), cfg, mub_seed_states(fam3))
+    assert not res.certified and res.restarts == 256 and res.best_restart == 6
     assert res.value == pytest.approx(0.532864127471987, abs=1e-12)
 
 

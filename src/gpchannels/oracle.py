@@ -15,7 +15,13 @@ never as a form on P:
   Lambda[psi psi^dagger] phi>, whose maximum over unit x is the largest
   output inf-norm, reached at |a| = |b|.  Its Lambda_H is block diagonal,
   2 Lambda^dagger[P_22] on the input block and 2 Lambda[P_11] on the
-  measurement block, so it needs only S and S^dagger.
+  measurement block, so it needs only S and S^dagger.  The pair is kept
+  balanced: after every step each block x_j is rescaled to norm
+  1/sqrt(2), by s_j = 1/(sqrt(2) |x_j|), which multiplies the value by
+  (s_0 s_1)^2 >= 1 and block j's image by s_(1-j)^2, so it needs no
+  further Lambda_H.  The balance direction is the form's most curved one
+  (-8 nu_inf at the optimum); fixing it leaves the conjugate-gradient
+  steps a better-conditioned problem.
 
 The engine works in real coordinates K(X) = Re X + Im X of Hermitian
 matrices, an isometry onto real matrices: <K(X), K(Y)> = Tr(XY).  When S is
@@ -53,7 +59,7 @@ VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
 
 The restart budget is a ceiling: a search whose best seed meets an upper
-bound read off R alone is ``certified`` and never draws its Haar starts.
+bound read off R alone is ``certified`` and reports no Haar start.
 Certification comes before the engine.  Where the search has seeds, the bound
 is computed once, and the seeds' start values are read in one pass: <K(P),
 K(P) H> row by row for f and nu_2, and for the inf-norm the top eigenvalue of
@@ -63,9 +69,14 @@ output, whose value is that eigenvalue).  If the best start is within
 VALUE_TOL of the bound, the engine never runs: the search reports the
 earliest seed on the bound, with its start value and 0 sweeps, and an
 inf-norm search takes one eigh for that seed's measurement.  Otherwise the
-seeds are lifted to the engine's starts and climb, the bound is tried on
-their climbed values, and only a search still below it draws its Haar
-starts.  Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
+seeds are lifted to the engine's starts and climb, and every restart of the
+search climbs in that one loop, each with its own sweep budget: the Haar
+starts are drawn and join it once a seed stops below the bound, or at once
+where there is no bound.  When the last seed stops, the bound is tried on
+the seeds' climbed values; if they meet it, the climb ends and the Haar
+starts that joined are dropped unreported.  So a search whose seeds all
+meet the bound before any of them stops below it draws no Haar start.
+Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
 to HP_TOL max|R| (Lambda is unital and trace preserving), a pure P has
 <K(P), u> = Tr P/sqrt(m) and ||K(P)|| = ||P||_F = 1, so K(P) = u/sqrt(m) + p
 with p in the complement u^perp and ||p||^2 = 1 - 1/m exactly.  Each H above
@@ -150,15 +161,16 @@ class OracleResult:
     the earliest restart within VALUE_TOL of it (seeded candidates come
     first), which never ends on a loose stop unless it runs out of sweeps.
     ``restart_values`` holds each restart's final objective and
-    ``restart_iterations`` its sweeps, for the ``restarts`` rows that ran.
+    ``restart_iterations`` its sweeps, for the ``restarts`` rows reported.
     ``bound`` is the S-only bound of the module docstring in the units of
     ``value`` (a lower bound for a minimum), or None where the search had
     no seeds or the map is not unital and trace preserving; ``certified``
-    says the best seed met it within VALUE_TOL, so no Haar start ran.  A
-    search certified at its seeds' start values climbs nothing: its
-    ``restart_values`` are those start values, its ``restart_iterations``
-    are 0, and ``state`` is the earliest seed within VALUE_TOL of the
-    bound.  The same config and inputs replay the result bit-identically.
+    says the best seed met it within VALUE_TOL, so no Haar start is
+    reported.  A search certified at its seeds' start values climbs
+    nothing: its ``restart_values`` are those start values, its
+    ``restart_iterations`` are 0, and ``state`` is the earliest seed within
+    VALUE_TOL of the bound.  The same config and inputs replay the result
+    bit-identically.
     """
 
     value: float
@@ -348,6 +360,8 @@ _STEPS, _GAIN, _DERIVS = _line_search_tables(LINE_SEARCH_POINTS)
 _SPACING = np.pi / LINE_SEARCH_POINTS
 #: c^2, cs, sc, s^2 -> weights of Lambda_H[A], Lambda_H[C], Lambda_H[W] in Lambda_H[P(t)]
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
+#: the row axis of each per-row array a climb keeps (idx, x, gx, grad, memory, then scalars)
+_ROW_AXES = (0, 1, 1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: float | None,
@@ -355,24 +369,33 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: 
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
     ``seeds`` (k, n, m) holds n unit vectors of C^(k m) in k blocks, and
-    ``haar`` is None or returns the Haar starts in the same layout.
-    Lambda_H is block diagonal: ``ops[j]`` is the real matrix of block j in
-    the coordinates K of the module docstring, K(vec P) @ ops[j] for the
-    row-major vec P of block k-1-j (the same block when k = 1), as built from
-    ``_checked_superop``'s R.  The engine keeps projectors and their images
-    in K; ``images``, if given, holds K(Lambda_H[P]) of the seeds as (k, n,
-    m^2).  ``scale`` is ||H||_2 (None: computed here, by an SVD).  ``score``
-    maps values to what ``_select_best`` ranks.  The seeds climb first; a
-    best seed within VALUE_TOL of ``bound`` (scored, or None) skips the Haar
-    starts.  Returns states, values, sweeps, the index of the restart to
-    report and whether the bound certified.
+    ``haar`` is None or returns the cfg.restarts - n Haar starts in the same
+    layout.  Lambda_H is block diagonal: ``ops[j]`` is the real matrix of
+    block j in the coordinates K of the module docstring, K(vec P) @ ops[j]
+    for the row-major vec P of block k-1-j (the same block when k = 1), as
+    built from ``_checked_superop``'s R.  Two blocks are the inf-norm pair,
+    which every step rebalances to block norms 1/sqrt(2).  The engine keeps
+    projectors and their images in K; ``images``, if given, holds
+    K(Lambda_H[P]) of the seeds as (k, n, m^2).  ``scale`` is ||H||_2 (None:
+    computed here, by an SVD).  ``score`` maps values to what
+    ``_select_best`` ranks.  All restarts climb in one loop: the Haar starts
+    are drawn and join it once a seed stops below ``bound`` (scored), or at
+    once if it is None, and each restart stops on its own rules and budget.
+    When the last seed stops and the seeds' best is within VALUE_TOL of the
+    bound, the climb ends and the Haar starts are dropped unreported.
+    Returns states, values, sweeps, the index of the restart to report and
+    whether the bound certified.
     """
     k, n, m = seeds.shape
+    h = 0 if haar is None else cfg.restarts - n
     scale = _norm2(ops[0]) if scale is None else scale  # every block's operator has this norm
     tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
-    states, values = np.array(seeds, dtype=complex), np.full(n, -np.inf)
-    iters, settled = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)  # settled: no loose stop
+    states, values = np.empty((k, n + h, m), dtype=complex), np.full(n + h, -np.inf)
+    states[:, :n] = seeds
+    iters = np.zeros(n + h, dtype=np.int64)
+    settled = np.zeros(n + h, dtype=bool)  # stopped by a rule other than the loose stop
+    waiting = h > 0 and bound is not None  # the Haar rows wait for a seed to stop below the bound
 
     def apply(w, out):
         # out <- K(Lambda_H[w w^dagger]) for w of shape (n, k, b, m); returns the K(w w^dagger)
@@ -392,38 +415,63 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: 
         both[..., 1] += diff[..., 0]
         return both.view(complex)[..., 0]
 
-    def climb(idx, patient, g=None):
-        # run restarts idx from their states; a patient climb makes no loose stop;
-        # g, if given, holds K(Lambda_H[P]) of those states in g[0]
+    def opening(idx, out, img=None):
+        # out <- K(Lambda_H[P]) of restarts idx at their states (img, if given); returns the
+        # per-row arrays a climb keeps, in the order of `rows` below, with row axes _ROW_AXES
         x = states[:, idx]
-        if g is None:
-            g = np.empty((3, k, idx.size, m * m))  # K(Lambda_H[P]), then line-search images
-            apply(x[None], g[:1])
-        gx = times(g[0], x)
+        if img is None:
+            apply(x[None], out[None])
+        else:
+            out[...] = img
+        gx = times(out, x)
         f = np.maximum(np.vecdot(x, gx).real.sum(0), values[idx])  # a resumed value never drops
         values[idx] = f
         grad = gx - f[:, None] * x  # the Riemannian gradient, up to a factor 2
         gg = np.vecdot(grad, grad).real.sum(0)
+        stop = gg <= tight
+        iters[idx[stop]] += 1  # a certified start spends one sweep, without moving
         memory = np.zeros((2,) + x.shape, dtype=complex)  # previous direction and gradient
-        gg_prev, low, last_low = np.ones(idx.size), gg.copy(), np.full(idx.size, np.inf)
-        age = np.full(idx.size, cycle)  # accepted steps since steepest ascent (cycle: reset)
-        stall = np.zeros(idx.size, dtype=np.int64)  # reset cycles that did not halve |grad|
-        stop = final = gg <= tight
-        budget = cfg.max_iters - int(iters[idx].max())
-        iters[idx[stop]] = 1  # a certified start spends one sweep, without moving
+        # gg_prev, the smallest |grad|^2 of this reset cycle and of the last one, accepted
+        # steps since steepest ascent (cycle: reset), reset cycles that did not halve |grad|
+        return (idx, x, gx, grad, memory, f, gg, np.ones(idx.size), gg.copy(),
+                np.full(idx.size, np.inf), np.full(idx.size, cycle),
+                np.zeros(idx.size, dtype=np.int64), stop)
 
-        for _ in range(budget):
-            if stop.any():  # drop the restarts that stopped
-                states[:, idx[stop]], settled[idx[stop]] = x[:, stop], final[stop]
-                keep = ~stop
-                idx, x = idx[keep], x[:, keep]
+    def climb(idx, patient, img=None):
+        # run restarts idx from their states (img: their images, if known); a patient climb
+        # makes no loose stop; the Haar rows join a climb of the seeds as the docstring says
+        nonlocal waiting
+        g = np.empty((3, k, idx.size, m * m))  # K(Lambda_H[P]), then line-search images
+        idx, x, gx, grad, memory, f, gg, gg_prev, low, last_low, age, stall, stop = (
+            opening(idx, g[0], img))
+        final = stop
+
+        while True:
+            while stop.any():  # drop the restarts that stopped, and admit the Haar rows
+                done, keep = idx[stop], ~stop
+                states[:, done], settled[done] = x[:, stop], final[stop]
+                new = None
+                if bound is not None and done.min() < n:
+                    if idx[keep].min(initial=n) >= n and (
+                            np.max(score(values[:n])) >= bound - VALUE_TOL):
+                        return  # the last seed stopped and the seeds certify
+                    if waiting and np.min(score(values[done[done < n]])) < bound - VALUE_TOL:
+                        waiting = False
+                        states[:, n:] = haar()
+                        new = np.arange(n, n + h)
+                rows = [np.compress(keep, a, axis=ax) for a, ax in zip(
+                    (idx, x, gx, grad, memory, f, gg, gg_prev, low, last_low, age, stall, stop),
+                    _ROW_AXES)]
+                size = rows[0].size
+                g, old = np.empty((3, k, size + (0 if new is None else h), m * m)), g
+                np.compress(keep, old[0], axis=1, out=g[0][:, :size])
+                if new is not None:
+                    rows = [np.concatenate(pair, axis=ax) for *pair, ax in zip(
+                        rows, opening(new, g[0][:, size:]), _ROW_AXES)]
+                idx, x, gx, grad, memory, f, gg, gg_prev, low, last_low, age, stall, stop = rows
+                final = stop
                 if idx.size == 0:
                     return
-                g, old = np.empty((3, k, idx.size, m * m)), g
-                np.compress(keep, old[0], axis=1, out=g[0])
-                gx, grad, memory = gx[:, keep], grad[:, keep], memory[:, :, keep]
-                f, gg, gg_prev, low, last_low, age, stall, stop = (
-                    a[keep] for a in (f, gg, gg_prev, low, last_low, age, stall, stop))
             iters[idx] += 1
 
             # PR+ direction: grad is tangent at x, so projection transport acts on the result
@@ -438,12 +486,15 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: 
             u -= np.vecdot(x, u).sum(0)[:, None] * x  # exactly tangent: keeps |x| = 1 to roundoff
             norm = np.sqrt(np.vecdot(u, u).real.sum(0)) + 1e-300  # no 0/0 even for a zero u
 
-            # exact line search along the geodesic x cos t + u sin t
+            # exact line search along the geodesic x cos t + u sin t; its two images are
+            # applied one at a time and freed before the next ones, to bound the peak memory
             un = u / norm[:, None]
-            proj = apply(np.stack([un, x + un]), g[1:])
             dots = np.empty((idx.size, 6))
             dots[:, 0] = f
-            dots[:, 1:] = np.vecdot(proj[:, None], g).sum(2).reshape(6, -1)[[3, 0, 1, 2, 5]].T
+            proj = [apply(w[None], g[1 + j:2 + j])[0] for j, w in enumerate((un, x + un))]
+            dots[:, 1:] = np.stack([np.vecdot(p, g).sum(1) for p in proj]).reshape(6, -1)[
+                [3, 0, 1, 2, 5]].T
+            del proj
             best = np.argmax(dots @ _GAIN, axis=1)
             slope, bend = np.vecdot(dots[:, None, :], _DERIVS[best]).T
             bend = np.where(bend > 0.0, bend, np.inf)  # a Newton step only where concave
@@ -456,6 +507,12 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: 
             mix = (cs[:, :, None] * cs[:, None, :]).reshape(-1, 4) @ _MIX
             gn = np.empty_like(g)
             np.matmul(mix[None, :, None, :], g.transpose(1, 2, 0, 3), out=gn[0][:, :, None, :])
+            if k == 2:
+                # rebalance the pair: block j scales by s_j = 1/(sqrt(2)|x_j|), which multiplies
+                # the value by (s_0 s_1)^2 >= 1 and block j's image by s_(1-j)^2; a zero step stays
+                s2 = np.where(t == 0.0, 1.0, 0.5 / np.vecdot(xn, xn).real)
+                xn *= np.sqrt(s2)[:, :, None]
+                gn[0] *= s2[::-1, :, None]
             gxn = times(gn[0], xn)
             fn = np.vecdot(xn, gxn).real.sum(0)
             up = fn > f
@@ -471,24 +528,17 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: 
             # certified; steepest ascent gains nothing; stalled; or a loose stop
             final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES)
             stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
-        states[:, idx] = x
+            stop |= iters[idx] >= cfg.max_iters  # each restart's own budget
 
-    certified = False
-    if n:
-        g = None
-        if images is not None:
-            g = np.empty((3, k, n, m * m))
-            g[0] = images
-        climb(np.arange(n), False, g)
-        certified = bound is not None and bool(np.max(score(values)) >= bound - VALUE_TOL)
-    if haar is not None and not certified:
-        more = haar()
-        h = more.shape[1]
-        states = np.concatenate([states, more], axis=1)
-        values = np.concatenate([values, np.full(h, -np.inf)])
-        iters = np.concatenate([iters, np.zeros(h, dtype=np.int64)])
-        settled = np.concatenate([settled, np.zeros(h, dtype=bool)])
-        climb(np.arange(n, n + h), False)
+    start = np.arange(n)
+    if h and not waiting:  # no bound to wait for: the Haar rows climb from the start
+        states[:, n:] = haar()
+        start = np.arange(n + h)
+    climb(start, False, images)
+    certified = bound is not None and n > 0 and bool(
+        np.max(score(values[:n])) >= bound - VALUE_TOL)
+    if certified:  # the Haar rows, if any joined, are dropped
+        states, values, iters, settled = states[:, :n], values[:n], iters[:n], settled[:n]
     # the restart that is reported carries the certificate: resume it after a loose stop;
     # that only raises its value, so it stays the earliest within VALUE_TOL of the best
     best = _select_best(score(values))

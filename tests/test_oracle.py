@@ -653,6 +653,109 @@ def test_uncertified_search_keeps_its_haar_result(fam3):
     assert res.value == pytest.approx(0.532864127471987, abs=1e-12)
 
 
+def _pinned_open_channel(fam3):
+    """The d=3 open-regime channel whose nu_inf search is never certified."""
+    return channel_from_eigenvalues(3, [0.187, 0.153, -0.341, -0.419], fam3)
+
+
+def _inf_norm_engine(s, cfg, seed_states):
+    """The ops, lifted seeds, lifted Haar draw, bound and scale a nu_inf search hands _ascent."""
+    from gpchannels import oracle
+
+    r, m = _checked_superop(s)
+    seeds, haar = oracle._start_states(m, cfg, seed_states)
+    found = oracle._unital_bound(r, r @ r.T, m, root=True)
+    bound, scale = (None, None) if found is None else (found[0], 2.0 * found[1])
+    lift = lambda psi: oracle._pair_starts(r, psi)  # noqa: E731
+    return 2.0 * np.stack([r.T, r]), lift(seeds), lambda: lift(haar()), bound, scale
+
+
+def _count_haar_draws(monkeypatch):
+    """Patch the Haar draw to count its calls; returns the list of counts drawn."""
+    from gpchannels import oracle
+
+    draw, counts = oracle.random_pure_state, []
+
+    def counted(dim, rng, count):
+        counts.append(count)
+        return draw(dim, rng, count)
+
+    monkeypatch.setattr(oracle, "random_pure_state", counted)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["pinned-d3", "amplitude-damping"])
+def test_pair_ascent_keeps_both_blocks_balanced(case, fam2, fam3):
+    # every step rescales the pair (a psi, b phi) to |a|^2 = |b|^2 = 1/2, where its value
+    # 4|a|^2|b|^2 <phi, Lambda[psi psi^dagger] phi> is largest; the pinned channel's Haar rows
+    # join the seeds' climb, amplitude damping (no bound) climbs them from the start
+    from gpchannels import oracle
+
+    if case == "pinned-d3":
+        s, fam = superoperator_of(_pinned_open_channel(fam3)), fam3
+    else:
+        s, fam = _amplitude_damping(0.3)[1], fam2
+    cfg = OracleConfig(restarts=64, seed=2026)
+    ops, seeds, haar, bound, scale = _inf_norm_engine(s, cfg, mub_seed_states(fam))
+    assert (bound is None) == (case == "amplitude-damping")
+    states, values, iters, best, certified = oracle._ascent(ops, seeds, haar, cfg, bound, scale)
+    assert not certified and states.shape[1] == 64 and np.all(iters >= 1)
+    norms = np.vecdot(states, states).real
+    assert np.max(np.abs(norms - 0.5)) <= 1e-12
+
+
+def test_haar_rows_join_the_seeds_climb(fam3, monkeypatch):
+    # the joined climb gives each restart the value it reaches climbing alone: the
+    # seeds alone (no Haar budget), then the same Haar rows alone (no seeds); only the
+    # restart each search reports is resumed past a loose stop, so those may differ
+    s = superoperator_of(_pinned_open_channel(fam3))
+    seeds = mub_seed_states(fam3)
+    n = seeds.shape[0]
+    draws = _count_haar_draws(monkeypatch)
+    res = maximize_output_inf_norm(s, OracleConfig(restarts=256, seed=2026), seeds)
+    assert draws == [256 - n]
+    alone = maximize_output_inf_norm(s, OracleConfig(restarts=n, seed=2026), seeds)
+    haar = maximize_output_inf_norm(s, OracleConfig(restarts=256 - n, seed=2026))
+    assert not alone.certified and alone.restarts == n and haar.bound is None
+    reference = np.concatenate([alone.restart_values, haar.restart_values])
+    resumed = [res.best_restart, alone.best_restart, n + haar.best_restart]
+    assert np.max(np.abs(np.delete(res.restart_values - reference, resumed))) <= 1e-12
+    assert res.value == pytest.approx(0.532864127471987, abs=1e-12)
+
+
+def test_seeds_that_certify_after_the_haar_rows_joined_drop_them(fam2, monkeypatch):
+    # the qubit rotation by 0.7 about n = (1, 2, 2)/3, seeded first with a state whose Bloch
+    # vector is orthogonal to n: a critical point of f (its minimum ring), which stops at once
+    # below the bound, so the Haar rows join; the basis seeds then climb onto the bound
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    v = np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * np.einsum("i,ijk->jk", axis, paulis)
+    bloch = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)  # orthogonal to the axis
+    ring = np.linalg.eigh(np.einsum("i,ijk->jk", bloch, paulis))[1][:, -1]
+    seeds = np.vstack([ring, mub_seed_states(fam2)])
+    s = np.kron(v.conj(), v)
+    draws = _count_haar_draws(monkeypatch)
+    res = extremize_self_fidelity(s, "max", OracleConfig(restarts=32, seed=3), seeds)
+    assert draws == [32 - 7]
+    assert res.certified and res.restarts == res.n_seed_states == 7
+    assert res.restart_values[0] == pytest.approx((1.0 + np.cos(0.7)) / 2.0, abs=1e-12)
+    assert res.restart_iterations[0] == 1
+    alone = extremize_self_fidelity(s, "max", OracleConfig(restarts=7, seed=3), seeds)
+    assert draws == [32 - 7]
+    for name in ("value", "best_restart", "certified", "bound"):
+        assert getattr(res, name) == getattr(alone, name), name
+    for name in ("state", "restart_values", "restart_iterations"):
+        assert np.array_equal(getattr(res, name), getattr(alone, name)), name
+
+
+def test_open_search_climbs_fewer_sweeps(fam3):
+    # the balanced pair and the one joined climb: climbing the seeds, then the Haar rows,
+    # with unbalanced pairs took 6850 sweeps over these 256 restarts; the joined climb takes 5579
+    s = superoperator_of(_pinned_open_channel(fam3))
+    res = maximize_output_inf_norm(s, OracleConfig(restarts=256, seed=2026), mub_seed_states(fam3))
+    assert res.restart_iterations.sum() <= 0.85 * 6850
+
+
 def test_open_regime_search_runs_no_svd(fam3, monkeypatch):
     # the map is unital, so the climbs take ||H||_2 from the bound's spectrum
     from gpchannels import oracle

@@ -59,26 +59,26 @@ VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
 
 The restart budget is a ceiling: a search whose best seed meets an upper
-bound read off R alone is ``certified`` and reports no Haar start.
-Certification comes before the engine.  Where the search has seeds, the bound
-is computed once, and the seeds' start values are read in one pass: <K(P),
-K(P) H> row by row for f and nu_2, and for the inf-norm the top eigenvalue of
-each seed's output Lambda[psi psi^dagger] from one batched eigvalsh (a seed
+bound read off R alone is ``certified`` and reports no Haar start.  The
+engine only climbs; the search decides certification, at two points.
+First, at the seeds' start values.  Where the search has seeds, the bound
+is computed once, and the start values are read in one pass: <K(P), K(P) H>
+row by row for f and nu_2, and for the inf-norm the top eigenvalue of each
+seed's output Lambda[psi psi^dagger] from one batched eigvalsh (a seed
 starts as the pair (psi, phi)/sqrt(2), phi the top eigenvector of that
 output, whose value is that eigenvalue).  If the best start is within
-VALUE_TOL of the bound, the engine never runs: the search reports the
-earliest seed on the bound, with its start value and 0 sweeps, and an
-inf-norm search takes one eigh for that seed's measurement.  Otherwise the
-seeds are lifted to the engine's starts and climb, and every restart of the
-search climbs in that one loop, each with its own sweep budget: the Haar
-starts are drawn and join it once a seed stops below the bound, or at once
-where there is no bound.  When the last seed stops, the bound is tried on
-the seeds' climbed values; if they meet it, the climb ends and the Haar
-starts that joined are dropped unreported.  So a search whose seeds all
-meet the bound before any of them stops below it draws no Haar start.
-Let u = K(vec I)/sqrt(m).  When u R = u and R u = u
-to HP_TOL max|R| (Lambda is unital and trace preserving), a pure P has
-<K(P), u> = Tr P/sqrt(m) and ||K(P)|| = ||P||_F = 1, so K(P) = u/sqrt(m) + p
+VALUE_TOL of the bound, the engine never runs and no Haar start is drawn:
+the search reports the earliest seed on the bound, with its start value and
+0 sweeps, and an inf-norm search takes one eigh for that seed's
+measurement.  Otherwise the Haar starts are drawn, lifted to the engine's
+starts together with the seeds, and every restart climbs in one run of the
+engine, each with its own sweep budget.  Second, once after that climb: if
+the seeds' climbed values meet the bound, the Haar starts are dropped
+unreported.
+
+Let u = K(vec I)/sqrt(m).  When u R = u and R u = u to HP_TOL max|R|
+(Lambda is unital and trace preserving), a pure P has <K(P), u> =
+Tr P/sqrt(m) and ||K(P)|| = ||P||_F = 1, so K(P) = u/sqrt(m) + p
 with p in the complement u^perp and ||p||^2 = 1 - 1/m exactly.  Each H above
 then fixes u up to sign and maps u^perp to itself, the cross terms vanish,
 and every engine value is at most:
@@ -360,42 +360,29 @@ _STEPS, _GAIN, _DERIVS = _line_search_tables(LINE_SEARCH_POINTS)
 _SPACING = np.pi / LINE_SEARCH_POINTS
 #: c^2, cs, sc, s^2 -> weights of Lambda_H[A], Lambda_H[C], Lambda_H[W] in Lambda_H[P(t)]
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
-#: the row axis of each per-row array a climb keeps (idx, x, gx, grad, memory, then scalars)
-_ROW_AXES = (0, 1, 1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
-def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: float | None,
-            scale: float | None, score=np.asarray, images: np.ndarray | None = None):
+def _ascent(ops: np.ndarray, starts: np.ndarray, cfg: OracleConfig, scale: float,
+            patient: bool = False, spent: int = 0):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
-    ``seeds`` (k, n, m) holds n unit vectors of C^(k m) in k blocks, and
-    ``haar`` is None or returns the cfg.restarts - n Haar starts in the same
-    layout.  Lambda_H is block diagonal: ``ops[j]`` is the real matrix of
-    block j in the coordinates K of the module docstring, K(vec P) @ ops[j]
-    for the row-major vec P of block k-1-j (the same block when k = 1), as
-    built from ``_checked_superop``'s R.  Two blocks are the inf-norm pair,
-    which every step rebalances to block norms 1/sqrt(2).  The engine keeps
-    projectors and their images in K; ``images``, if given, holds
-    K(Lambda_H[P]) of the seeds as (k, n, m^2).  ``scale`` is ||H||_2 (None:
-    computed here, by an SVD).  ``score`` maps values to what
-    ``_select_best`` ranks.  All restarts climb in one loop: the Haar starts
-    are drawn and join it once a seed stops below ``bound`` (scored), or at
-    once if it is None, and each restart stops on its own rules and budget.
-    When the last seed stops and the seeds' best is within VALUE_TOL of the
-    bound, the climb ends and the Haar starts are dropped unreported.
-    Returns states, values, sweeps, the index of the restart to report and
-    whether the bound certified.
+    ``starts`` (k, n, m) holds n unit vectors of C^(k m) in k blocks.
+    Lambda_H is block diagonal: ``ops[j]`` is the real matrix of block j in
+    the coordinates K of the module docstring, K(vec P) @ ops[j] for the
+    row-major vec P of block k-1-j (the same block when k = 1), as built from
+    ``_checked_superop``'s R.  Two blocks are the inf-norm pair, which every
+    step rebalances to block norms 1/sqrt(2).  The engine keeps projectors
+    and their images in K; ``scale`` is ||H||_2.  All restarts climb in one
+    loop, and each stops on its own rules or once its sweeps, counted from
+    ``spent``, reach cfg.max_iters; a ``patient`` climb makes no loose stop.
+    The engine reads no bound.  Returns states, values, sweeps, and whether
+    each restart settled: stopped by a rule other than the loose stop.
     """
-    k, n, m = seeds.shape
-    h = 0 if haar is None else cfg.restarts - n
-    scale = _norm2(ops[0]) if scale is None else scale  # every block's operator has this norm
+    k, n, m = starts.shape
     tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
-    states, values = np.empty((k, n + h, m), dtype=complex), np.full(n + h, -np.inf)
-    states[:, :n] = seeds
-    iters = np.zeros(n + h, dtype=np.int64)
-    settled = np.zeros(n + h, dtype=bool)  # stopped by a rule other than the loose stop
-    waiting = h > 0 and bound is not None  # the Haar rows wait for a seed to stop below the bound
+    states, values = np.empty_like(starts), np.empty(n)
+    iters, settled = np.full(n, spent, dtype=np.int64), np.zeros(n, dtype=bool)
 
     def apply(w, out):
         # out <- K(Lambda_H[w w^dagger]) for w of shape (n, k, b, m); returns the K(w w^dagger)
@@ -415,136 +402,89 @@ def _ascent(ops: np.ndarray, seeds: np.ndarray, haar, cfg: OracleConfig, bound: 
         both[..., 1] += diff[..., 0]
         return both.view(complex)[..., 0]
 
-    def opening(idx, out, img=None):
-        # out <- K(Lambda_H[P]) of restarts idx at their states (img, if given); returns the
-        # per-row arrays a climb keeps, in the order of `rows` below, with row axes _ROW_AXES
-        x = states[:, idx]
-        if img is None:
-            apply(x[None], out[None])
-        else:
-            out[...] = img
-        gx = times(out, x)
-        f = np.maximum(np.vecdot(x, gx).real.sum(0), values[idx])  # a resumed value never drops
-        values[idx] = f
-        grad = gx - f[:, None] * x  # the Riemannian gradient, up to a factor 2
+    idx, x = np.arange(n), starts
+    g = np.empty((3, k, n, m * m))  # K(Lambda_H[P]), then line-search images
+    apply(x[None], g[:1])
+    gx = times(g[0], x)
+    f = np.vecdot(x, gx).real.sum(0)
+    grad = gx - f[:, None] * x  # the Riemannian gradient, up to a factor 2
+    gg = np.vecdot(grad, grad).real.sum(0)
+    memory = np.zeros((2,) + x.shape, dtype=complex)  # previous direction and gradient
+    # |grad|^2 at the last step, and the smallest |grad|^2 of this reset cycle and of the last one
+    gg_prev, low, last_low = np.ones(n), gg.copy(), np.full(n, np.inf)
+    age = np.full(n, cycle)  # accepted steps since steepest ascent (cycle: reset)
+    stall = np.zeros(n, dtype=np.int64)  # reset cycles that did not halve |grad|
+    stop = final = gg <= tight
+    iters[stop] += 1  # a certified start spends one sweep, without moving
+
+    while True:
+        if stop.any():  # drop the restarts that stopped
+            done, keep = idx[stop], ~stop
+            states[:, done], values[done], settled[done] = x[:, stop], f[stop], final[stop]
+            if not keep.any():
+                return states, values, iters, settled
+            idx, x, gx, grad = idx[keep], x[:, keep], gx[:, keep], grad[:, keep]
+            memory = memory[:, :, keep]
+            f, gg, gg_prev, low, last_low, age, stall = (
+                a[keep] for a in (f, gg, gg_prev, low, last_low, age, stall))
+            g, old = np.empty((3, k, idx.size, m * m)), g
+            np.compress(keep, old[0], axis=1, out=g[0])
+        iters[idx] += 1
+
+        # PR+ direction: grad is tangent at x, so projection transport acts on the result
+        g_dir, g_old = np.vecdot(grad, memory).real.sum(1)
+        beta = np.maximum(gg - g_old, 0.0) / gg_prev
+        beta[(age >= cycle) | (gg + beta * g_dir <= 0.0)] = 0.0  # reset, or not ascending
+        steepest = beta == 0.0
+        # a new cycle: did the smallest |grad|^2 of the last one fall to a quarter?
+        stall = np.where(steepest, np.where(low < 0.25 * last_low, 0, stall + 1), stall)
+        last_low, low = np.where(steepest, low, last_low), np.where(steepest, gg, low)
+        u = grad + beta[:, None] * memory[0]
+        u -= np.vecdot(x, u).sum(0)[:, None] * x  # exactly tangent: keeps |x| = 1 to roundoff
+        norm = np.sqrt(np.vecdot(u, u).real.sum(0)) + 1e-300  # no 0/0 even for a zero u
+
+        # exact line search along the geodesic x cos t + u sin t; its two images are
+        # applied one at a time and freed before the next ones, to bound the peak memory
+        un = u / norm[:, None]
+        dots = np.empty((idx.size, 6))
+        dots[:, 0] = f
+        proj = [apply(w[None], g[1 + j:2 + j])[0] for j, w in enumerate((un, x + un))]
+        dots[:, 1:] = np.stack([np.vecdot(p, g).sum(1) for p in proj]).reshape(6, -1)[
+            [3, 0, 1, 2, 5]].T
+        del proj
+        best = np.argmax(dots @ _GAIN, axis=1)
+        slope, bend = np.vecdot(dots[:, None, :], _DERIVS[best]).T
+        bend = np.where(bend > 0.0, bend, np.inf)  # a Newton step only where concave
+        t = _STEPS[best] + np.clip(slope / bend, -_SPACING, _SPACING)
+        t[np.abs(t) < STEP_TOL] = 0.0  # too short to count as a move
+        c, s = np.cos(t), np.sin(t)
+
+        xn = c[:, None] * x + s[:, None] * un
+        cs = np.stack([c, s], axis=1)
+        mix = (cs[:, :, None] * cs[:, None, :]).reshape(-1, 4) @ _MIX
+        gn = np.empty_like(g)
+        np.matmul(mix[None, :, None, :], g.transpose(1, 2, 0, 3), out=gn[0][:, :, None, :])
+        if k == 2:
+            # rebalance the pair: block j scales by s_j = 1/(sqrt(2)|x_j|), which multiplies
+            # the value by (s_0 s_1)^2 >= 1 and block j's image by s_(1-j)^2; a zero step stays
+            s2 = np.where(t == 0.0, 1.0, 0.5 / np.vecdot(xn, xn).real)
+            xn *= np.sqrt(s2)[:, :, None]
+            gn[0] *= s2[::-1, :, None]
+        gxn = times(gn[0], xn)
+        fn = np.vecdot(xn, gxn).real.sum(0)
+        up = fn > f
+        if not up.all():
+            down = ~up
+            xn[:, down], gn[0][:, down] = x[:, down], g[0][:, down]
+            gxn[:, down], fn[down] = gx[:, down], f[down]
+        gain, memory, gg_prev = fn - f, np.stack([u, grad]), gg
+        x, g, gx, f, grad = xn, gn, gxn, fn, gxn - fn[:, None] * xn
         gg = np.vecdot(grad, grad).real.sum(0)
-        stop = gg <= tight
-        iters[idx[stop]] += 1  # a certified start spends one sweep, without moving
-        memory = np.zeros((2,) + x.shape, dtype=complex)  # previous direction and gradient
-        # gg_prev, the smallest |grad|^2 of this reset cycle and of the last one, accepted
-        # steps since steepest ascent (cycle: reset), reset cycles that did not halve |grad|
-        return (idx, x, gx, grad, memory, f, gg, np.ones(idx.size), gg.copy(),
-                np.full(idx.size, np.inf), np.full(idx.size, cycle),
-                np.zeros(idx.size, dtype=np.int64), stop)
-
-    def climb(idx, patient, img=None):
-        # run restarts idx from their states (img: their images, if known); a patient climb
-        # makes no loose stop; the Haar rows join a climb of the seeds as the docstring says
-        nonlocal waiting
-        g = np.empty((3, k, idx.size, m * m))  # K(Lambda_H[P]), then line-search images
-        idx, x, gx, grad, memory, f, gg, gg_prev, low, last_low, age, stall, stop = (
-            opening(idx, g[0], img))
-        final = stop
-
-        while True:
-            while stop.any():  # drop the restarts that stopped, and admit the Haar rows
-                done, keep = idx[stop], ~stop
-                states[:, done], settled[done] = x[:, stop], final[stop]
-                new = None
-                if bound is not None and done.min() < n:
-                    if idx[keep].min(initial=n) >= n and (
-                            np.max(score(values[:n])) >= bound - VALUE_TOL):
-                        return  # the last seed stopped and the seeds certify
-                    if waiting and np.min(score(values[done[done < n]])) < bound - VALUE_TOL:
-                        waiting = False
-                        states[:, n:] = haar()
-                        new = np.arange(n, n + h)
-                rows = [np.compress(keep, a, axis=ax) for a, ax in zip(
-                    (idx, x, gx, grad, memory, f, gg, gg_prev, low, last_low, age, stall, stop),
-                    _ROW_AXES)]
-                size = rows[0].size
-                g, old = np.empty((3, k, size + (0 if new is None else h), m * m)), g
-                np.compress(keep, old[0], axis=1, out=g[0][:, :size])
-                if new is not None:
-                    rows = [np.concatenate(pair, axis=ax) for *pair, ax in zip(
-                        rows, opening(new, g[0][:, size:]), _ROW_AXES)]
-                idx, x, gx, grad, memory, f, gg, gg_prev, low, last_low, age, stall, stop = rows
-                final = stop
-                if idx.size == 0:
-                    return
-            iters[idx] += 1
-
-            # PR+ direction: grad is tangent at x, so projection transport acts on the result
-            g_dir, g_old = np.vecdot(grad, memory).real.sum(1)
-            beta = np.maximum(gg - g_old, 0.0) / gg_prev
-            beta[(age >= cycle) | (gg + beta * g_dir <= 0.0)] = 0.0  # reset, or not ascending
-            steepest = beta == 0.0
-            # a new cycle: did the smallest |grad|^2 of the last one fall to a quarter?
-            stall = np.where(steepest, np.where(low < 0.25 * last_low, 0, stall + 1), stall)
-            last_low, low = np.where(steepest, low, last_low), np.where(steepest, gg, low)
-            u = grad + beta[:, None] * memory[0]
-            u -= np.vecdot(x, u).sum(0)[:, None] * x  # exactly tangent: keeps |x| = 1 to roundoff
-            norm = np.sqrt(np.vecdot(u, u).real.sum(0)) + 1e-300  # no 0/0 even for a zero u
-
-            # exact line search along the geodesic x cos t + u sin t; its two images are
-            # applied one at a time and freed before the next ones, to bound the peak memory
-            un = u / norm[:, None]
-            dots = np.empty((idx.size, 6))
-            dots[:, 0] = f
-            proj = [apply(w[None], g[1 + j:2 + j])[0] for j, w in enumerate((un, x + un))]
-            dots[:, 1:] = np.stack([np.vecdot(p, g).sum(1) for p in proj]).reshape(6, -1)[
-                [3, 0, 1, 2, 5]].T
-            del proj
-            best = np.argmax(dots @ _GAIN, axis=1)
-            slope, bend = np.vecdot(dots[:, None, :], _DERIVS[best]).T
-            bend = np.where(bend > 0.0, bend, np.inf)  # a Newton step only where concave
-            t = _STEPS[best] + np.clip(slope / bend, -_SPACING, _SPACING)
-            t[np.abs(t) < STEP_TOL] = 0.0  # too short to count as a move
-            c, s = np.cos(t), np.sin(t)
-
-            xn = c[:, None] * x + s[:, None] * un
-            cs = np.stack([c, s], axis=1)
-            mix = (cs[:, :, None] * cs[:, None, :]).reshape(-1, 4) @ _MIX
-            gn = np.empty_like(g)
-            np.matmul(mix[None, :, None, :], g.transpose(1, 2, 0, 3), out=gn[0][:, :, None, :])
-            if k == 2:
-                # rebalance the pair: block j scales by s_j = 1/(sqrt(2)|x_j|), which multiplies
-                # the value by (s_0 s_1)^2 >= 1 and block j's image by s_(1-j)^2; a zero step stays
-                s2 = np.where(t == 0.0, 1.0, 0.5 / np.vecdot(xn, xn).real)
-                xn *= np.sqrt(s2)[:, :, None]
-                gn[0] *= s2[::-1, :, None]
-            gxn = times(gn[0], xn)
-            fn = np.vecdot(xn, gxn).real.sum(0)
-            up = fn > f
-            if not up.all():
-                down = ~up
-                xn[:, down], gn[0][:, down] = x[:, down], g[0][:, down]
-                gxn[:, down], fn[down] = gx[:, down], f[down]
-            gain, memory, gg_prev = fn - f, np.stack([u, grad]), gg
-            x, g, gx, f, grad = xn, gn, gxn, fn, gxn - fn[:, None] * xn
-            gg = np.vecdot(grad, grad).real.sum(0)
-            low, age = np.minimum(low, gg), np.where(up, np.where(steepest, 1, age + 1), cycle)
-            values[idx] = f
-            # certified; steepest ascent gains nothing; stalled; or a loose stop
-            final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES)
-            stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
-            stop |= iters[idx] >= cfg.max_iters  # each restart's own budget
-
-    start = np.arange(n)
-    if h and not waiting:  # no bound to wait for: the Haar rows climb from the start
-        states[:, n:] = haar()
-        start = np.arange(n + h)
-    climb(start, False, images)
-    certified = bound is not None and n > 0 and bool(
-        np.max(score(values[:n])) >= bound - VALUE_TOL)
-    if certified:  # the Haar rows, if any joined, are dropped
-        states, values, iters, settled = states[:, :n], values[:n], iters[:n], settled[:n]
-    # the restart that is reported carries the certificate: resume it after a loose stop;
-    # that only raises its value, so it stays the earliest within VALUE_TOL of the best
-    best = _select_best(score(values))
-    if not settled[best] and iters[best] < cfg.max_iters:
-        climb(np.array([best]), True)
-    return states, values, iters, best, certified
+        low, age = np.minimum(low, gg), np.where(up, np.where(steepest, 1, age + 1), cycle)
+        # certified; steepest ascent gains nothing; stalled; or a loose stop
+        final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES)
+        stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
+        stop |= iters[idx] >= cfg.max_iters  # each restart's own budget
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -556,64 +496,77 @@ def _select_best(values: np.ndarray) -> int:
     return int(np.nonzero(values >= np.max(values) - VALUE_TOL)[0][0])
 
 
-def _search(ops, seeds, haar, cfg, found, start, score=np.asarray, lift=lambda psi: psi[None],
-            images=None):
-    """Certify the seeds at their start values, else climb; the run that ``_result`` reads.
+def _search(ops, seeds, haar, cfg, found, start, score=np.asarray, sign=1.0,
+            lift=lambda psi: psi[None], measure=None) -> OracleResult:
+    """One search: certify the seeds at their start values, else climb once.
 
-    ``found`` is ``_unital_bound``'s (bound, ||H||_2) or None, and ``start``
-    the seeds' engine values (read only where there is a bound).  If the
-    best of them is within VALUE_TOL of the bound, nothing climbs and no
-    start is lifted: the states are the seed rows, as (1, n, m).  Otherwise
-    ``lift`` maps unit rows to the engine's starts and the engine runs.
-    Returns states, scores, sweeps, the reported restart, the scored bound
-    (or None) and whether it certified.
+    ``seeds`` are the unit seed rows and ``haar`` draws the Haar rows (None:
+    no Haar start).  ``found`` is ``_unital_bound``'s (bound, ||H||_2) or
+    None, and ``start`` the seeds' engine values (read only where there is a
+    bound).  ``score`` maps engine values to what is ranked, larger being
+    better, and the result reports sign * score.  Certification is decided
+    here, at two points.  If the best start is within VALUE_TOL of the
+    bound, nothing climbs, nothing is drawn and nothing is lifted: the result
+    is the earliest seed on the bound, with the measurement ``measure`` gives
+    for its index (the inf-norm's; None gives no dual state).  Otherwise the
+    Haar rows are drawn, ``lift`` maps the seeds and Haar rows to the
+    engine's starts in one call, and all of them climb in one ``_ascent``;
+    if the climbed seeds then meet the bound, the Haar rows are dropped.  The
+    restart that is reported carries the certificate: after a loose stop it
+    climbs on, patiently, over the sweeps it has left.  That only raises its
+    value, so it stays the earliest within VALUE_TOL of the best.
     """
+    n = seeds.shape[0]
     bound, scale = found or (None, None)
+    certified = False
     if bound is not None:
         bound, values = float(score(bound)), score(start)
         on = np.flatnonzero(values >= bound - VALUE_TOL)
-        if on.size:
-            return seeds[None], values, np.zeros(values.shape, np.int64), int(on[0]), bound, True
-    more = None if haar is None else lambda: lift(haar())
-    states, values, iters, best, certified = _ascent(ops, lift(seeds), more, cfg, bound, scale,
-                                                     score, images)
-    return states, score(values), iters, best, bound, certified
-
-
-def _result(score, state, run, n_seeds, sign=1.0, dual_state=None):
-    """OracleResult from per-restart scores (larger is better), reported as sign * score.
-
-    ``run`` is ``_search``'s (sweeps, reported restart, scored bound, certified).
-    """
-    iters, best, top, certified = run
+        certified = on.size > 0
+    if certified:
+        best, iters = int(on[0]), np.zeros(n, dtype=np.int64)
+        state, dual = seeds[best], None if measure is None else measure(best)
+    else:
+        rows = seeds if haar is None else np.concatenate([seeds, haar()])
+        scale = _norm2(ops[0]) if scale is None else scale  # every block's operator has this norm
+        states, values, iters, settled = _ascent(ops, lift(rows), cfg, scale)
+        certified = bound is not None and bool(np.max(score(values[:n])) >= bound - VALUE_TOL)
+        if certified:  # the Haar rows are dropped
+            states, values, iters, settled = states[:, :n], values[:n], iters[:n], settled[:n]
+        best = _select_best(score(values))
+        if not settled[best] and iters[best] < cfg.max_iters:
+            x, v, it, _ = _ascent(ops, states[:, [best]], cfg, scale, patient=True,
+                                  spent=iters[best])
+            # a resumed value never drops
+            states[:, best], values[best], iters[best] = x[:, 0], max(values[best], v[0]), it[0]
+        values, x = score(values), states[:, best]
+        if len(x) == 1:
+            state, dual = x[0], None
+        else:  # the pair's blocks, each a unit vector
+            state, dual = x / np.linalg.norm(x, axis=1, keepdims=True)
     return OracleResult(
-        value=sign * float(np.max(score)),
+        value=sign * float(np.max(values)),
         state=state,
-        dual_state=dual_state,
-        restart_values=sign * score,
+        dual_state=dual,
+        restart_values=sign * values,
         restart_iterations=iters,
         best_restart=best,
-        restarts=score.shape[0],
-        n_seed_states=n_seeds,
+        restarts=values.shape[0],
+        n_seed_states=n,
         certified=certified,
-        bound=None if top is None else sign * top,
+        bound=None if bound is None else sign * bound,
     )
 
 
-def _form_search(r, h, m, cfg, seed_states, score=np.asarray):
-    """Maximize <K(P), K(P) h> over pure P, the f and nu_2 searches.
-
-    Returns the reported state, the scores, ``_search``'s run and the number of seeds.
-    """
+def _form_search(r, h, m, cfg, seed_states, score=np.asarray, sign=1.0) -> OracleResult:
+    """Maximize <K(P), K(P) h> over pure P, the f and nu_2 searches."""
     seeds, haar = _start_states(m, cfg, seed_states)
     found = _unital_bound(r, h, m) if seeds.shape[0] else None
-    images = start = None
-    if found:  # the seeds' start values <k, k h>, whose images a climb opens with
+    start = None
+    if found:  # the seeds' start values <k, k h>
         k = _coordinates(seeds)
-        images = (k @ h)[None]
-        start = np.vecdot(images[0], k)
-    psi, g, *run = _search(h[None], seeds, haar, cfg, found, start, score, images=images)
-    return psi[0, run[1]], g, run, seeds.shape[0]
+        start = np.vecdot(k @ h, k)
+    return _search(h[None], seeds, haar, cfg, found, start, score, sign)
 
 
 def extremize_self_fidelity(
@@ -632,8 +585,7 @@ def extremize_self_fidelity(
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
     sgn = 1.0 if sense == "max" else -1.0
-    state, g, run, n_seeds = _form_search(r, 0.5 * sgn * (r + r.T), m, cfg, seed_states)
-    return _result(g, state, run, n_seeds, sign=sgn)
+    return _form_search(r, 0.5 * sgn * (r + r.T), m, cfg, seed_states, sign=sgn)
 
 
 def maximize_output_2norm(
@@ -645,8 +597,7 @@ def maximize_output_2norm(
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
     h = r @ r.T  # Lambda^dagger Lambda
-    state, g, run, n_seeds = _form_search(r, h, m, cfg, seed_states, score=np.sqrt)
-    return _result(g, state, run, n_seeds)
+    return _form_search(r, h, m, cfg, seed_states, score=np.sqrt)
 
 
 def maximize_output_inf_norm(
@@ -659,9 +610,10 @@ def maximize_output_inf_norm(
     The engine runs on the pairs (psi, phi)/sqrt(2) of C^(2m) (see the module
     docstring), each restart starting from its input and the top eigenvector
     of its output.  A seed's start value is the top eigenvalue of its output,
-    so a search certified there lifts only the reported seed.  The result's
-    ``state`` is the input P and ``dual_state`` the measurement Q; on ties
-    the earlier (seeded) pair is kept.
+    so a search certified there lifts no pair and takes one eigh, for the
+    reported seed's measurement.  The result's ``state`` is the input P and
+    ``dual_state`` the measurement Q; on ties the earlier (seeded) pair is
+    kept.
     """
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
@@ -673,13 +625,8 @@ def maximize_output_inf_norm(
         outs = _doubled_outputs(r, seeds)
         start = 0.5 * np.linalg.eigvalsh(outs)[:, -1]
     ops = 2.0 * np.stack([r.T, r])  # Lambda^dagger, then Lambda
-    x, g, *run = _search(ops, seeds, haar, cfg, found, start, lift=lambda psi: _pair_starts(r, psi))
-    best = run[1]
-    if x.shape[0] == 1:  # certified at its start: only the reported seed is lifted
-        state, dual = x[0, best], np.linalg.eigh(outs[best])[1][:, -1]
-    else:
-        state, dual = x[:, best] / np.linalg.norm(x[:, best], axis=1, keepdims=True)
-    return _result(g, state, run, seeds.shape[0], dual_state=dual)
+    return _search(ops, seeds, haar, cfg, found, start, lift=lambda psi: _pair_starts(r, psi),
+                   measure=lambda i: np.linalg.eigh(outs[i])[1][:, -1])
 
 
 def eigenrelation_residual(ch: GeneralizedPauliChannel) -> float:

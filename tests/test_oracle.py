@@ -8,6 +8,7 @@ from gpchannels import (
     SpectrumGrid,
     TooLargeError,
     channel_from_eigenvalues,
+    channel_from_probabilities,
     cptp_equivalence_scan,
     eigenrelation_residual,
     extremize_self_fidelity,
@@ -659,15 +660,16 @@ def _pinned_open_channel(fam3):
 
 
 def _inf_norm_engine(s, cfg, seed_states):
-    """The ops, lifted seeds, lifted Haar draw, bound and scale a nu_inf search hands _ascent."""
+    """What a climbing nu_inf search hands _ascent (ops, starts, scale), and its bound."""
     from gpchannels import oracle
 
     r, m = _checked_superop(s)
     seeds, haar = oracle._start_states(m, cfg, seed_states)
     found = oracle._unital_bound(r, r @ r.T, m, root=True)
-    bound, scale = (None, None) if found is None else (found[0], 2.0 * found[1])
-    lift = lambda psi: oracle._pair_starts(r, psi)  # noqa: E731
-    return 2.0 * np.stack([r.T, r]), lift(seeds), lambda: lift(haar()), bound, scale
+    ops = 2.0 * np.stack([r.T, r])
+    scale = oracle._norm2(ops[0]) if found is None else 2.0 * found[1]
+    starts = oracle._pair_starts(r, np.concatenate([seeds, haar()]))
+    return ops, starts, scale, None if found is None else found[0]
 
 
 def _count_haar_draws(monkeypatch):
@@ -687,8 +689,9 @@ def _count_haar_draws(monkeypatch):
 @pytest.mark.parametrize("case", ["pinned-d3", "amplitude-damping"])
 def test_pair_ascent_keeps_both_blocks_balanced(case, fam2, fam3):
     # every step rescales the pair (a psi, b phi) to |a|^2 = |b|^2 = 1/2, where its value
-    # 4|a|^2|b|^2 <phi, Lambda[psi psi^dagger] phi> is largest; the pinned channel's Haar rows
-    # join the seeds' climb, amplitude damping (no bound) climbs them from the start
+    # 4|a|^2|b|^2 <phi, Lambda[psi psi^dagger] phi> is largest; the seeds and Haar rows climb
+    # together, for the pinned channel (which its bound does not certify) and for amplitude
+    # damping (no bound)
     from gpchannels import oracle
 
     if case == "pinned-d3":
@@ -696,18 +699,19 @@ def test_pair_ascent_keeps_both_blocks_balanced(case, fam2, fam3):
     else:
         s, fam = _amplitude_damping(0.3)[1], fam2
     cfg = OracleConfig(restarts=64, seed=2026)
-    ops, seeds, haar, bound, scale = _inf_norm_engine(s, cfg, mub_seed_states(fam))
+    ops, starts, scale, bound = _inf_norm_engine(s, cfg, mub_seed_states(fam))
     assert (bound is None) == (case == "amplitude-damping")
-    states, values, iters, best, certified = oracle._ascent(ops, seeds, haar, cfg, bound, scale)
-    assert not certified and states.shape[1] == 64 and np.all(iters >= 1)
+    assert not maximize_output_inf_norm(s, cfg, mub_seed_states(fam)).certified
+    states, values, iters, settled = oracle._ascent(ops, starts, cfg, scale)
+    assert states.shape[1] == 64 and np.all(iters >= 1)
     norms = np.vecdot(states, states).real
     assert np.max(np.abs(norms - 0.5)) <= 1e-12
 
 
 def test_haar_rows_join_the_seeds_climb(fam3, monkeypatch):
-    # the joined climb gives each restart the value it reaches climbing alone: the
-    # seeds alone (no Haar budget), then the same Haar rows alone (no seeds); only the
-    # restart each search reports is resumed past a loose stop, so those may differ
+    # the one climb of seeds and Haar rows gives each restart the value it reaches climbing
+    # alone: the seeds alone (no Haar budget), then the same Haar rows alone (no seeds); only
+    # the restart each search reports is resumed past a loose stop, so those may differ
     s = superoperator_of(_pinned_open_channel(fam3))
     seeds = mub_seed_states(fam3)
     n = seeds.shape[0]
@@ -725,8 +729,9 @@ def test_haar_rows_join_the_seeds_climb(fam3, monkeypatch):
 
 def test_seeds_that_certify_after_the_haar_rows_joined_drop_them(fam2, monkeypatch):
     # the qubit rotation by 0.7 about n = (1, 2, 2)/3, seeded first with a state whose Bloch
-    # vector is orthogonal to n: a critical point of f (its minimum ring), which stops at once
-    # below the bound, so the Haar rows join; the basis seeds then climb onto the bound
+    # vector is orthogonal to n: a critical point of f (its minimum ring), which starts and
+    # stops below the bound, so the Haar rows are drawn and climb with the seeds; the basis
+    # seeds then climb onto the bound, and the Haar rows are dropped
     axis = np.array([1.0, 2.0, 2.0]) / 3.0
     paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     v = np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * np.einsum("i,ijk->jk", axis, paulis)
@@ -749,11 +754,46 @@ def test_seeds_that_certify_after_the_haar_rows_joined_drop_them(fam2, monkeypat
 
 
 def test_open_search_climbs_fewer_sweeps(fam3):
-    # the balanced pair and the one joined climb: climbing the seeds, then the Haar rows,
-    # with unbalanced pairs took 6850 sweeps over these 256 restarts; the joined climb takes 5579
+    # the balanced pair and the one climb: climbing the seeds, then the Haar rows, with
+    # unbalanced pairs took 6850 sweeps over these 256 restarts; the one climb takes 5583
     s = superoperator_of(_pinned_open_channel(fam3))
     res = maximize_output_inf_norm(s, OracleConfig(restarts=256, seed=2026), mub_seed_states(fam3))
     assert res.restart_iterations.sum() <= 0.85 * 6850
+
+
+def test_climbing_search_draws_and_lifts_its_starts_once(fam3, monkeypatch):
+    # a search its seeds do not certify at their start draws the Haar rows once and lifts
+    # them with the seeds, all 256 restarts, in one call
+    from gpchannels import oracle
+
+    lift, lifted = oracle._pair_starts, []
+
+    def counted(r, psi):
+        lifted.append(psi.shape[0])
+        return lift(r, psi)
+
+    monkeypatch.setattr(oracle, "_pair_starts", counted)
+    draws = _count_haar_draws(monkeypatch)
+    seeds = mub_seed_states(fam3)
+    s = superoperator_of(_pinned_open_channel(fam3))
+    res = maximize_output_inf_norm(s, OracleConfig(restarts=256, seed=2026), seeds)
+    assert lifted == [256] and draws == [256 - seeds.shape[0]]
+    assert not res.certified and res.restarts == 256
+
+
+def test_seeds_that_climb_several_sweeps_before_any_stops(fam3):
+    # an open-regime channel with an all-negative spectrum (oracle_verify seed 1, block 37):
+    # no seed stops before its ninth sweep, and no seed certifies after its climb
+    p = [0.05395766581258914, 0.24435216031271514, 0.2709408666402997, 0.20807366567083893,
+         0.222675641563557]
+    ch = channel_from_probabilities(3, p, fam3)
+    seeds = mub_seed_states(fam3)
+    res = maximize_output_inf_norm(superoperator_of(ch), OracleConfig(restarts=256, seed=2026),
+                                   seeds)
+    assert np.all(spectrum_of(ch).lambdas < 0.0)
+    assert np.min(res.restart_iterations[: seeds.shape[0]]) >= 9
+    assert not res.certified and res.restarts == 256 and res.best_restart == 0
+    assert res.value == pytest.approx(0.3752917673747591, abs=1e-12)
 
 
 def test_open_regime_search_runs_no_svd(fam3, monkeypatch):
@@ -819,13 +859,15 @@ def test_start_certified_search_climbs_nothing(fam3, monkeypatch):
 
 def test_seeds_that_climb_onto_the_bound_certify(fam2, monkeypatch):
     # a qubit rotation by 0.7 about (1, 2, 2)/3: f_max = 1 on its eigenvectors, which no
-    # basis vector is, so every seed climbs (two sweeps) before it meets the bound
-    _forbid_haar_draws(monkeypatch)
+    # basis vector is, so every seed climbs (two sweeps) before it meets the bound; the
+    # Haar rows, drawn once because no seed starts on the bound, climb with them and are dropped
+    draws = _count_haar_draws(monkeypatch)
     axis = np.array([1.0, 2.0, 2.0]) / 3.0
     paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     v = np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * np.einsum("i,ijk->jk", axis, paulis)
     res = extremize_self_fidelity(np.kron(v.conj(), v), "max", OracleConfig(restarts=32, seed=3),
                                   mub_seed_states(fam2))
+    assert draws == [32 - 6]
     assert res.certified and res.restarts == res.n_seed_states == 6
     assert res.bound == pytest.approx(1.0, abs=1e-15) and res.bound < 1.0
     assert np.all(res.restart_iterations == 2)

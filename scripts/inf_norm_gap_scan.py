@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Map where brute-force search beats the closed-form maximal output inf-norm.
 
-Samples random channels, runs the alternating-ascent search against the
-closed form, and writes one CSV row per channel with the spectrum, the
+Samples random channels, runs the pair ascent of ``maximize_output_inf_norm``
+against the closed form, and writes one CSV row per channel with the spectrum, the
 regime (max(lambda) >= |min(lambda)| or not), both values, and the excess.
 In the dominant-eigenvalue regime the excess stays at numerical noise; in
 the complementary regime at d >= 3 the search finds genuinely higher

@@ -85,9 +85,11 @@ class Spectrum:
 class OracleConfig:
     """Search budget and reproducibility stamp for one oracle run.
 
-    ``restarts`` is the number of ascents (raised to the number of seeded
-    candidates if they are more), ``max_iters`` caps the sweeps of each and
-    ``seed``, a nonnegative integer, seeds the Haar starts.  The stop
+    ``restarts`` is a ceiling on the starts of one search, seeded candidates
+    first (raised to their number if they are more): a search certified at
+    its seeds' start values climbs none and draws no Haar start, and one that
+    climbs adds Haar starts up to it.  ``max_iters`` caps the sweeps of each
+    restart and ``seed``, a nonnegative integer, seeds the Haar starts.  The stop
     tolerances are the constants ``oracle.STEP_TOL`` and ``oracle.VALUE_TOL``.
     It lives here, with the searches' defaults, so that a caller can check a
     budget without importing the search engine.

@@ -59,22 +59,21 @@ VALUE_TOL the earliest restart wins, so seeded optima are reported
 verbatim.
 
 The restart budget is a ceiling: a search whose best seed meets an upper
-bound read off R alone is ``certified`` and reports no Haar start.  The
-engine only climbs; the search decides certification, at two points.
-First, at the seeds' start values.  Where the search has seeds, the bound
-is computed once, and the start values are read in one pass: <K(P), K(P) H>
-row by row for f and nu_2, and for the inf-norm the top eigenvalue of each
+bound read off R alone is ``certified`` and reports no Haar start.  Each
+entry point reads its seeds' start values in one pass, <K(P), K(P) H> row
+by row for f and nu_2, and for the inf-norm the top eigenvalue of each
 seed's output Lambda[psi psi^dagger] from one batched eigvalsh (a seed
 starts as the pair (psi, phi)/sqrt(2), phi the top eigenvector of that
-output, whose value is that eigenvalue).  If the best start is within
-VALUE_TOL of the bound, the engine never runs and no Haar start is drawn:
-the search reports the earliest seed on the bound, with its start value and
-0 sweeps, and an inf-norm search takes one eigh for that seed's
-measurement.  Otherwise the Haar starts are drawn, lifted to the engine's
-starts together with the seeds, and every restart climbs in one run of the
-engine, each with its own sweep budget.  Second, once after that climb: if
-the seeds' climbed values meet the bound, the Haar starts are dropped
-unreported.
+output, whose value is that eigenvalue), and where it has seeds the bound.
+``_search`` alone reads the config, and decides certification at two
+points.  If the best start is within VALUE_TOL of the bound, the engine
+never runs and no Haar start is drawn: the search reports the earliest seed
+on the bound, with its start value and 0 sweeps, and an inf-norm search
+takes one eigh for that seed's measurement.  Otherwise the Haar starts are
+drawn, lifted to the engine's starts together with the seeds, and every
+restart climbs in one run of the engine, each with its own sweep budget.
+Once after that climb, if the seeds' climbed values meet the bound, the
+Haar starts are dropped unreported.
 
 Let u = K(vec I)/sqrt(m).  When u R = u and R u = u to HP_TOL max|R|
 (Lambda is unital and trace preserving), a pure P has <K(P), u> =
@@ -256,10 +255,10 @@ def _checked_superop(superop: np.ndarray) -> tuple[np.ndarray, int]:
     return (s.real + s.imag.transpose(0, 1, 3, 2)).reshape(m * m, m * m).T, m
 
 
-def _start_states(dim: int, cfg: OracleConfig, seed_states):
-    """The normalized seed rows (n, dim), and a function drawing the Haar rows (None if none run).
+def _start_states(dim: int, restarts: int, seed_states) -> np.ndarray:
+    """The checked seed rows, normalized, as an (n, dim) stack (n = 0 without seeds).
 
-    The restart cap is checked before anything is drawn.
+    It checks the cap on max(restarts, n) starts before ``_search`` draws a Haar row.
     """
     if seed_states is None:
         seeds = np.zeros((0, dim), dtype=complex)
@@ -275,13 +274,8 @@ def _start_states(dim: int, cfg: OracleConfig, seed_states):
             raise ValueError(f"seed state {bad[0]} has norm {norms[bad[0], 0]}; "
                              "seed states must be finite and nonzero")
         seeds = seeds / norms
-    _check_start_count(max(cfg.restarts, seeds.shape[0]), dim)  # before any Haar start is drawn
-    n_haar = max(cfg.restarts - seeds.shape[0], 0)
-
-    def haar():
-        return random_pure_state(dim, np.random.default_rng(cfg.seed), n_haar)
-
-    return seeds, haar if n_haar else None
+    _check_start_count(max(restarts, seeds.shape[0]), dim)
+    return seeds
 
 
 def _on_u_perp(h: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -300,13 +294,14 @@ def _on_u_perp(h: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _unital_bound(r: np.ndarray, h: np.ndarray, m: int,
-                  root: bool = False) -> tuple[float, float] | None:
-    """The bound of the module docstring on <k, h k> (root: on the pair value), and ||h||_2.
+                  pair: bool = False) -> tuple[float, float] | None:
+    """A search's bound of the module docstring and its ||H||_2, read off R alone.
 
-    None unless R fixes u = K(vec I)/sqrt(m) from both sides to HP_TOL max|R|.
-    Then h fixes u up to sign, so <u, h u> and the spectrum of h on u^perp
-    are all of its spectrum, and ||h||_2 needs no SVD.  With ``root``, h is
-    R R^T and the norm returned is its root, sigma_max(R).
+    The bound is on <k, h k> for H = h; with ``pair``, h is R R^T and the bound is
+    on the inf-norm pair value, for H the blocks 2 R^T and 2 R of norm 2 sigma_max(R).
+    None unless R fixes u = K(vec I)/sqrt(m) from both sides to HP_TOL max|R|.  Then
+    h fixes u up to sign, so <u, h u> and h on u^perp give all of its spectrum, and
+    the norm needs no SVD.  The entry points call it; ``_search`` alone reads the bound.
     """
     u = np.eye(m).reshape(-1) / np.sqrt(m)
     if max(np.linalg.norm(u @ r - u), np.linalg.norm(r @ u - u)) > HP_TOL * np.max(np.abs(r)):
@@ -314,15 +309,15 @@ def _unital_bound(r: np.ndarray, h: np.ndarray, m: int,
     on_u = float(u @ h @ u)
     spectrum = np.linalg.eigvalsh(_on_u_perp(h, u))
     top, norm = float(spectrum[-1]), max(abs(on_u), -float(spectrum[0]), float(spectrum[-1]))
-    if root:
-        top, norm = np.sqrt(max(top, 0.0)), np.sqrt(norm)
+    if pair:
+        top, norm = np.sqrt(max(top, 0.0)), 2.0 * np.sqrt(norm)
     return on_u / m + (1.0 - 1.0 / m) * top, norm
 
 
 def _coordinates(psi: np.ndarray) -> np.ndarray:
-    """K(vec P) of the projectors P = psi psi^dagger onto the unit rows psi, one row each."""
-    proj = psi[:, :, None] * psi.conj()[:, None, :]
-    return (proj.real + proj.imag).reshape(-1, psi.shape[1] ** 2)
+    """K(vec P) of the projectors P = psi psi^dagger, one row per row psi of any stack."""
+    proj = psi[..., :, None] * psi.conj()[..., None, :]
+    return (proj.real + proj.imag).reshape(*psi.shape[:-1], psi.shape[-1] ** 2)
 
 
 def _doubled_outputs(r: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -362,8 +357,8 @@ _SPACING = np.pi / LINE_SEARCH_POINTS
 _MIX = np.array([[1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
 
 
-def _ascent(ops: np.ndarray, starts: np.ndarray, cfg: OracleConfig, scale: float,
-            patient: bool = False, spent: int = 0):
+def _ascent(ops: np.ndarray, starts: np.ndarray, budget: int, scale: float,
+            patient: bool = False):
     """The ascent engine: maximize f(x) = <x, Lambda_H[x x^dagger] x> from each start.
 
     ``starts`` (k, n, m) holds n unit vectors of C^(k m) in k blocks.
@@ -373,22 +368,20 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, cfg: OracleConfig, scale: float
     ``_checked_superop``'s R.  Two blocks are the inf-norm pair, which every
     step rebalances to block norms 1/sqrt(2).  The engine keeps projectors
     and their images in K; ``scale`` is ||H||_2.  All restarts climb in one
-    loop, and each stops on its own rules or once its sweeps, counted from
-    ``spent``, reach cfg.max_iters; a ``patient`` climb makes no loose stop.
-    The engine reads no bound.  Returns states, values, sweeps, and whether
-    each restart settled: stopped by a rule other than the loose stop.
+    loop, and each stops on its own rules or after ``budget`` sweeps; a
+    ``patient`` climb makes no loose stop.  The engine reads no bound and no
+    config.  Returns states, values, sweeps, and whether each restart settled:
+    stopped by a rule other than the loose stop, or out of sweeps.
     """
     k, n, m = starts.shape
     tight, loose = (CERT_TOL * scale) ** 2, (LOOSE_CERT_TOL * scale) ** 2
     cycle = 2 * k * m - 2  # real dimension of the projective space: CG resets after it
     states, values = np.empty_like(starts), np.empty(n)
-    iters, settled = np.full(n, spent, dtype=np.int64), np.zeros(n, dtype=bool)
+    iters, settled = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
 
     def apply(w, out):
         # out <- K(Lambda_H[w w^dagger]) for w of shape (n, k, b, m); returns the K(w w^dagger)
-        ws = w[:, ::-1]
-        proj = ws[..., :, None] * ws.conj()[..., None, :]
-        proj = (proj.real + proj.imag).reshape(*w.shape[:3], m * m)
+        proj = _coordinates(w[:, ::-1])
         np.matmul(proj, ops, out=out)
         return proj[:, ::-1]
 
@@ -481,10 +474,9 @@ def _ascent(ops: np.ndarray, starts: np.ndarray, cfg: OracleConfig, scale: float
         x, g, gx, f, grad = xn, gn, gxn, fn, gxn - fn[:, None] * xn
         gg = np.vecdot(grad, grad).real.sum(0)
         low, age = np.minimum(low, gg), np.where(up, np.where(steepest, 1, age + 1), cycle)
-        # certified; steepest ascent gains nothing; stalled; or a loose stop
-        final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES)
+        # certified; steepest ascent gains nothing; stalled; out of sweeps; or a loose stop
+        final = (gg <= tight) | (steepest > up) | (stall >= STALL_CYCLES) | (iters[idx] >= budget)
         stop = final if patient else final | (up & (gain <= VALUE_TOL) & (gg <= loose))
-        stop |= iters[idx] >= cfg.max_iters  # each restart's own budget
 
 
 def _norm2(a: np.ndarray) -> float:
@@ -496,25 +488,25 @@ def _select_best(values: np.ndarray) -> int:
     return int(np.nonzero(values >= np.max(values) - VALUE_TOL)[0][0])
 
 
-def _search(ops, seeds, haar, cfg, found, start, score=np.asarray, sign=1.0,
+def _search(ops, seeds, cfg, found, start, score=np.asarray, sign=1.0,
             lift=lambda psi: psi[None], measure=None) -> OracleResult:
     """One search: certify the seeds at their start values, else climb once.
 
-    ``seeds`` are the unit seed rows and ``haar`` draws the Haar rows (None:
-    no Haar start).  ``found`` is ``_unital_bound``'s (bound, ||H||_2) or
-    None, and ``start`` the seeds' engine values (read only where there is a
-    bound).  ``score`` maps engine values to what is ranked, larger being
-    better, and the result reports sign * score.  Certification is decided
-    here, at two points.  If the best start is within VALUE_TOL of the
-    bound, nothing climbs, nothing is drawn and nothing is lifted: the result
-    is the earliest seed on the bound, with the measurement ``measure`` gives
-    for its index (the inf-norm's; None gives no dual state).  Otherwise the
-    Haar rows are drawn, ``lift`` maps the seeds and Haar rows to the
-    engine's starts in one call, and all of them climb in one ``_ascent``;
-    if the climbed seeds then meet the bound, the Haar rows are dropped.  The
-    restart that is reported carries the certificate: after a loose stop it
-    climbs on, patiently, over the sweeps it has left.  That only raises its
-    value, so it stays the earliest within VALUE_TOL of the best.
+    The only reader of ``cfg`` below the entry points, and the only place that
+    draws Haar rows.  ``seeds`` are the unit seed rows, ``found`` is
+    ``_unital_bound``'s (bound, ||H||_2) or None, and ``start`` the seeds'
+    engine values, read only where there is a bound.  ``score`` maps engine
+    values to what is ranked, larger being better, and the result reports
+    sign * score.  If the best start is within VALUE_TOL of the bound,
+    nothing climbs, nothing is drawn and nothing is lifted: the result is the
+    earliest seed on the bound, with the measurement ``measure`` gives for its
+    index (the inf-norm's; None gives no dual state).  Otherwise the
+    cfg.restarts - n Haar rows are drawn, ``lift`` maps all rows to the
+    engine's starts in one call, and all climb in one ``_ascent`` of
+    cfg.max_iters sweeps; if the climbed seeds then meet the bound, the Haar
+    rows are dropped.  The restart that is reported carries the certificate:
+    after a loose stop it climbs on, patiently, over the sweeps it has left,
+    which only raises its value, so it stays the earliest best.
     """
     n = seeds.shape[0]
     bound, scale = found or (None, None)
@@ -527,18 +519,21 @@ def _search(ops, seeds, haar, cfg, found, start, score=np.asarray, sign=1.0,
         best, iters = int(on[0]), np.zeros(n, dtype=np.int64)
         state, dual = seeds[best], None if measure is None else measure(best)
     else:
-        rows = seeds if haar is None else np.concatenate([seeds, haar()])
+        rows = seeds
+        if cfg.restarts > n:  # the Haar rows follow the seeds
+            rows = np.concatenate([seeds, random_pure_state(
+                seeds.shape[1], np.random.default_rng(cfg.seed), cfg.restarts - n)])
         scale = _norm2(ops[0]) if scale is None else scale  # every block's operator has this norm
-        states, values, iters, settled = _ascent(ops, lift(rows), cfg, scale)
+        states, values, iters, settled = _ascent(ops, lift(rows), cfg.max_iters, scale)
         certified = bound is not None and bool(np.max(score(values[:n])) >= bound - VALUE_TOL)
         if certified:  # the Haar rows are dropped
             states, values, iters, settled = states[:, :n], values[:n], iters[:n], settled[:n]
         best = _select_best(score(values))
-        if not settled[best] and iters[best] < cfg.max_iters:
-            x, v, it, _ = _ascent(ops, states[:, [best]], cfg, scale, patient=True,
-                                  spent=iters[best])
-            # a resumed value never drops
-            states[:, best], values[best], iters[best] = x[:, 0], max(values[best], v[0]), it[0]
+        if not settled[best]:  # a loose stop, with sweeps left
+            x, v, it, _ = _ascent(ops, states[:, [best]], cfg.max_iters - iters[best], scale,
+                                  patient=True)
+            states[:, best], values[best] = x[:, 0], max(values[best], v[0])  # it never drops
+            iters[best] += it[0]
         values, x = score(values), states[:, best]
         if len(x) == 1:
             state, dual = x[0], None
@@ -560,13 +555,10 @@ def _search(ops, seeds, haar, cfg, found, start, score=np.asarray, sign=1.0,
 
 def _form_search(r, h, m, cfg, seed_states, score=np.asarray, sign=1.0) -> OracleResult:
     """Maximize <K(P), K(P) h> over pure P, the f and nu_2 searches."""
-    seeds, haar = _start_states(m, cfg, seed_states)
+    seeds = _start_states(m, cfg.restarts, seed_states)
     found = _unital_bound(r, h, m) if seeds.shape[0] else None
-    start = None
-    if found:  # the seeds' start values <k, k h>
-        k = _coordinates(seeds)
-        start = np.vecdot(k @ h, k)
-    return _search(h[None], seeds, haar, cfg, found, start, score, sign)
+    k = _coordinates(seeds)
+    return _search(h[None], seeds, cfg, found, np.vecdot(k @ h, k), score, sign)
 
 
 def extremize_self_fidelity(
@@ -617,15 +609,12 @@ def maximize_output_inf_norm(
     """
     cfg = cfg or OracleConfig()
     r, m = _checked_superop(superop)
-    seeds, haar = _start_states(m, cfg, seed_states)
-    found = _unital_bound(r, r @ r.T, m, root=True) if seeds.shape[0] else None
-    outs = start = None
-    if found:
-        found = found[0], 2.0 * found[1]  # the engine's blocks are 2 R^T and 2 R
-        outs = _doubled_outputs(r, seeds)
-        start = 0.5 * np.linalg.eigvalsh(outs)[:, -1]
+    seeds = _start_states(m, cfg.restarts, seed_states)
+    found = _unital_bound(r, r @ r.T, m, pair=True) if seeds.shape[0] else None
+    outs = _doubled_outputs(r, seeds)
     ops = 2.0 * np.stack([r.T, r])  # Lambda^dagger, then Lambda
-    return _search(ops, seeds, haar, cfg, found, start, lift=lambda psi: _pair_starts(r, psi),
+    return _search(ops, seeds, cfg, found, 0.5 * np.linalg.eigvalsh(outs)[:, -1],
+                   lift=lambda psi: _pair_starts(r, psi),
                    measure=lambda i: np.linalg.eigh(outs[i])[1][:, -1])
 
 

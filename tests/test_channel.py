@@ -77,6 +77,8 @@ def test_bad_probabilities_rejected(fam2):
         channel_from_probabilities(2, [1, 0, 0], fam2)
     with pytest.raises(DimensionMismatchError):
         channel_from_probabilities(3, [1, 0, 0, 0, 0], fam2)
+    with pytest.raises(BadProbabilitiesError, match="needs 'probabilities' or 'eigenvalues'"):
+        channel_from_dict({"d": 2})  # neither field
 
 
 def test_from_eigenvalues_boundary_point(fam2):
@@ -352,6 +354,8 @@ def test_tensor_power_guard(fam5, monkeypatch):
     monkeypatch.setattr(channel, "superoperator_of", no_build)
     with pytest.raises(TooLargeError, match="state dimension 125 exceeds oracle guard 64"):
         tensor_power(identity_channel(5, fam5), 3)
+    with pytest.raises(ValueError, match="tensor power needs n >= 1"):
+        tensor_power(identity_channel(5, fam5), 0)
 
 
 def test_cptp_spectra_have_contractive_eigenvalues(rng):

@@ -1068,6 +1068,16 @@ def test_selftest_passes_quick(capsys):
     assert "0 failure(s)" in out
 
 
+def test_selftest_checks_the_lower_bound_regime(capsys):
+    # plain selftest (d = 2 and 3, seed 2026) draws a d=3 channel outside the exact nu_inf
+    # regime, where the closed form is a lower bound the search may exceed; at d=2 it is exact
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 0
+    line = next(x for x in out.splitlines() if "closed-vs-oracle-d3" in x)
+    assert line.startswith("[PASS] closed-vs-oracle-d3: ")
+    assert float(line.rsplit("inf-norm search excess beyond lower-bound regime ", 1)[1]) > 0.0
+
+
 def test_selftest_fault_injection_fails(monkeypatch, capsys):
     from gpchannels import cli
     from gpchannels.mub import MubFamily, build_mub_family

@@ -141,6 +141,8 @@ def test_sampled_interpolates_linearly(fam2):
     assert np.allclose(lam, [0.75, 0.65, 0.55], atol=1e-14)
     with pytest.raises(OutOfRangeError):
         eigenvalue_trajectory(spec, 2.5)
+    with pytest.raises(OutOfRangeError, match="trajectory times must be >= 0"):
+        validate_trajectory(spec, [-1.0, 0.0])
 
 
 def test_timeline_zero_rates_constant_ones(fam2):
@@ -200,6 +202,13 @@ def test_timeline_rejects_invalid_trajectory(fam2):
     spec = sampled_evolution(2, times, lams, fam2)
     with pytest.raises(InvalidTrajectoryError, match="t=2"):
         timeline_report(spec, times)
+    for grid in ([], [1.0, 0.0]):  # empty, decreasing
+        with pytest.raises(InvalidTrajectoryError,
+                           match="time grid must be nonempty, finite and nondecreasing"):
+            validate_trajectory(spec, grid)
+    with pytest.raises(InvalidTrajectoryError,
+                       match="only constant-rate evolutions carry a generator"):
+        generator_superoperator(spec)
 
 
 def test_overflowing_interpolation_is_invalid_trajectory(fam2):

@@ -88,6 +88,16 @@ def test_family_refuses_entries_no_unit_vector_has(fam3, entry):
         MubFamily(d=3, bases=bases)
 
 
+@pytest.mark.parametrize("d, shape, message", [
+    (1, (1, 1, 1), "a family needs d >= 2, got d=1"),
+    (3, (5, 3, 3), "expected bases of shape (n<= 4, 3, 3), got (5, 3, 3)"),
+    (3, (3, 3), "expected bases of shape (n<= 4, 3, 3), got (3, 3)"),
+])
+def test_family_refuses_a_dimension_or_shape_it_cannot_hold(d, shape, message):
+    with pytest.raises(MubValidationError, match=re.escape(message)):
+        MubFamily(d=d, bases=np.zeros(shape, dtype=complex))
+
+
 def test_family_is_frozen_and_holds_only_d_and_bases(fam3):
     assert [f.name for f in dataclasses.fields(fam3)] == ["d", "bases"]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -306,6 +316,7 @@ def test_family_json_is_entrywise_pairs_and_reads_back_exactly(d):
     ([[[[1, 0, 0]]]], "'bases' has shape (1, 1, 1, 3)"),
     ([[[[1, 0], [0, 0]], [[0, 0]]]], "must hold JSON numbers, found list"),
     ([[[[1, 0], [0, 0]], [[0, 0], [1, True]]]], "must hold JSON numbers, found bool"),
+    ([[[[1, 0], [0, 0], [0, 0]]]], "expected bases of shape (n<= 3, 2, 2), got (1, 1, 3)"),
 ])
 def test_family_payload_that_is_no_bases_of_pairs_is_refused(bases, message):
     with pytest.raises(MubValidationError, match=re.escape(message)):

@@ -352,13 +352,34 @@ def test_seeded_fixed_points_stop_after_one_sweep(fam3, monkeypatch):
         assert res.best_restart < res.n_seed_states, name
 
 
-def _all_starts(dim, cfg, seeds):
-    """Every start of a search that runs its Haar rows, and the number of seeds."""
+def _drawn_haar_rows(search):
+    """Run ``search``, which must climb, and return the one block of Haar rows it draws."""
+    from gpchannels import oracle
+
+    draw, blocks = oracle.random_pure_state, []
+
+    def recorded(dim, rng, count):
+        blocks.append(draw(dim, rng, count))
+        return blocks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "random_pure_state", recorded)
+        assert not search().certified
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def _all_starts(cfg, seeds):
+    """Every start of a qubit search that climbs: the seeds, then the Haar rows it draws.
+
+    Amplitude damping is not unital, so no bound certifies its seeds.  Also
+    returns the number of seeds.
+    """
     from gpchannels.oracle import _start_states
 
-    starts, haar = _start_states(dim, cfg, seeds)
-    if haar is not None:
-        starts = np.concatenate([starts, haar()])
+    s = _amplitude_damping(0.3)[1]
+    haar = _drawn_haar_rows(lambda: extremize_self_fidelity(s, "max", cfg, seeds))
+    starts = np.concatenate([_start_states(2, cfg.restarts, seeds), haar])
     return starts, 0 if seeds is None else len(seeds)
 
 
@@ -367,18 +388,18 @@ def test_haar_starts_are_one_seeded_stream(fam2):
     # the same seed, a prefix of any larger budget, and unmoved by the seeds
     seeds = mub_seed_states(fam2)
     n = seeds.shape[0]
-    starts, n_seeds = _all_starts(2, OracleConfig(restarts=12, seed=5), seeds)
+    starts, n_seeds = _all_starts(OracleConfig(restarts=12, seed=5), seeds)
     assert n_seeds == n and starts.shape == (12, 2)
     assert np.allclose(starts[:n], seeds, rtol=0, atol=1e-15)  # renormalized
     haar = starts[n:]
     assert np.all(np.abs(np.linalg.norm(haar, axis=1) - 1.0) <= 1e-12)
-    again, _ = _all_starts(2, OracleConfig(restarts=12, seed=5), seeds)
+    again, _ = _all_starts(OracleConfig(restarts=12, seed=5), seeds)
     assert np.array_equal(again, starts)
-    other, _ = _all_starts(2, OracleConfig(restarts=12, seed=6), seeds)
+    other, _ = _all_starts(OracleConfig(restarts=12, seed=6), seeds)
     assert not np.array_equal(other[n:], haar)
-    more, _ = _all_starts(2, OracleConfig(restarts=40, seed=5), seeds)
+    more, _ = _all_starts(OracleConfig(restarts=40, seed=5), seeds)
     assert np.array_equal(more[:12], starts)
-    unseeded, n_none = _all_starts(2, OracleConfig(restarts=12, seed=5), None)
+    unseeded, n_none = _all_starts(OracleConfig(restarts=12, seed=5), None)
     assert n_none == 0 and np.array_equal(unseeded[: 12 - n], haar)
 
 
@@ -434,7 +455,7 @@ def test_start_states_keyed_by_global_restart_index(fam2):
     # each Haar start depends only on (seed, its index in the stream), not on
     # how many restarts are drawn together or how many seed states precede it
     seeds = mub_seed_states(fam2)
-    full, n_seeds = _all_starts(2, OracleConfig(restarts=12, seed=5), seeds)
+    full, n_seeds = _all_starts(OracleConfig(restarts=12, seed=5), seeds)
     assert n_seeds == seeds.shape[0]
     for j in range(12 - n_seeds):
         alone = random_pure_state(2, np.random.default_rng(5), j + 1)[j]
@@ -539,12 +560,12 @@ def _engine_scales(s):
 
     r, m = _checked_superop(s)
     hs = (0.5 * (r + r.T), -0.5 * (r + r.T), r @ r.T)
-    got = [_unital_bound(r, h, m)[1] for h in hs] + [_unital_bound(r, hs[2], m, root=True)[1]]
-    return got, [np.linalg.norm(h, 2) for h in hs] + [np.linalg.norm(r, 2)]
+    got = [_unital_bound(r, h, m)[1] for h in hs] + [_unital_bound(r, hs[2], m, pair=True)[1]]
+    return got, [np.linalg.norm(h, 2) for h in hs] + [np.linalg.norm(2.0 * r, 2)]
 
 
 def test_bound_spectrum_gives_the_engine_scale(certificate_battery):
-    # ||H||_2 of f, nu_2 and (halved) nu_inf come from the bound's eigvalsh and <u, H u>
+    # ||H||_2 of f, nu_2 and nu_inf (blocks 2 R^T, 2 R) come from the bound's eigvalsh and <u, H u>
     for *_, s in certificate_battery:
         got, svd = _engine_scales(s)
         assert np.allclose(got, svd, rtol=1e-12, atol=0.0)
@@ -664,11 +685,12 @@ def _inf_norm_engine(s, cfg, seed_states):
     from gpchannels import oracle
 
     r, m = _checked_superop(s)
-    seeds, haar = oracle._start_states(m, cfg, seed_states)
-    found = oracle._unital_bound(r, r @ r.T, m, root=True)
+    seeds = oracle._start_states(m, cfg.restarts, seed_states)
+    found = oracle._unital_bound(r, r @ r.T, m, pair=True)
     ops = 2.0 * np.stack([r.T, r])
-    scale = oracle._norm2(ops[0]) if found is None else 2.0 * found[1]
-    starts = oracle._pair_starts(r, np.concatenate([seeds, haar()]))
+    scale = oracle._norm2(ops[0]) if found is None else found[1]
+    haar = _drawn_haar_rows(lambda: maximize_output_inf_norm(s, cfg, seed_states))
+    starts = oracle._pair_starts(r, np.concatenate([seeds, haar]))
     return ops, starts, scale, None if found is None else found[0]
 
 
@@ -702,7 +724,7 @@ def test_pair_ascent_keeps_both_blocks_balanced(case, fam2, fam3):
     ops, starts, scale, bound = _inf_norm_engine(s, cfg, mub_seed_states(fam))
     assert (bound is None) == (case == "amplitude-damping")
     assert not maximize_output_inf_norm(s, cfg, mub_seed_states(fam)).certified
-    states, values, iters, settled = oracle._ascent(ops, starts, cfg, scale)
+    states, values, iters, settled = oracle._ascent(ops, starts, cfg.max_iters, scale)
     assert states.shape[1] == 64 and np.all(iters >= 1)
     norms = np.vecdot(states, states).real
     assert np.max(np.abs(norms - 0.5)) <= 1e-12
@@ -1004,6 +1026,8 @@ def test_searches_refuse_non_finite_or_non_hp_superoperators(fam2, monkeypatch):
         bad[1, 2] = value
         cases.append((bad, match))
     cases.append((np.kron(np.eye(2), a), "not Hermiticity-preserving"))
+    cases.append((s[:, :3], r"superoperator must be square, got \(4, 3\)"))
+    cases.append((np.eye(5), "superoperator side 5 is not a perfect square"))
     for bad, match in cases:
         for search in _four_searches(bad, OracleConfig(restarts=12, seed=1)):
             with pytest.raises(ValueError, match=match):

@@ -25,7 +25,6 @@ reports carry those flags per grid time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,8 @@ from .mub import MubFamily, spec_dimension, spec_numbers
 TRAJ_TOL = 1e-12
 #: identity-spectrum drift allowed at t=0 for sampled trajectories
 T0_TOL = 1e-9
-#: timeline rows per json.dumps call in the CSV export; a whole-table encode
-#: is no faster and raises peak memory with the table's text
+#: timeline rows formatted at a time in the CSV export; it bounds the
+#: per-column string lists held beside the finished lines
 CSV_BLOCK_ROWS = 256
 
 
@@ -260,20 +259,36 @@ def timeline_csv_text(tl: Timeline) -> str:
     """CSV export of a timeline: one row per grid time, flags as 0/1.
 
     Every float is written as Python's shortest round-trip ``repr``, so the
-    text reads back to the exact doubles of the timeline.  Rows go through
-    the C json encoder a block at a time, which writes floats with that
-    same ``repr``; non-finite values raise ``ValueError``.
+    text reads back to the exact doubles of the timeline.  The rows are
+    built ``CSV_BLOCK_ROWS`` at a time, column by column: each value column
+    of a block is formatted once, and a column whose doubles are those of
+    an earlier column in the block, compared as bytes, reuses its strings
+    (on a nonnegative trajectory ``nu_inf`` is ``f_max``).  Bytes and not
+    ``==``, because -0.0 == 0.0 while their reprs differ.  A non-finite
+    value raises ``ValueError`` naming its column and grid time before any
+    text is built.
     """
     figures = ["f_min", "f_max", "nu2", "nu_inf"]
     flags = ["fmax_multiplicative", "fmin_multiplicative", "nuinf_equals_fmax",
              "nuinf_multiplicative"]
-    values = np.column_stack([tl.times, tl.lambdas] + [getattr(tl, n) for n in figures])
-    bits = np.column_stack([getattr(tl, n) for n in flags]).astype(int)
-    header = ",".join(["t"] + [f"lambda_{a + 1}" for a in range(tl.d + 1)] + figures + flags)
-    lines = [header]
-    for start in range(0, values.shape[0], CSV_BLOCK_ROWS):
+    names = ["t"] + [f"lambda_{a + 1}" for a in range(tl.d + 1)] + figures
+    table = np.array([tl.times, *np.asarray(tl.lambdas).T] + [getattr(tl, n) for n in figures],
+                     dtype=float)
+    bad = ~np.isfinite(table.T)  # row-major, so the first bad value the text would hold
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"timeline column {names[j]!r} is not finite at t={table[0, i]:g}")
+    bits = [np.where(getattr(tl, n), "1", "0") for n in flags]
+    lines = [",".join(names + flags)]
+    for start in range(0, table.shape[1], CSV_BLOCK_ROWS):
         stop = start + CSV_BLOCK_ROWS
-        rows = [v + b for v, b in zip(values[start:stop].tolist(), bits[start:stop].tolist())]
-        text = json.dumps(rows, separators=(",", ":"), allow_nan=False)
-        lines.extend(text[2:-2].split("],["))
+        formatted = {}
+        cols = []
+        for col in table[:, start:stop]:
+            key = col.tobytes()
+            if key not in formatted:
+                formatted[key] = list(map(repr, col.tolist()))
+            cols.append(formatted[key])
+        cols.extend(b[start:stop].tolist() for b in bits)
+        lines.extend(map(",".join, zip(*cols)))
     return "\n".join(lines) + "\n"

@@ -272,10 +272,13 @@ def test_csv_shape_and_columns(fam2):
 
 
 def _csv_trajectories(d, rng):
-    """Exponential specs (random, all-zero and one zero rate) and one sampled spec."""
+    """Exponential specs (random, all-zero, one zero rate and two equal rates) and one
+    sampled spec."""
     rates = rng.uniform(0.0, 2.0, size=d + 1)
     one_zero = rates.copy()
     one_zero[1] = 0.0
+    two_equal = rates.copy()
+    two_equal[2] = two_equal[0]  # lambda_1 and lambda_3 are the same doubles
     knots = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 4.0, size=5))])
     gam = rng.uniform(0.0, 2.0, size=d + 1)
     # samples of a valid exponential trajectory; linear interpolation stays CPTP
@@ -284,6 +287,7 @@ def _csv_trajectories(d, rng):
         (exponential_evolution(d, rates), 5.0),
         (exponential_evolution(d, np.zeros(d + 1)), 1.0),
         (exponential_evolution(d, one_zero), 3.0),
+        (exponential_evolution(d, two_equal), 2.0),
         (sampled_evolution(d, knots, samples), float(knots[-1])),
     ]
 
@@ -294,7 +298,30 @@ def test_timeline_csv_bytes_match_reference(d):
     for spec, t_max in _csv_trajectories(d, rng):
         for steps in (1, 255, 256, 257, 2000):  # around the block size, and one long grid
             tl = timeline_report(spec, np.linspace(0.0, t_max, steps))
-            assert timeline_csv_text(tl) == timeline_csv_reference(tl)
+            for variant in (tl, *_csv_near_twins(tl)):
+                assert timeline_csv_text(variant) == timeline_csv_reference(variant)
+
+
+def _csv_near_twins(tl):
+    """Timelines whose columns nearly repeat another's: nu_inf is f_max in every row but
+    one, and lambda_1 holds -0.0 where f_min holds 0.0 (equal under ==, not as bytes)."""
+    n = tl.times.size
+    nu_inf = tl.f_max.copy()
+    nu_inf[n // 2] = np.nextafter(nu_inf[n // 2], 0.0)
+    lam = tl.lambdas.copy()
+    lam[:, 0] = -0.0
+    return (dataclasses.replace(tl, nu_inf=nu_inf),
+            dataclasses.replace(tl, lambdas=lam, f_min=np.zeros(n)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_timeline_csv_refuses_non_finite_values(fam2, bad):
+    tl = timeline_report(exponential_evolution(2, [1, 1, 1], fam2), np.linspace(0, 2, 5))
+    nu2, nu_inf, f_min = tl.nu2.copy(), tl.nu_inf.copy(), tl.f_min.copy()
+    nu2[1] = nu_inf[1] = f_min[2] = bad  # the first in row order is nu2 at t=0.5
+    tl = dataclasses.replace(tl, nu2=nu2, nu_inf=nu_inf, f_min=f_min)
+    with pytest.raises(ValueError, match=r"^timeline column 'nu2' is not finite at t=0\.5$"):
+        timeline_csv_text(tl)
 
 
 def load_evolution_file(path):
